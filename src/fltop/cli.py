@@ -15,7 +15,7 @@ from pathlib import Path
 from . import compression, config as config_mod, nn, privacy
 from .data import to_targets
 from .errors import ConfigError, DataError, FormatError
-from .federation import SCHEMES, run_experiment, trace_to_csv
+from .federation import run_experiment, trace_to_csv
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1

@@ -1,6 +1,6 @@
 """Retained-coordinate selection and the linear compress/expand operators."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,8 +10,6 @@ run exactly.
 import json
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import compression, data, nn, privacy
 from .data import to_targets
 from .errors import ConfigError

@@ -6,7 +6,6 @@ are re-pinned to the initial model during local SGD, and whether the update
 path is differentially private (clip + noise + masked aggregation).
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,16 +211,13 @@ class FederatedRun:
         x, y = self._client_batch(client_id)
         seed = [100, cfg.seeds.sampling, t, int(client_id)]
         if self.spec.reinit_nonselected and self.spec.selection != "all":
-            start = compression.expand(
-                compression.compress(self.w, index_set), index_set, self.w0)
-            local = nn.topk_sgd(x, y, start, self.w0, self.arch, cfg.local_steps,
-                                index_set.indices, cfg.learning_rate,
-                                cfg.batch_size, seed)
-        else:
-            start = self.w
-            local = nn.sgd(x, y, start, self.arch, cfg.local_steps,
-                           cfg.learning_rate, cfg.batch_size, seed)
-        return compression.compress(local - start, index_set)
+            idx = index_set.indices
+            local = nn.topk_sgd(x, y, self.w, self.w0, self.arch, cfg.local_steps,
+                                idx, cfg.learning_rate, cfg.batch_size, seed)
+            return local[idx] - self.w[idx]
+        local = nn.sgd(x, y, self.w, self.arch, cfg.local_steps,
+                       cfg.learning_rate, cfg.batch_size, seed)
+        return compression.compress(local - self.w, index_set)
 
     def run_round(self):
         """Advance the global model by one round; returns this round's cohort."""
@@ -273,7 +269,7 @@ class FederatedRun:
         """Metrics of the current global model on the held-out test set."""
         x = self.test.inputs
         y = self.test.labels
-        _, scores = nn.forward_loss(self.w, self.arch, x, to_targets(y, self.arch))
+        scores = nn.predict(self.w, self.arch, x)
         acc = accuracy(scores, y)
         bal = balanced_accuracy(scores, y)
         try:

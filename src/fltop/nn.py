@@ -6,6 +6,7 @@ Everything is a pure function of (inputs, seed) so federated clients can be
 evaluated independently and reproducibly.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,11 +125,15 @@ def _loss_value(preds, targets, loss):
     return float(-np.mean(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p)))
 
 
-def _check_batch(arch, x, y):
+def _check_inputs(arch, x):
     if x.ndim != 2 or x.shape[1] != arch.input_width:
         raise DimensionError(
             f"inputs of width {x.shape[-1] if x.ndim == 2 else '?'} do not match "
             f"architecture input width {arch.input_width}")
+
+
+def _check_batch(arch, x, y):
+    _check_inputs(arch, x)
     if y.shape != (x.shape[0], arch.output_width):
         raise DimensionError(
             f"targets {y.shape} do not match (batch, {arch.output_width})")
@@ -141,6 +146,13 @@ def forward_loss(w, arch, x, targets):
     _check_batch(arch, x, targets)
     preds = _forward(w, arch, x)[-1]
     return _loss_value(preds, targets, arch.loss), preds
+
+
+def predict(w, arch, x):
+    """Output-layer activations for a batch of inputs (forward pass only)."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_inputs(arch, x)
+    return _forward(w, arch, x)[-1]
 
 
 def gradient(w, arch, x, targets):
@@ -198,27 +210,90 @@ def sgd(x, y, w, arch, t_gd, eta, batch_size, seed):
     return w
 
 
+def _selector(offsets):
+    """A slice when the sorted offsets form one contiguous run, as for the
+    full set, so that gathers become copies; else the offsets themselves,
+    read-only as the layout cache hands them to every caller."""
+    if offsets.size and offsets[-1] - offsets[0] == offsets.size - 1:
+        return slice(int(offsets[0]), int(offsets[-1]) + 1)
+    offsets.flags.writeable = False
+    return offsets
+
+
+@functools.lru_cache(maxsize=8)
+def _topk_layout(arch, key):
+    """Where a retained index set falls in each layer's weight and bias block.
+
+    `key` holds the set's int64 bytes, so equal sets share one cache entry
+    whatever array they come in. Returns `(k, sel, layers)`: `k` is the set's
+    size; `sel` picks the set out of a flat vector; `layers[i]` is
+    `(w_pos, w_sel, b_pos, b_sel)`, where positions `w_pos` of the set are
+    the weights of layer i that `w_sel` picks out of its flattened (in, out)
+    matrix (None if there are none), and likewise for the biases.
+    """
+    indices = np.frombuffer(key, dtype=np.int64)
+    if indices.size and (indices.min() < 0 or indices.max() >= arch.n_params):
+        raise IndexError("index set out of range for this architecture")
+    if np.any(np.diff(indices) <= 0):
+        raise IndexError("index set must be strictly increasing")
+    layers = []
+    for w_sl, b_sl in arch.slices():
+        w_lo, b_lo, b_hi = np.searchsorted(indices, (w_sl.start, b_sl.start, b_sl.stop))
+        w_sel = _selector(indices[w_lo:b_lo] - w_sl.start) if b_lo > w_lo else None
+        b_sel = _selector(indices[b_lo:b_hi] - b_sl.start) if b_hi > b_lo else None
+        layers.append((slice(w_lo, b_lo), w_sel, slice(b_lo, b_hi), b_sel))
+    return indices.size, _selector(indices), tuple(layers)
+
+
 def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
     """SGD that only moves the coordinates in `indices`; the rest stay at w0.
 
-    The full-batch gradient is computed each step, but only the retained
-    coordinates receive the update, so the returned vector (and every
-    intermediate one) agrees with w0 outside the index set bit-exactly.
+    `indices` must be strictly increasing. Each step runs the full forward
+    pass but computes only the retained gradient entries: a layer's weight
+    gradient comes from the same matmul as in `gradient`, written into a
+    buffer reused across steps, and only its retained entries are gathered.
+    The result equals SGD on `gradient(...)[indices]` bit for bit, and
+    agrees with w0 outside the index set exactly. Only `w[indices]` is read.
     """
     if t_gd < 1:
         raise ConfigError(f"t_gd must be >= 1, got {t_gd}")
     if len(x) == 0:
         raise DataError("empty training set")
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and (indices.min() < 0 or indices.max() >= len(w0)):
-        raise IndexError("index set out of range for this architecture")
+    k, sel, layout = _topk_layout(
+        arch, np.asarray(indices, dtype=np.int64).tobytes())
     # Start from w0 outside the set, caller-provided values inside it.
     cur = np.array(w0, dtype=np.float64)
-    cur[indices] = np.asarray(w, dtype=np.float64)[indices]
+    cur[sel] = np.asarray(w, dtype=np.float64)[sel]
+    slices = arch.slices()
+    bufs = [None if w_sel is None else np.empty((l.in_width, l.out_width))
+            for l, (_, w_sel, _, _) in zip(arch.layers, layout)]
+    g = np.empty(k)
     batch_size = min(batch_size, len(x))
     stream = _batch_stream(len(x), batch_size, seed)
     for _ in range(t_gd):
         idx = next(stream)
-        u = (-eta) * gradient(cur, arch, x[idx], y[idx])
-        cur[indices] = cur[indices] + u[indices]
+        xb = np.asarray(x[idx], dtype=np.float64)
+        yb = np.asarray(y[idx], dtype=np.float64)
+        _check_batch(arch, xb, yb)
+        acts = _forward(cur, arch, xb)
+        # Softmax+CE and sigmoid+BCE share the same output delta.
+        delta = (acts[-1] - yb) / xb.shape[0]
+        for i in range(len(arch.layers) - 1, -1, -1):
+            w_pos, w_sel, b_pos, b_sel = layout[i]
+            if w_sel is not None:
+                np.matmul(acts[i].T, delta, out=bufs[i])
+                g[w_pos] = bufs[i].ravel()[w_sel]
+            if b_sel is not None:
+                g[b_pos] = delta.sum(axis=0)[b_sel]
+            if i > 0:
+                layer = arch.layers[i]
+                mat = cur[slices[i][0]].reshape(layer.in_width, layer.out_width)
+                delta = delta @ mat.T
+                prev = acts[i]
+                prev_kind = arch.layers[i - 1].activation
+                if prev_kind == "relu":
+                    delta = delta * (prev > 0)
+                elif prev_kind == "sigmoid":
+                    delta = delta * prev * (1.0 - prev)
+        cur[sel] += (-eta) * g
     return cur

@@ -25,19 +25,6 @@ def toy_batch():
     return x, y
 
 
-def finite_difference_gradient(w, arch, x, y, h=1e-5):
-    """Central-difference gradient oracle, independent of backprop."""
-    g = np.zeros_like(w)
-    for i in range(len(w)):
-        wp, wm = w.copy(), w.copy()
-        wp[i] += h
-        wm[i] -= h
-        lp, _ = nn.forward_loss(wp, arch, x, y)
-        lm, _ = nn.forward_loss(wm, arch, x, y)
-        g[i] = (lp - lm) / (2 * h)
-    return g
-
-
 @pytest.fixture
 def separable_task():
     """Well-separated synthetic binary task plus a matching public batch."""

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 from scipy.stats import chisquare
 
-from conftest import finite_difference_gradient
+from oracles import finite_difference_gradient
 from fltop import cli, data, nn, privacy, secure_agg
 from fltop.data import to_targets
 from fltop.federation import (FederatedRun, FederationConfig, Seeds,

@@ -5,7 +5,7 @@ from fltop import compression, nn
 from fltop.compression import IndexSet, compress, expand, select_random, select_topk
 from fltop.errors import ConfigError, DimensionError
 
-from conftest import finite_difference_gradient
+from oracles import finite_difference_gradient
 
 
 class TestIndexSet:

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fltop import nn
 from fltop.errors import ConfigError, DataError, DimensionError
 
-from conftest import finite_difference_gradient
+from oracles import finite_difference_gradient, reference_topk_sgd
 
 
 def one_hot(labels, k):
@@ -66,6 +67,7 @@ class TestForward:
         w = nn.init_model(toy_arch, 1)
         _, preds = nn.forward_loss(w, toy_arch, x, y)
         assert np.allclose(preds.sum(axis=1), 1.0, atol=1e-9)
+        assert np.array_equal(nn.predict(w, toy_arch, x), preds)
 
     def test_matches_independent_reimplementation(self, toy_arch, toy_batch):
         # Per-sample, loop-based forward pass written independently of the
@@ -94,6 +96,8 @@ class TestForward:
             nn.forward_loss(w, toy_arch, np.zeros((3, 5)), np.zeros((3, 2)))
         with pytest.raises(DimensionError):
             nn.forward_loss(w, toy_arch, np.zeros((3, 2)), np.zeros((3, 5)))
+        with pytest.raises(DimensionError):
+            nn.predict(w, toy_arch, np.zeros((3, 5)))
 
 
 class TestGradient:
@@ -186,7 +190,90 @@ class TestSgd:
         assert l1 < l0
 
 
+@st.composite
+def topk_cases(draw):
+    """A small network, a shard, a batch size and an index set of one kind."""
+    n_hidden = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 5), min_size=n_hidden + 1,
+                           max_size=n_hidden + 1))
+    loss = draw(st.sampled_from(nn.LOSSES))
+    binary = loss == "binary_cross_entropy"
+    out_width = 1 if binary else draw(st.integers(2, 3))
+    kinds = draw(st.lists(st.sampled_from(("relu", "sigmoid")),
+                          min_size=n_hidden, max_size=n_hidden))
+    layers = [nn.LayerSpec(a, b, kind)
+              for a, b, kind in zip(widths, widths[1:], kinds)]
+    layers.append(nn.LayerSpec(widths[-1], out_width,
+                               "sigmoid" if binary else "softmax"))
+    arch = nn.ArchSpec(tuple(layers), loss)
+    n = arch.n_params
+    slices = arch.slices()
+    set_kind = draw(st.sampled_from(("empty", "bias", "one_layer", "random", "full")))
+    if set_kind == "empty":
+        chosen = set()
+    elif set_kind == "bias":
+        biases = [j for _, b_sl in slices for j in range(b_sl.start, b_sl.stop)]
+        chosen = draw(st.sets(st.sampled_from(biases), min_size=1))
+    elif set_kind == "one_layer":
+        w_sl, b_sl = slices[draw(st.integers(0, len(slices) - 1))]
+        chosen = draw(st.sets(st.integers(w_sl.start, b_sl.stop - 1), min_size=1))
+    elif set_kind == "random":
+        chosen = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    else:
+        chosen = range(n)
+    indices = np.array(sorted(chosen), dtype=np.int64)
+    shard = draw(st.integers(1, 8))
+    batch_size = draw(st.integers(1, 10))
+    t_gd = draw(st.integers(1, 4))
+    eta = draw(st.sampled_from((0.05, 0.3, 1.0)))
+    data_seed = draw(st.integers(0, 2**32 - 1))
+    return arch, indices, shard, batch_size, t_gd, eta, data_seed
+
+
+def topk_inputs(arch, shard, data_seed):
+    """Shard, targets, start point w and pinned w0 (w differs from w0 everywhere)."""
+    rng = np.random.default_rng(data_seed)
+    x = rng.uniform(-1, 1, (shard, arch.input_width))
+    if arch.loss == "binary_cross_entropy":
+        y = rng.integers(0, 2, (shard, 1)).astype(float)
+    else:
+        y = one_hot(rng.integers(0, arch.output_width, shard), arch.output_width)
+    w0 = nn.init_model(arch, data_seed % 1000)
+    w = w0 + rng.normal(0, 0.1, arch.n_params)
+    return x, y, w, w0
+
+
 class TestTopkSgd:
+    @settings(max_examples=300, deadline=None)
+    @given(topk_cases())
+    def test_matches_dense_reference_bitwise(self, case):
+        arch, indices, shard, batch_size, t_gd, eta, data_seed = case
+        x, y, w, w0 = topk_inputs(arch, shard, data_seed)
+        args = (arch, t_gd, indices, eta, batch_size, data_seed)
+        out = nn.topk_sgd(x, y, w, w0, *args)
+        assert np.array_equal(out, reference_topk_sgd(x, y, w, w0, *args))
+
+    def test_layout_follows_index_set_content(self, toy_arch, toy_batch):
+        # Same size, same array object, different content: each run must see
+        # the set it was given, as fl-basic's per-round sets require.
+        x, y = toy_batch
+        _, _, w, w0 = topk_inputs(toy_arch, 1, 5)
+        a = np.array([0, 4, 7, 9, 16], dtype=np.int64)
+        b = np.array([1, 2, 8, 12, 13], dtype=np.int64)
+        indices = a.copy()
+        for content in (a, b, a):
+            indices[:] = content
+            args = (toy_arch, 4, indices, 0.3, 2, 11)
+            assert np.array_equal(nn.topk_sgd(x, y, w, w0, *args),
+                                  reference_topk_sgd(x, y, w, w0, *args))
+
+    @pytest.mark.parametrize("indices", [[3, 1], [2, 2], [0, 5, 5, 6]])
+    def test_non_increasing_indices(self, toy_arch, toy_batch, indices):
+        x, y = toy_batch
+        w0 = nn.init_model(toy_arch, 0)
+        with pytest.raises(IndexError):
+            nn.topk_sgd(x, y, w0, w0, toy_arch, 1, np.array(indices), 0.1, 2, 0)
+
     def test_full_set_matches_sgd_bitwise(self, toy_arch, toy_batch):
         x, y = toy_batch
         w = nn.init_model(toy_arch, 0)
