@@ -17,10 +17,6 @@ class FormatError(ValueError):
     """Malformed input file."""
 
 
-class NumericError(ArithmeticError):
-    """Numerical routine failed to converge."""
-
-
 class ProtocolError(RuntimeError):
     """Secure-aggregation protocol misuse (e.g. missing client)."""
 

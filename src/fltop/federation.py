@@ -136,8 +136,9 @@ def auroc(scores, labels):
     neg = scores[labels == 0]
     if len(pos) == 0 or len(neg) == 0:
         raise DataError("AUROC needs both classes present")
-    from scipy.stats import rankdata
-    ranks = rankdata(scores)
+    # Average ranks: a tie group's last 1-based position minus (count-1)/2.
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     u = ranks[labels == 1].sum() - len(pos) * (len(pos) + 1) / 2.0
     return float(u / (len(pos) * len(neg)))
 

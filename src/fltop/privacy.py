@@ -6,11 +6,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
-from .errors import ConfigError, NumericError
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+from .errors import ConfigError
 
 
 def clip(delta_w, s):
@@ -43,23 +40,15 @@ def add_client_noise(delta_w, s, sigma, num_selected, rng_seed):
     return delta_w + rng.normal(0.0, std, size=delta_w.shape)
 
 
-def _log_mix_densities(x, sigma, c):
-    """Log pdfs of N(0, sigma^2) and the mixture (1-c)N(0,sigma^2) + cN(1,sigma^2)."""
-    log_n0 = -0.5 * (x / sigma) ** 2 - math.log(sigma) - _LOG_SQRT_2PI
-    log_n1_shift = -0.5 * ((x - 1.0) / sigma) ** 2 - math.log(sigma) - _LOG_SQRT_2PI
-    if c >= 1.0:
-        log_mix = log_n1_shift
-    else:
-        log_mix = np.logaddexp(math.log1p(-c) + log_n0, math.log(c) + log_n1_shift)
-    return log_n0, log_mix
-
-
 def log_moment(lam, sigma, c):
     """Log moment alpha(lambda|c) of the subsampled Gaussian privacy loss.
 
-    Returns log max(E1, E2) with E1 = int n0 (n0/n1)^lam, E2 = int n1 (n1/n0)^lam,
-    where n0 = pdf of N(0, sigma^2) and n1 = (1-c) n0 + c pdf of N(1, sigma^2).
-    Both integrals are evaluated with adaptive quadrature, densities in log space.
+    The moments accountant takes log max(E1, E2) with E1 = int n0 (n0/n1)^lambda
+    and E2 = int n1 (n1/n0)^lambda, where n0 = pdf of N(0, sigma^2) and
+    n1 = (1-c) n0 + c pdf of N(1, sigma^2). E2 >= E1 for this mechanism, and at
+    integer lambda E2 has a binomial closed form (Mironov, Talwar & Zhang 2019,
+    Renyi DP of the Sampled Gaussian Mechanism), summed here in log space:
+    E2 = sum_k C(lambda+1, k) (1-c)^(lambda+1-k) c^k exp((k^2-k)/(2 sigma^2)).
     """
     if lam < 1 or int(lam) != lam:
         raise ConfigError(f"lambda must be a positive integer, got {lam}")
@@ -69,38 +58,18 @@ def log_moment(lam, sigma, c):
         raise ConfigError(f"sampling fraction must be in [0, 1], got {c}")
     if c == 0:
         return 0.0
-
-    def e1_exponent(x):
-        log_n0, log_n1 = _log_mix_densities(x, sigma, c)
-        return log_n0 + lam * (log_n0 - log_n1)
-
-    def e2_exponent(x):
-        log_n0, log_n1 = _log_mix_densities(x, sigma, c)
-        return log_n1 + lam * (log_n1 - log_n0)
-
-    # The E2 integrand peaks near x = lam + 1; the bound must cover that peak
-    # plus 12 sigma of Gaussian width on either side.
-    bound = 12.0 * sigma + lam + 2.0
-    log_e1 = _log_quad(e1_exponent, bound, lam)
-    log_e2 = _log_quad(e2_exponent, bound, lam)
-    # Quadrature can undershoot 1 by rounding error when c is tiny.
-    return max(log_e1, log_e2, 0.0)
-
-
-def _log_quad(exponent, bound, lam):
-    """log of the integral of exp(exponent(x)) over [-bound, bound].
-
-    The exponent can reach thousands for large lambda, so the integrand is
-    shifted by its maximum (located on a dense grid) before quadrature.
-    """
-    grid = np.linspace(-bound, bound, 4097)
-    shift = float(np.max(exponent(grid)))
-    val, err = integrate.quad(lambda x: np.exp(exponent(x) - shift),
-                              -bound, bound, points=[0.0, 1.0, float(lam + 1)],
-                              limit=200, epsabs=1e-13, epsrel=1e-11)
-    if not math.isfinite(val) or val <= 0 or err > 1e-6 * val:
-        raise NumericError(f"quadrature did not converge: value={val}, err={err}")
-    return math.log(val) + shift
+    if c == 1:
+        # Only the k = lambda+1 term survives; log1p(-1) would raise.
+        return lam * (lam + 1) / (2.0 * sigma * sigma)
+    a = int(lam) + 1
+    log_keep, log_c = math.log1p(-c), math.log(c)
+    terms = [math.lgamma(a + 1) - math.lgamma(k + 1) - math.lgamma(a - k + 1)
+             + (a - k) * log_keep + k * log_c + (k * k - k) / (2.0 * sigma * sigma)
+             for k in range(a + 1)]
+    top = max(terms)
+    log_e2 = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+    # Rounding can put the sum a hair below 1 when c is tiny.
+    return max(log_e2, 0.0)
 
 
 @lru_cache(maxsize=None)

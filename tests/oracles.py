@@ -1,8 +1,14 @@
 """Reference implementations the tests compare the package against."""
 
+import math
+
 import numpy as np
+from scipy import integrate
+from scipy.stats import rankdata
 
 from fltop import nn
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def finite_difference_gradient(w, arch, x, y, h=1e-5):
@@ -31,3 +37,59 @@ def reference_topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
         u = (-eta) * nn.gradient(cur, arch, x[idx], y[idx])
         cur[indices] = cur[indices] + u[indices]
     return cur
+
+
+def _log_mix_densities(x, sigma, c):
+    """Log pdfs of N(0, sigma^2) and the mixture (1-c)N(0,sigma^2) + cN(1,sigma^2)."""
+    log_n0 = -0.5 * (x / sigma) ** 2 - math.log(sigma) - _LOG_SQRT_2PI
+    log_n1_shift = -0.5 * ((x - 1.0) / sigma) ** 2 - math.log(sigma) - _LOG_SQRT_2PI
+    if c >= 1.0:
+        log_mix = log_n1_shift
+    else:
+        log_mix = np.logaddexp(math.log1p(-c) + log_n0, math.log(c) + log_n1_shift)
+    return log_n0, log_mix
+
+
+def _log_quad(exponent, bound, lam):
+    """log of the integral of exp(exponent(x)) over [-bound, bound].
+
+    The exponent can reach thousands for large lambda, so the integrand is
+    shifted by its maximum (located on a dense grid) before quadrature.
+    """
+    grid = np.linspace(-bound, bound, 4097)
+    shift = float(np.max(exponent(grid)))
+    val, err = integrate.quad(lambda x: np.exp(exponent(x) - shift),
+                              -bound, bound, points=[0.0, 1.0, float(lam + 1)],
+                              limit=200, epsabs=1e-13, epsrel=1e-11)
+    if not math.isfinite(val) or val <= 0 or err > 1e-6 * val:
+        raise ArithmeticError(f"quadrature did not converge: value={val}, err={err}")
+    return math.log(val) + shift
+
+
+def quadrature_log_moments(lam, sigma, c):
+    """(log E1, log E2) of the subsampled Gaussian by adaptive quadrature:
+    E1 = int n0 (n0/n1)^lam and E2 = int n1 (n1/n0)^lam, with n0 the pdf of
+    N(0, sigma^2) and n1 = (1-c) n0 + c pdf of N(1, sigma^2). Densities are
+    evaluated in log space; no binomial expansion is used."""
+
+    def e1_exponent(x):
+        log_n0, log_n1 = _log_mix_densities(x, sigma, c)
+        return log_n0 + lam * (log_n0 - log_n1)
+
+    def e2_exponent(x):
+        log_n0, log_n1 = _log_mix_densities(x, sigma, c)
+        return log_n1 + lam * (log_n1 - log_n0)
+
+    # The E2 integrand peaks near x = lam + 1; the bound must cover that peak
+    # plus 12 sigma of Gaussian width on either side.
+    bound = 12.0 * sigma + lam + 2.0
+    return _log_quad(e1_exponent, bound, lam), _log_quad(e2_exponent, bound, lam)
+
+
+def rankdata_auroc(scores, labels):
+    """AUROC from the Mann-Whitney U statistic with scipy's average ranks."""
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    pos = np.asarray(labels) == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    u = rankdata(scores)[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))

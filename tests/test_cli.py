@@ -1,8 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fltop
 from fltop import cli, compression
+
+# The example config from README.md.
+README_CONFIG = {
+    "scheme": "fl-top-dp",
+    "dataset": {"type": "synthetic", "n_samples": 4000, "n_features": 20,
+                "positive_rate": 0.5, "seed": 11, "separation": 4.0},
+    "model": {"hidden": [64], "loss": "cross_entropy"},
+    "federation": {"n_clients": 50, "sampling_fraction": 0.2, "rounds": 50,
+                   "local_steps": 5, "batch_size": 10, "learning_rate": 0.3,
+                   "ratio": 0.05, "sigma": 1.54, "clip": "calibrate"},
+}
 
 
 def base_config(tmp_path, **overrides):
@@ -64,6 +80,29 @@ class TestRun:
             (tmp_path / "out" / "resolved_config.json").read_text())
         assert isinstance(resolved["federation"]["clip"], float)
         assert resolved["federation"]["clip"] > 0
+
+    @pytest.mark.parametrize("loss", ["cross_entropy", "binary_cross_entropy"])
+    def test_run_imports_no_scipy(self, tmp_path, loss):
+        # scipy is a test-only dependency: a whole run, accountant and AUROC
+        # included, must not import it. A fresh interpreter, because this
+        # test process has scipy loaded already.
+        cfg = json.loads(json.dumps(README_CONFIG))
+        cfg["model"]["loss"] = loss
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        script = ("import sys\n"
+                  "from fltop import cli\n"
+                  "rc = cli.main(['run', sys.argv[1], '--output-dir', sys.argv[2]])\n"
+                  "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(fltop.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script, str(path),
+                               str(tmp_path / "out")],
+                              env=dict(os.environ, PYTHONPATH=src), timeout=300,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 []"
+        # The binary run did compute AUROC, so the rank path ran too.
+        first_row = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1]
+        assert (first_row.split(",")[3] == "nan") == (loss == "cross_entropy")
 
 
 class TestErrors:

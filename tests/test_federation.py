@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import rankdata_auroc
 from fltop import data, nn, privacy
-from fltop.data import to_targets
 from fltop.errors import ConfigError, DataError
 from fltop.federation import (SCHEMES, FederatedRun, FederationConfig,
-                              RoundMetrics, Seeds, accuracy, auroc,
-                              balanced_accuracy, bandwidth_cost,
-                              run_experiment, trace_to_csv)
+                              accuracy, auroc, balanced_accuracy,
+                              bandwidth_cost, run_experiment, trace_to_csv)
 
 FASHION_N = 1_663_370
 FASHION_C = 1 / 60
@@ -73,6 +73,23 @@ class TestMetrics:
         pos, neg = scores[labels == 1], scores[labels == 0]
         wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
         assert auroc(scores, labels) == pytest.approx(wins / (len(pos) * len(neg)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.25, 0.5,
+                                               float(np.nextafter(0.5, 1.0)),
+                                               0.75, 1.0]),
+                              st.integers(0, 1)),
+                    min_size=2, max_size=80))
+    def test_auroc_tie_heavy_matches_rankdata(self, rows):
+        # Few distinct scores, so most ranks are tie averages; the result
+        # must equal scipy's average-rank statistic exactly, not approximately.
+        scores = np.array([r[0] for r in rows])
+        labels = np.array([r[1] for r in rows])
+        if labels.min() == labels.max():
+            with pytest.raises(DataError):
+                auroc(scores, labels)
+            return
+        assert auroc(scores, labels) == rankdata_auroc(scores, labels)
 
     def test_auroc_single_class(self):
         with pytest.raises(DataError):

@@ -2,23 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, logsumexp
 
-from fltop import privacy
+from oracles import quadrature_log_moments
 from fltop.privacy import (AccountantQuery, add_client_noise,
                            calibrate_sensitivity, clip, epsilon, log_moment)
 from fltop.errors import ConfigError
-
-
-def closed_form_log_e2(lam, sigma, c):
-    """Binomial closed form for log E2 of the subsampled Gaussian at integer
-    lambda: the mixture ratio expands as ((1-c) + c e^{(2x-1)/(2 sigma^2)})^{lam+1}
-    under the N(0, sigma^2) measure, giving Gaussian-moment terms exp((j^2-j)/(2 sigma^2))."""
-    j = np.arange(0, lam + 2)
-    log_binom = gammaln(lam + 2) - gammaln(j + 1) - gammaln(lam + 2 - j)
-    terms = (log_binom + (lam + 1 - j) * math.log1p(-c) + j * math.log(c)
-             + (j * j - j) / (2.0 * sigma ** 2))
-    return float(logsumexp(terms))
 
 
 class TestClip:
@@ -77,18 +65,40 @@ class TestLogMoment:
     def test_lambda_one_closed_form(self):
         for sigma, c in [(1.54, 1 / 60), (1.0, 0.02), (0.9, 0.05)]:
             assert log_moment(1, sigma, c) == pytest.approx(
-                closed_form_log_e2(1, sigma, c), rel=1e-8)
+                quadrature_log_moments(1, sigma, c)[1], rel=1e-8)
 
     def test_monotone_in_lambda(self):
         vals = [log_moment(lam, 1.54, 1 / 60) for lam in range(1, 33)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_oracle_equivalence_grid(self):
-        for sigma in (0.8, 1.49, 1.54, 4.0):
-            for c in (0.01, 1 / 60, 0.02):
-                for lam in (1, 2, 4, 8, 16, 32):
-                    assert log_moment(lam, sigma, c) == pytest.approx(
-                        closed_form_log_e2(lam, sigma, c), abs=1e-6)
+        # Quadrature of both integrals, independent of the binomial closed
+        # form. Every lambda up to lam_max=64 on the benchmark workloads'
+        # (sigma, q) pairs, so the check also covers E2 >= E1, which lets
+        # log_moment return E2 alone.
+        grid = [(sigma, c, lam) for sigma in (0.8, 1.49, 1.54, 4.0)
+                for c in (0.01, 1 / 60, 0.02) for lam in (1, 2, 4, 8, 16, 32)]
+        grid += [(sigma, c, lam) for sigma, c in ((1.54, 0.2), (1.0, 0.1))
+                 for lam in range(1, 65)]
+        for sigma, c, lam in grid:
+            log_e1, log_e2 = quadrature_log_moments(lam, sigma, c)
+            got = log_moment(lam, sigma, c)
+            assert got == pytest.approx(log_e2, abs=1e-6)
+            assert got >= log_e1 - 1e-9
+
+    def test_full_sampling_closed_form(self):
+        # At c = 1 the moment is that of the plain Gaussian mechanism. The
+        # former quadrature did not converge at (64, 0.1) and (16, 0.02).
+        for lam, sigma in [(1, 1.0), (7, 1.54), (64, 0.8), (64, 0.1), (16, 0.02)]:
+            assert log_moment(lam, sigma, 1.0) == lam * (lam + 1) / (2 * sigma ** 2)
+
+    def test_small_sigma_large_lambda_finite(self):
+        # Exponents reach thousands here; the log-space sum stays finite and
+        # grows with lambda.
+        for sigma, c in [(0.3, 0.1), (0.02, 0.5)]:
+            vals = [log_moment(lam, sigma, c) for lam in (32, 64, 128)]
+            assert all(math.isfinite(v) for v in vals)
+            assert 0 < vals[0] < vals[1] < vals[2]
 
     def test_invalid_arguments(self):
         with pytest.raises(ConfigError):
