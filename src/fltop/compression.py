@@ -1,10 +1,10 @@
-"""Retained-coordinate selection and the linear compress/expand operators."""
+"""Retained-coordinate index sets: Top-K and random selection, file I/O."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .nn import gradient
 
 
@@ -67,27 +67,6 @@ def select_random(n, k, seed):
         raise ConfigError(f"K must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
     return IndexSet(np.sort(rng.choice(n, size=k, replace=False)), n)
-
-
-def compress(v, index_set):
-    """Pick the retained coordinates, in index order."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (index_set.n,):
-        raise DimensionError(f"vector length {v.shape} != n={index_set.n}")
-    return v[index_set.indices]
-
-
-def expand(c, index_set, base):
-    """Scatter compressed values into a copy of base at the retained coordinates."""
-    c = np.asarray(c, dtype=np.float64)
-    base = np.asarray(base, dtype=np.float64)
-    if c.shape != (index_set.k,):
-        raise DimensionError(f"compressed length {c.shape} != K={index_set.k}")
-    if base.shape != (index_set.n,):
-        raise DimensionError(f"base length {base.shape} != n={index_set.n}")
-    out = base.copy()
-    out[index_set.indices] = c
-    return out
 
 
 def save_index_set(index_set, path):

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 from . import compression, data, nn, privacy
 from .data import to_targets
 from .errors import ConfigError
-from .federation import SCHEMES, FederationConfig, Seeds
+from .federation import (SCHEMES, FederationConfig, Seeds, initial_index_set,
+                         local_update)
 
 _REQUIRED_TOP = ("scheme", "dataset", "model", "federation")
 
@@ -129,7 +130,7 @@ def resolve(raw):
         raw["federation"].setdefault(key, default)
     raw["federation"].setdefault("clip", fed.clip_s)
 
-    part = data.partition(train, fed.n_clients, mode="iid", seed=seeds.sampling)
+    part = data.partition(train, fed.n_clients, seed=seeds.sampling)
     return ResolvedExperiment(raw, fed, train, test, part, public)
 
 
@@ -142,31 +143,19 @@ def calibrate_clip(fed, public, trials_random=100):
     """
     arch = fed.arch
     w0 = nn.init_model(arch, fed.seeds.model)
-    n = len(w0)
     px, py = public
     targets = to_targets(py, arch)
-    spec = fed.spec
 
     def train_fn(iset):
-        if spec.reinit_nonselected and spec.selection != "all":
-            local = nn.topk_sgd(px, targets, w0, w0, arch, fed.local_steps,
-                                iset.indices, fed.learning_rate, len(px),
-                                [104, fed.seeds.sampling])
-        else:
-            local = nn.sgd(px, targets, w0, arch, fed.local_steps,
-                           fed.learning_rate, len(px), [104, fed.seeds.sampling])
-        return compression.compress(local - w0, iset)
+        return local_update(fed.spec, px, targets, w0, w0, arch, iset,
+                            fed.local_steps, fed.learning_rate, len(px),
+                            [104, fed.seeds.sampling])
 
-    if spec.selection == "all":
-        sets, trials = [compression.full_set(n)], 1
-    elif spec.selection == "topk":
-        iset = compression.select_topk(w0, arch, px, targets, fed.t_init,
-                                       fed.k(n), fed.learning_rate)
+    iset = initial_index_set(fed, w0, public)
+    if iset is not None:
         sets, trials = [iset], 1
-    elif spec.fixed_across_rounds:
-        sets = [compression.select_random(n, fed.k(n), [101, fed.seeds.sampling])]
-        trials = 1
     else:
+        n = len(w0)
         sets = (compression.select_random(n, fed.k(n), [105, fed.seeds.sampling, i])
                 for i in range(trials_random))
         trials = trials_random

@@ -118,42 +118,17 @@ def train_test_split(d, test_fraction, seed):
 @dataclass(frozen=True)
 class Partition:
     assignments: tuple  # per-client index arrays
-    mode: str
 
 
-def partition(d, n_clients, mode="iid", seed=0, labels_per_client=1):
-    """Split a dataset into disjoint per-client shards.
-
-    iid: equal-size random shards. label_skewed: each client draws only from
-    a limited set of labels (non-IID stress testing).
-    """
+def partition(d, n_clients, seed=0):
+    """Split a dataset into equal-size, disjoint, iid random per-client shards."""
     if n_clients > len(d):
         raise ConfigError(f"cannot split {len(d)} samples over {n_clients} clients")
     rng = np.random.default_rng(seed)
     per = len(d) // n_clients
-    if mode == "iid":
-        order = rng.permutation(len(d))
-        shards = [np.sort(order[i * per:(i + 1) * per]) for i in range(n_clients)]
-    elif mode == "label_skewed":
-        labels = np.unique(d.labels)
-        pools = {l: list(rng.permutation(np.flatnonzero(d.labels == l)))
-                 for l in labels}
-        shards = []
-        for i in range(n_clients):
-            chosen = rng.choice(labels, size=min(labels_per_client, len(labels)),
-                                replace=False)
-            take = []
-            for l in chosen:
-                m = max(per // len(chosen), 1)
-                take.extend(pools[l][:m])
-                del pools[l][:m]
-            if not take:
-                raise ConfigError("label_skewed ran out of samples; fewer clients "
-                                  "or more data needed")
-            shards.append(np.sort(np.asarray(take, dtype=np.int64)))
-    else:
-        raise ConfigError(f"unknown partition mode {mode!r}")
-    return Partition(tuple(shards), mode)
+    order = rng.permutation(len(d))
+    return Partition(tuple(np.sort(order[i * per:(i + 1) * per])
+                           for i in range(n_clients)))
 
 
 def downsample(d, seed):

@@ -1,9 +1,11 @@
 """Round orchestration for the full scheme matrix.
 
-Scheme axes: which coordinates are trained (top-k / random / all), whether the
-index set is fixed across rounds or redrawn, whether non-selected coordinates
-are re-pinned to the initial model during local SGD, and whether the update
-path is differentially private (clip + noise + masked aggregation).
+Schemes differ in which coordinates are selected (top-k / random / all),
+whether the index set is fixed across rounds or redrawn, whether non-selected
+coordinates are re-pinned to the initial model, and whether the update path
+is differentially private (clip + noise + masked aggregation). All of them
+pick the set with `initial_index_set`, train with `local_update`, and move the
+set's coordinates by the cohort mean, resetting the rest to w0 if pinned.
 """
 
 from dataclasses import dataclass, field
@@ -78,6 +80,9 @@ class FederationConfig:
             raise ConfigError("sampling fraction must be in (0, 1]")
         if self.cohort_size < 1:
             raise ConfigError("sampling fraction selects no client")
+        if self.spec.dp and self.cohort_size < 2:
+            raise ConfigError(f"{self.scheme} masks the cohort's sum, which needs "
+                              f"at least 2 clients; the cohort is {self.cohort_size}")
         if not 0 < self.ratio <= 1:
             raise ConfigError("compression ratio must be in (0, 1]")
 
@@ -150,6 +155,38 @@ def _hard_predictions(scores):
     return (scores.reshape(-1) >= 0.5).astype(np.int64)
 
 
+def initial_index_set(cfg, w0, public):
+    """The scheme's index set before round 1, or None if it is redrawn each
+    round. Top-K selection runs on the public batch from w0."""
+    n = len(w0)
+    spec = cfg.spec
+    if spec.selection == "all":
+        return compression.full_set(n)
+    k = cfg.k(n)
+    if spec.selection == "topk":
+        if public is None:
+            raise ConfigError("top-k selection requires a public batch")
+        px, py = public
+        return compression.select_topk(w0, cfg.arch, px, to_targets(py, cfg.arch),
+                                       cfg.t_init, k, cfg.learning_rate)
+    if spec.fixed_across_rounds:
+        return compression.select_random(n, k, [101, cfg.seeds.sampling])
+    return None
+
+
+def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, seed):
+    """One client's local training from the global model `w`; returns the
+    change at the index set's coordinates, in index order.
+
+    A pinning scheme trains only the index set, with every other coordinate
+    held at w0; any other scheme trains every coordinate.
+    """
+    idx = index_set.indices
+    trained = idx if spec.reinit_nonselected else np.arange(arch.n_params)
+    local = nn.topk_sgd(x, y, w, w0, arch, steps, trained, eta, batch_size, seed)
+    return local[idx] - w[idx]
+
+
 class FederatedRun:
     """One federated training run; advances round by round.
 
@@ -164,7 +201,6 @@ class FederatedRun:
         self.train = train
         self.part = part
         self.test = test
-        self.public = public
         self.arch = config.arch
         self.w0 = nn.init_model(self.arch, config.seeds.model)
         self.w = self.w0.copy()
@@ -172,24 +208,8 @@ class FederatedRun:
         self.codec = secure_agg.FixedPointCodec(config.frac_bits)
         self.round_index = 0
         self.clamp_total = 0
-        self.index_set = self._initial_index_set()
+        self.index_set = initial_index_set(config, self.w0, public)
         self._targets_cache = {}
-
-    def _initial_index_set(self):
-        cfg = self.config
-        if self.spec.selection == "all":
-            return compression.full_set(self.n)
-        k = cfg.k(self.n)
-        if self.spec.selection == "topk":
-            if self.public is None:
-                raise ConfigError("top-k selection requires a public batch")
-            px, py = self.public
-            return compression.select_topk(
-                self.w0, self.arch, px, to_targets(py, self.arch),
-                cfg.t_init, k, cfg.learning_rate)
-        if self.spec.fixed_across_rounds:
-            return compression.select_random(self.n, k, [101, cfg.seeds.sampling])
-        return None  # redrawn each round
 
     def _round_index_set(self, t):
         if self.index_set is not None:
@@ -207,18 +227,12 @@ class FederatedRun:
         return self._targets_cache[key]
 
     def _local_update(self, client_id, t, index_set):
-        """Train one client locally; returns its compressed update."""
+        """Train one client locally; returns its K-vector update."""
         cfg = self.config
         x, y = self._client_batch(client_id)
-        seed = [100, cfg.seeds.sampling, t, int(client_id)]
-        if self.spec.reinit_nonselected and self.spec.selection != "all":
-            idx = index_set.indices
-            local = nn.topk_sgd(x, y, self.w, self.w0, self.arch, cfg.local_steps,
-                                idx, cfg.learning_rate, cfg.batch_size, seed)
-            return local[idx] - self.w[idx]
-        local = nn.sgd(x, y, self.w, self.arch, cfg.local_steps,
-                       cfg.learning_rate, cfg.batch_size, seed)
-        return compression.compress(local - self.w, index_set)
+        return local_update(self.spec, x, y, self.w, self.w0, self.arch, index_set,
+                            cfg.local_steps, cfg.learning_rate, cfg.batch_size,
+                            [100, cfg.seeds.sampling, t, int(client_id)])
 
     def run_round(self):
         """Advance the global model by one round; returns this round's cohort."""
@@ -243,25 +257,11 @@ class FederatedRun:
                 self.clamp_total += clamps
                 masked.append(secure_agg.encrypt(residues, masks[j]))
             avg = secure_agg.aggregate_decode(masked, self.codec, m) / m
-        elif self.spec.selection == "all":
-            sizes = np.array([len(self.part.assignments[c]) for c in cohort],
-                             dtype=np.float64)
-            if np.all(sizes == sizes[0]):
-                avg = sum(updates) / m
-            else:
-                weights = sizes / sizes.sum()
-                avg = sum(wt * u for wt, u in zip(weights, updates))
         else:
             avg = sum(updates) / m
 
-        if self.spec.selection == "all":
-            new_w = self.w + avg
-        elif self.spec.reinit_nonselected:
-            new_w = self.w0.copy()
-            new_w[index_set.indices] = self.w[index_set.indices] + avg
-        else:
-            new_w = self.w.copy()
-            new_w[index_set.indices] += avg
+        new_w = (self.w0 if self.spec.reinit_nonselected else self.w).copy()
+        new_w[index_set.indices] = self.w[index_set.indices] + avg
         self.w = new_w
         self.round_index = t
         return cohort

@@ -196,18 +196,12 @@ def _batch_stream(n_samples, batch_size, seed):
 
 
 def sgd(x, y, w, arch, t_gd, eta, batch_size, seed):
-    """Plain SGD: t_gd steps of w -= eta * grad on seeded random batches."""
-    if t_gd < 1:
-        raise ConfigError(f"t_gd must be >= 1, got {t_gd}")
-    if len(x) == 0:
-        raise DataError("empty training set")
-    w = np.array(w, dtype=np.float64)
-    batch_size = min(batch_size, len(x))
-    stream = _batch_stream(len(x), batch_size, seed)
-    for _ in range(t_gd):
-        idx = next(stream)
-        w = w + (-eta) * gradient(w, arch, x[idx], y[idx])
-    return w
+    """Plain SGD: t_gd steps of w -= eta * grad on seeded random batches.
+
+    This is `topk_sgd` over every coordinate, so the two agree bit for bit.
+    """
+    return topk_sgd(x, y, w, w, arch, t_gd, np.arange(arch.n_params), eta,
+                    batch_size, seed)
 
 
 def _selector(offsets):

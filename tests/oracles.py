@@ -39,6 +39,21 @@ def reference_topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
     return cur
 
 
+def reference_global_update(spec, w, w0, indices, avg):
+    """The global model after a round that averaged to `avg` on `indices`,
+    one case per scheme family: the full set adds `avg` everywhere, a pinning
+    scheme rebuilds from w0, any other adds `avg` at the set in place."""
+    if spec.selection == "all":
+        return w + avg
+    if spec.reinit_nonselected:
+        new_w = w0.copy()
+        new_w[indices] = w[indices] + avg
+        return new_w
+    new_w = w.copy()
+    new_w[indices] += avg
+    return new_w
+
+
 def _log_mix_densities(x, sigma, c):
     """Log pdfs of N(0, sigma^2) and the mixture (1-c)N(0,sigma^2) + cN(1,sigma^2)."""
     log_n0 = -0.5 * (x / sigma) ** 2 - math.log(sigma) - _LOG_SQRT_2PI

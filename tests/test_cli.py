@@ -125,6 +125,14 @@ class TestErrors:
     def test_missing_file_exit_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2
 
+    def test_dp_cohort_of_one_exit_2_before_output(self, tmp_path, capsys):
+        path, cfg = base_config(tmp_path, scheme="fl-top-dp")
+        cfg["federation"]["sampling_fraction"] = 0.025  # 1 of 40 clients
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == 2
+        assert "cohort is 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_flag_exit_2(self):
         assert cli.main(["accountant", "--sigma", "1.5"]) == 2
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fltop import compression, nn
-from fltop.compression import IndexSet, compress, expand, select_random, select_topk
-from fltop.errors import ConfigError, DimensionError
+from fltop.compression import IndexSet, select_random, select_topk
+from fltop.errors import ConfigError
 
 from oracles import finite_difference_gradient
 
@@ -91,51 +91,3 @@ class TestSelectRandom:
         freq = counts / 10000
         assert np.all(np.abs(freq - 0.10) <= 0.01)
 
-
-class TestCompressExpand:
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        s = select_random(50, 12, 1)
-        c = rng.normal(size=12)
-        assert np.array_equal(compress(expand(c, s, np.zeros(50)), s), c)
-
-    def test_expand_restores_only_selected(self):
-        rng = np.random.default_rng(1)
-        s = select_random(30, 7, 2)
-        base = rng.normal(size=30)
-        c = rng.normal(size=7)
-        out = expand(c, s, base)
-        mask = np.zeros(30, dtype=bool)
-        mask[s.indices] = True
-        assert np.array_equal(out[mask], c)
-        assert np.array_equal(out[~mask], base[~mask])
-
-    def test_linearity(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            s = select_random(40, 9, rng.integers(1 << 30))
-            u, v = rng.normal(size=40), rng.normal(size=40)
-            a, b = rng.normal(), rng.normal()
-            lhs = compress(a * u + b * v, s)
-            rhs = a * compress(u, s) + b * compress(v, s)
-            assert np.allclose(lhs, rhs, rtol=1e-15, atol=1e-15)
-
-    def test_unit_vector(self):
-        s = IndexSet(np.array([2, 5]), 8)
-        e = np.zeros(8)
-        e[5] = 1.0
-        assert compress(e, s).tolist() == [0.0, 1.0]
-
-    def test_full_and_empty_sets(self):
-        base = np.arange(5, dtype=float)
-        full = compression.full_set(5)
-        assert np.array_equal(expand(np.ones(5), full, base), np.ones(5))
-        empty = IndexSet(np.array([], dtype=np.int64), 5)
-        assert np.array_equal(expand(np.array([]), empty, base), base)
-
-    def test_dimension_errors(self):
-        s = IndexSet(np.array([0, 1]), 4)
-        with pytest.raises(DimensionError):
-            compress(np.zeros(5), s)
-        with pytest.raises(DimensionError):
-            expand(np.zeros(3), s, np.zeros(4))

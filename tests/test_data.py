@@ -92,13 +92,6 @@ class TestPartition:
         assert len(np.unique(allidx)) == len(allidx)
         assert allidx.max() < 1000
 
-    def test_label_skewed_single_label(self):
-        d = data.synth_imbalanced(2000, 4, 0.5, seed=0)
-        part = data.partition(d, 10, mode="label_skewed", seed=3,
-                              labels_per_client=1)
-        for shard in part.assignments:
-            assert len(np.unique(d.labels[shard])) == 1
-
     def test_too_many_clients(self):
         d = data.synth_imbalanced(10, 4, 0.5, seed=0)
         with pytest.raises(ConfigError):

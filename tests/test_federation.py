@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rankdata_auroc
+from oracles import rankdata_auroc, reference_global_update, reference_topk_sgd
 from fltop import data, nn, privacy
+from fltop.data import to_targets
 from fltop.errors import ConfigError, DataError
 from fltop.federation import (SCHEMES, FederatedRun, FederationConfig,
                               accuracy, auroc, balanced_accuracy,
@@ -125,6 +126,13 @@ class TestSchemeTable:
         with pytest.raises(ConfigError, match="fl-std"):
             make_config(arch, "fl-nope")
 
+    def test_dp_cohort_of_one_rejected(self):
+        arch = nn.mlp_arch(4, [3], 2, "cross_entropy")
+        with pytest.raises(ConfigError, match="fl-top-dp.*cohort is 1"):
+            make_config(arch, "fl-top-dp", sampling_fraction=0.02)
+        assert make_config(arch, "fl-top", sampling_fraction=0.02).cohort_size == 1
+        assert make_config(arch, "fl-top-dp", sampling_fraction=0.04).cohort_size == 2
+
 
 class TestRounds:
     def test_degeneracy_topk_full_equals_std(self, small_setup):
@@ -210,6 +218,45 @@ class TestRounds:
                 cfg.sigma, cfg.sampling_fraction, rm.round, cfg.delta,
                 cfg.lam_max))
             assert rm.epsilon == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_rounds_match_dense_oracle(self, small_setup, monkeypatch, scheme):
+        # Each local update equals dense-gradient SGD over the index set when
+        # the scheme pins and over every coordinate otherwise; without DP the
+        # new global model equals the per-family update rule on their mean.
+        train, test, public, part, arch = small_setup
+        cfg = make_config(arch, scheme)
+        run = FederatedRun(cfg, train, part, test=test, public=public)
+        calls = []
+
+        def spy(cid, t, index_set):
+            upd = FederatedRun._local_update(run, cid, t, index_set)
+            calls.append((cid, t, index_set, upd))
+            return upd
+
+        monkeypatch.setattr(run, "_local_update", spy)
+        for _ in range(3):
+            w_prev = run.w.copy()
+            calls.clear()
+            run.run_round()
+            assert len(calls) == cfg.cohort_size
+            oracle_updates = []
+            for cid, t, index_set, upd in calls:
+                shard = part.assignments[cid]
+                idx = index_set.indices
+                trained = idx if cfg.spec.reinit_nonselected else np.arange(run.n)
+                local = reference_topk_sgd(
+                    train.inputs[shard], to_targets(train.labels[shard], arch),
+                    w_prev, run.w0, arch, cfg.local_steps, trained,
+                    cfg.learning_rate, cfg.batch_size,
+                    [100, cfg.seeds.sampling, t, int(cid)])
+                oracle_updates.append(local[idx] - w_prev[idx])
+                assert np.array_equal(upd, oracle_updates[-1])
+            if not cfg.spec.dp:
+                expected = reference_global_update(
+                    cfg.spec, w_prev, run.w0, calls[0][2].indices,
+                    sum(oracle_updates) / cfg.cohort_size)
+                assert np.array_equal(run.w, expected)
 
     def test_opposite_updates_cancel(self, small_setup, monkeypatch):
         train, test, public, part, arch = small_setup
