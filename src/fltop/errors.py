@@ -22,4 +22,4 @@ class ProtocolError(RuntimeError):
 
 
 class EncodingOverflowError(OverflowError):
-    """Fixed-point value exceeded the ring headroom."""
+    """A fixed-point sum could exceed the ring's signed range."""

@@ -94,6 +94,11 @@ class FederationConfig:
     def cohort_size(self):
         return int(round(self.sampling_fraction * self.n_clients))
 
+    @property
+    def sampling_rate(self):
+        """The share of clients a round actually samples, m/N."""
+        return self.cohort_size / self.n_clients
+
     def k(self, n):
         if self.spec.selection == "all":
             return n
@@ -179,11 +184,16 @@ def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, see
     change at the index set's coordinates, in index order.
 
     A pinning scheme trains only the index set, with every other coordinate
-    held at w0; any other scheme trains every coordinate.
+    held at w0; any other scheme trains every coordinate. A set of size n is
+    every coordinate, so it trains, and returns, the full vector directly.
     """
     idx = index_set.indices
-    trained = idx if spec.reinit_nonselected else np.arange(arch.n_params)
+    full = index_set.k == arch.n_params
+    trained = idx if spec.reinit_nonselected and not full else nn.full_indices(arch)
     local = nn.topk_sgd(x, y, w, w0, arch, steps, trained, eta, batch_size, seed)
+    if full:
+        local -= w
+        return local
     return local[idx] - w[idx]
 
 
@@ -205,7 +215,8 @@ class FederatedRun:
         self.w0 = nn.init_model(self.arch, config.seeds.model)
         self.w = self.w0.copy()
         self.n = len(self.w0)
-        self.codec = secure_agg.FixedPointCodec(config.frac_bits)
+        self.codec = secure_agg.FixedPointCodec(config.frac_bits,
+                                                cohort_size=config.cohort_size)
         self.round_index = 0
         self.clamp_total = 0
         self.index_set = initial_index_set(config, self.w0, public)
@@ -260,9 +271,12 @@ class FederatedRun:
         else:
             avg = sum(updates) / m
 
-        new_w = (self.w0 if self.spec.reinit_nonselected else self.w).copy()
-        new_w[index_set.indices] = self.w[index_set.indices] + avg
-        self.w = new_w
+        if index_set.k == self.n:
+            self.w = self.w + avg
+        else:
+            new_w = (self.w0 if self.spec.reinit_nonselected else self.w).copy()
+            new_w[index_set.indices] = self.w[index_set.indices] + avg
+            self.w = new_w
         self.round_index = t
         return cohort
 
@@ -286,9 +300,9 @@ class FederatedRun:
         down_compressed = self.spec.selection != "all" and self.spec.fixed_across_rounds
         up_compressed = self.spec.selection != "all"
         down = bandwidth_cost(r, self.n, self.round_index,
-                              cfg.sampling_fraction, down_compressed)
+                              cfg.sampling_rate, down_compressed)
         up = bandwidth_cost(r, self.n, self.round_index,
-                            cfg.sampling_fraction, up_compressed)
+                            cfg.sampling_rate, up_compressed)
         return down, up
 
     def epsilon_so_far(self):
@@ -296,7 +310,7 @@ class FederatedRun:
             return float("nan")
         cfg = self.config
         eps, _ = privacy.epsilon(privacy.AccountantQuery(
-            cfg.sigma, cfg.sampling_fraction, self.round_index,
+            cfg.sigma, cfg.sampling_rate, self.round_index,
             cfg.delta, cfg.lam_max))
         return eps
 

@@ -200,7 +200,7 @@ def sgd(x, y, w, arch, t_gd, eta, batch_size, seed):
 
     This is `topk_sgd` over every coordinate, so the two agree bit for bit.
     """
-    return topk_sgd(x, y, w, w, arch, t_gd, np.arange(arch.n_params), eta,
+    return topk_sgd(x, y, w, w, arch, t_gd, full_indices(arch), eta,
                     batch_size, seed)
 
 
@@ -239,6 +239,22 @@ def _topk_layout(arch, key):
     return indices.size, _selector(indices), tuple(layers)
 
 
+@functools.lru_cache(maxsize=8)
+def _full(arch):
+    # The shared array is a read-only view of the layout cache's own key.
+    key = np.arange(arch.n_params, dtype=np.int64).tobytes()
+    return np.frombuffer(key, dtype=np.int64), _topk_layout(arch, key)
+
+
+def full_indices(arch):
+    """Every coordinate of `arch`, as one shared read-only array.
+
+    `topk_sgd` recognises this array by identity and uses the layout built
+    with it, so a full-set call neither hashes nor validates n indices.
+    """
+    return _full(arch)[0]
+
+
 def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
     """SGD that only moves the coordinates in `indices`; the rest stay at w0.
 
@@ -246,22 +262,40 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
     pass but computes only the retained gradient entries: a layer's weight
     gradient comes from the same matmul as in `gradient`, written into a
     buffer reused across steps, and only its retained entries are gathered.
-    The result equals SGD on `gradient(...)[indices]` bit for bit, and
-    agrees with w0 outside the index set exactly. Only `w[indices]` is read.
+    A layer whose weights are all retained has its matmul written straight
+    into the gradient vector instead. `full_indices(arch)` is recognised by
+    identity, so the full set costs no per-call index bookkeeping; any other
+    array is validated and its layout cached by content. The result equals
+    SGD on `gradient(...)[indices]` bit for bit, and agrees with w0 outside
+    the index set exactly. Only `w[indices]` is read.
     """
     if t_gd < 1:
         raise ConfigError(f"t_gd must be >= 1, got {t_gd}")
     if len(x) == 0:
         raise DataError("empty training set")
-    k, sel, layout = _topk_layout(
-        arch, np.asarray(indices, dtype=np.int64).tobytes())
-    # Start from w0 outside the set, caller-provided values inside it.
-    cur = np.array(w0, dtype=np.float64)
-    cur[sel] = np.asarray(w, dtype=np.float64)[sel]
+    full, full_layout = _full(arch)
+    if indices is full:
+        k, sel, layout = full_layout
+        cur = np.array(w, dtype=np.float64)
+    else:
+        k, sel, layout = _topk_layout(
+            arch, np.asarray(indices, dtype=np.int64).tobytes())
+        # Start from w0 outside the set, caller-provided values inside it.
+        cur = np.array(w0, dtype=np.float64)
+        cur[sel] = np.asarray(w, dtype=np.float64)[sel]
     slices = arch.slices()
-    bufs = [None if w_sel is None else np.empty((l.in_width, l.out_width))
-            for l, (_, w_sel, _, _) in zip(arch.layers, layout)]
     g = np.empty(k)
+    # Per layer, where its weight-gradient matmul writes: a view of g when
+    # the whole block is retained, else a buffer to gather from.
+    w_outs = []
+    for l, (w_pos, w_sel, _, _) in zip(arch.layers, layout):
+        shape = (l.in_width, l.out_width)
+        if w_sel is None:
+            w_outs.append((None, False))
+        elif w_pos.stop - w_pos.start == l.in_width * l.out_width:
+            w_outs.append((g[w_pos].reshape(shape), False))
+        else:
+            w_outs.append((np.empty(shape), True))
     batch_size = min(batch_size, len(x))
     stream = _batch_stream(len(x), batch_size, seed)
     for _ in range(t_gd):
@@ -274,9 +308,11 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
         delta = (acts[-1] - yb) / xb.shape[0]
         for i in range(len(arch.layers) - 1, -1, -1):
             w_pos, w_sel, b_pos, b_sel = layout[i]
-            if w_sel is not None:
-                np.matmul(acts[i].T, delta, out=bufs[i])
-                g[w_pos] = bufs[i].ravel()[w_sel]
+            w_out, gather = w_outs[i]
+            if w_out is not None:
+                np.matmul(acts[i].T, delta, out=w_out)
+                if gather:
+                    g[w_pos] = w_out.ravel()[w_sel]
             if b_sel is not None:
                 g[b_pos] = delta.sum(axis=0)[b_sel]
             if i > 0:
@@ -289,5 +325,6 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
                     delta = delta * (prev > 0)
                 elif prev_kind == "sigmoid":
                     delta = delta * prev * (1.0 - prev)
-        cur[sel] += (-eta) * g
+        g *= -eta
+        cur[sel] += g
     return cur

@@ -6,11 +6,12 @@ zero so the server's modular sum reveals exactly the sum of the inputs (up to
 quantization). A trusted dealer generates the masks in-simulator.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ProtocolError
+from .errors import ConfigError, DimensionError, EncodingOverflowError, ProtocolError
 
 MODULUS_BITS = 64
 _U64 = np.uint64
@@ -18,8 +19,10 @@ _U64 = np.uint64
 
 @dataclass(frozen=True)
 class FixedPointCodec:
+    """`cohort_size` is the most encoded vectors one aggregate may sum."""
     frac_bits: int = 32
     modulus_bits: int = MODULUS_BITS
+    cohort_size: int = 1
 
     def __post_init__(self):
         if self.modulus_bits != MODULUS_BITS:
@@ -28,6 +31,8 @@ class FixedPointCodec:
             raise ConfigError(
                 f"frac_bits must be in (0, {self.modulus_bits - 8}), "
                 f"got {self.frac_bits}")
+        if self.cohort_size < 1:
+            raise ConfigError(f"cohort_size must be >= 1, got {self.cohort_size}")
 
     @property
     def scale(self):
@@ -35,9 +40,11 @@ class FixedPointCodec:
 
     @property
     def clamp_range(self):
-        # Leaves 2 bits of headroom so sums of ~|K| clamped values cannot wrap
-        # the signed range for any realistic cohort size.
-        return float(2 ** (self.modulus_bits - self.frac_bits - 2))
+        # Encoded, a clamped value is at most 2^e with e = 63 - m.bit_length()
+        # for m = cohort_size. Since m < 2^(63 - e), a sum of m of them stays
+        # inside the signed 64-bit range and cannot wrap.
+        return math.ldexp(1.0, self.modulus_bits - 1 - self.cohort_size.bit_length()
+                          - self.frac_bits)
 
 
 def encode(v, codec):
@@ -82,11 +89,17 @@ def aggregate_decode(masked_updates, codec, num_clients):
     """Modular sum of one full cohort's masked updates, decoded to reals.
 
     The list must cover exactly the cohort the masks were dealt for; with any
-    client missing the masks do not cancel and the result is garbage.
+    client missing the masks do not cancel and the result is garbage. A
+    cohort larger than the codec's `cohort_size` could wrap the sum, so it
+    raises EncodingOverflowError.
     """
     if len(masked_updates) != num_clients:
         raise ProtocolError(
             f"expected {num_clients} masked updates, got {len(masked_updates)}")
+    if num_clients > codec.cohort_size:
+        raise EncodingOverflowError(
+            f"a codec sized for {codec.cohort_size} clients cannot sum "
+            f"{num_clients} without risk of wrapping")
     total = np.zeros_like(np.asarray(masked_updates[0], dtype=_U64))
     for m in masked_updates:
         total = total + np.asarray(m, dtype=_U64)

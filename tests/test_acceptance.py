@@ -102,7 +102,7 @@ def test_criterion_5_secure_aggregation():
     m, k = 100, 1000
     rng = np.random.default_rng(42)
     updates = rng.normal(0, 0.05, size=(m, k))
-    codec = secure_agg.FixedPointCodec(frac_bits=32)
+    codec = secure_agg.FixedPointCodec(frac_bits=32, cohort_size=m)
     masks = secure_agg.make_masks(m, k, [9, 0])
     masked = []
     for i in range(m):
@@ -129,7 +129,7 @@ def test_criterion_5_secure_aggregation():
 
 def test_criterion_6_noise_calibration():
     m, dim, s, sigma = 16, 64, 0.7, 1.3
-    codec = secure_agg.FixedPointCodec(frac_bits=32)
+    codec = secure_agg.FixedPointCodec(frac_bits=32, cohort_size=m)
     rng = np.random.default_rng(5)
     diffs = []
     for t in range(200):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import fltop
 from fltop import cli, compression
+from fltop.federation import SCHEMES
 
 # The example config from README.md.
 README_CONFIG = {
@@ -18,6 +20,25 @@ README_CONFIG = {
     "federation": {"n_clients": 50, "sampling_fraction": 0.2, "rounds": 50,
                    "local_steps": 5, "batch_size": 10, "learning_rate": 0.3,
                    "ratio": 0.05, "sigma": 1.54, "clip": "calibrate"},
+}
+
+# sha256 of trace.csv for every scheme on README_CONFIG. A change that moves
+# any of these moves the numbers fltop reports; it must say why.
+GOLDEN_TRACES = {
+    "fl-bas-2": "ec5fa28fb72e13c500ea1633fb397b76e18ada666dd90a4cc373374a7acf0c55",
+    "fl-bas-2-dp": "368139c70e8e9e0dbb97f34939e26497ff10324bab8408661d61f4b67e3a8714",
+    "fl-bas-3": "ec8e681e1f3b6b5379c0bfb02319f9ccbbb7334e39dd24ce12184b9bdc9b7bbb",
+    "fl-bas-3-dp": "eb9e76e0ae911b4d08eb7b1093faf0a66efeef5f5a385135e7cd737d368773f3",
+    "fl-bas-4": "f42491c96673fd100268b6702bd24f07e3424922d312b6904516df96e5b8e453",
+    "fl-bas-4-dp": "f73e4db2643ac0c78a11bb72b0ccf0e4ae4b2fc64fa919a6cfa8bf6cb67a45de",
+    "fl-basic": "effc10d0b255b7baea7e014c81f55a0d26fcd5eb6f8270001167f497c3165699",
+    "fl-basic-dp": "97312bbaa0f5eaaa815c413be47ff8af37e77ad5e92db17f6c9c9fe1437c1874",
+    "fl-std": "555a2f29df5321b08cee1292e5430d8d6901adec82c140856489a725dbe0ba04",
+    "fl-std-dp": "70f3e7d7a5a0ecd8f99e608a415f809683022af71b327c0a428a14beca83a1df",
+    "fl-top": "40b5cb772f3bee45df285f120080f48c4df1391893188b7ef55c134030d900fd",
+    "fl-top-bis": "439774fee5717c388875aa6a382d0b7a1b278027a5b5dcff60ba591544375b0a",
+    "fl-top-bis-dp": "e4c321d15ddc5a71a04f9a21da43b81f1145486a1966a795030d2bbd589c9e35",
+    "fl-top-dp": "2b906c870e1711e05209d83e55c940fd0c69196ce47633cfe8700be3248c7158",
 }
 
 
@@ -103,6 +124,21 @@ class TestRun:
         # The binary run did compute AUROC, so the rank path ran too.
         first_row = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1]
         assert (first_row.split(",")[3] == "nan") == (loss == "cross_entropy")
+
+
+class TestGoldenTraces:
+    def test_every_scheme_is_listed(self):
+        assert sorted(GOLDEN_TRACES) == sorted(SCHEMES)
+
+    @pytest.mark.parametrize("scheme", sorted(GOLDEN_TRACES))
+    def test_readme_config_trace_is_unchanged(self, tmp_path, capsys, scheme):
+        cfg = json.loads(json.dumps(README_CONFIG))
+        cfg["scheme"] = scheme
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+        trace = (tmp_path / "out" / "trace.csv").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == GOLDEN_TRACES[scheme]
 
 
 class TestErrors:

@@ -219,6 +219,20 @@ class TestRounds:
                 cfg.lam_max))
             assert rm.epsilon == pytest.approx(expected, abs=1e-12)
 
+    def test_accounting_uses_the_realised_sampling_rate(self, small_setup):
+        # c = 0.03 of N = 50 samples m = 2 clients a round: q = m/N = 0.04.
+        train, test, _, part, arch = small_setup
+        cfg = make_config(arch, "fl-std-dp", sampling_fraction=0.03)
+        assert cfg.cohort_size == 2 and cfg.sampling_rate == 0.04
+        run = FederatedRun(cfg, train, part, test=test)
+        run.round_index = 200
+        assert run.epsilon_so_far() == pytest.approx(2.337, abs=5e-4)
+        nominal, _ = privacy.epsilon(privacy.AccountantQuery(
+            cfg.sigma, 0.03, 200, cfg.delta, cfg.lam_max))
+        assert nominal == pytest.approx(1.749, abs=5e-4)
+        full = bandwidth_cost(1.0, arch.n_params, 200, 0.04, False)
+        assert run.costs() == (full, full)
+
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_rounds_match_dense_oracle(self, small_setup, monkeypatch, scheme):
         # Each local update equals dense-gradient SGD over the index set when

@@ -208,7 +208,8 @@ def topk_cases(draw):
     arch = nn.ArchSpec(tuple(layers), loss)
     n = arch.n_params
     slices = arch.slices()
-    set_kind = draw(st.sampled_from(("empty", "bias", "one_layer", "random", "full")))
+    set_kind = draw(st.sampled_from(("empty", "bias", "one_layer", "random",
+                                     "blocks", "full", "shared")))
     if set_kind == "empty":
         chosen = set()
     elif set_kind == "bias":
@@ -219,9 +220,19 @@ def topk_cases(draw):
         chosen = draw(st.sets(st.integers(w_sl.start, b_sl.stop - 1), min_size=1))
     elif set_kind == "random":
         chosen = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    elif set_kind == "blocks":
+        # Whole weight blocks, plus any part of one layer's weights and bias.
+        whole = draw(st.sets(st.integers(0, len(slices) - 1), min_size=1))
+        chosen = {j for i in whole for j in range(slices[i][0].start,
+                                                  slices[i][0].stop)}
+        w_sl, b_sl = slices[draw(st.integers(0, len(slices) - 1))]
+        chosen |= draw(st.sets(st.integers(w_sl.start, b_sl.stop - 1)))
     else:
         chosen = range(n)
-    indices = np.array(sorted(chosen), dtype=np.int64)
+    if set_kind == "shared":
+        indices = nn.full_indices(arch)
+    else:
+        indices = np.array(sorted(chosen), dtype=np.int64)
     shard = draw(st.integers(1, 8))
     batch_size = draw(st.integers(1, 10))
     t_gd = draw(st.integers(1, 4))
@@ -279,8 +290,24 @@ class TestTopkSgd:
         w = nn.init_model(toy_arch, 0)
         all_idx = np.arange(toy_arch.n_params)
         a = nn.sgd(x, y, w, toy_arch, 5, 0.1, 2, 3)
-        b = nn.topk_sgd(x, y, w, w, toy_arch, 5, all_idx, 0.1, 2, 3)
+        b = reference_topk_sgd(x, y, w, w, toy_arch, 5, all_idx, 0.1, 2, 3)
         assert np.array_equal(a, b)
+
+    def test_shared_full_set_is_one_read_only_arange(self, toy_arch):
+        full = nn.full_indices(toy_arch)
+        assert full is nn.full_indices(toy_arch)
+        assert np.array_equal(full, np.arange(toy_arch.n_params))
+        assert not full.flags.writeable
+
+    @pytest.mark.parametrize("position", [0, 8, 16])
+    def test_invalid_set_of_size_n(self, toy_arch, toy_batch, position):
+        # Length n but not every coordinate: one index repeated.
+        x, y = toy_batch
+        w0 = nn.init_model(toy_arch, 0)
+        indices = np.arange(toy_arch.n_params)
+        indices[position] = indices[position - 1] if position else 1
+        with pytest.raises(IndexError):
+            nn.topk_sgd(x, y, w0, w0, toy_arch, 1, indices, 0.1, 2, 0)
 
     def test_empty_set_returns_w0(self, toy_arch, toy_batch):
         x, y = toy_batch

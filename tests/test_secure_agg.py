@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from fltop.secure_agg import (FixedPointCodec, aggregate_decode, decode,
                               encode, encrypt, make_masks)
-from fltop.errors import ConfigError, DimensionError, ProtocolError
+from fltop.errors import (ConfigError, DimensionError, EncodingOverflowError,
+                          ProtocolError)
 
 
 def low_bits_uniformity_pvalue(residues, bits=8):
@@ -20,7 +24,17 @@ class TestCodec:
             FixedPointCodec(frac_bits=60)
         with pytest.raises(ConfigError):
             FixedPointCodec(frac_bits=0)
-        assert FixedPointCodec(frac_bits=32).clamp_range == 2.0 ** 30
+        with pytest.raises(ConfigError):
+            FixedPointCodec(cohort_size=0)
+
+    @pytest.mark.parametrize("m, clamp", [(1, 2.0 ** 30), (2, 2.0 ** 29),
+                                          (3, 2.0 ** 29), (10, 2.0 ** 27),
+                                          (100, 2.0 ** 24)])
+    def test_clamp_range_leaves_headroom_for_the_cohort(self, m, clamp):
+        # m values of 2^32 * clamp each must sum below 2^63.
+        codec = FixedPointCodec(frac_bits=32, cohort_size=m)
+        assert codec.clamp_range == clamp
+        assert m * clamp * 2.0 ** 32 < 2.0 ** 63
 
     def test_zero_round_trip(self):
         codec = FixedPointCodec()
@@ -102,13 +116,13 @@ class TestEncrypt:
 
 class TestAggregateDecode:
     def test_zero_inputs_any_masks(self):
-        codec = FixedPointCodec()
+        codec = FixedPointCodec(cohort_size=4)
         masks = make_masks(4, 10, 0)
         masked = [encrypt(encode(np.zeros(10), codec)[0], m) for m in masks]
         assert np.all(aggregate_decode(masked, codec, 4) == 0.0)
 
     def test_matches_plain_sum(self):
-        codec = FixedPointCodec(frac_bits=32)
+        codec = FixedPointCodec(frac_bits=32, cohort_size=4)
         rng = np.random.default_rng(2)
         vectors = rng.uniform(-1, 1, (4, 50))
         masks = make_masks(4, 50, 1)
@@ -122,6 +136,32 @@ class TestAggregateDecode:
         masked = [encrypt(encode(np.zeros(5), codec)[0], m) for m in masks[:2]]
         with pytest.raises(ProtocolError):
             aggregate_decode(masked, codec, 3)
+
+    def test_cohort_larger_than_codec_rejected(self):
+        codec = FixedPointCodec(cohort_size=2)
+        masks = make_masks(3, 5, 0)
+        masked = [encrypt(encode(np.zeros(5), codec)[0], m) for m in masks]
+        with pytest.raises(EncodingOverflowError):
+            aggregate_decode(masked, codec, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(frac_bits=st.integers(1, 55), m=st.integers(2, 300),
+           data=st.data())
+    def test_cohort_at_clamp_range_does_not_wrap(self, frac_bits, m, data):
+        # m values at +-clamp_range, all one sign included: the decoded sum
+        # is the true sum within m * 2^-f, so the ring never wrapped.
+        codec = FixedPointCodec(frac_bits=frac_bits, cohort_size=m)
+        signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)),
+                                   min_size=m, max_size=m))
+        values = [s * codec.clamp_range for s in signs]
+        masks = make_masks(m, 1, data.draw(st.integers(0, 2**32 - 1)))
+        masked = []
+        for v, mk in zip(values, masks):
+            residues, clamps = encode(np.array([v]), codec)
+            assert clamps == 0
+            masked.append(encrypt(residues, mk))
+        total = aggregate_decode(masked, codec, m)[0]
+        assert abs(total - math.fsum(values)) <= m * 2.0 ** -frac_bits
 
     def test_strict_subset_is_uniform(self):
         # Without the last client the masks don't cancel; the partial sum is
@@ -138,7 +178,7 @@ class TestAggregateDecode:
 class TestEndToEndBound:
     @pytest.mark.parametrize("m", [2, 10, 100])
     def test_error_bound(self, m):
-        codec = FixedPointCodec(frac_bits=32)
+        codec = FixedPointCodec(frac_bits=32, cohort_size=m)
         rng = np.random.default_rng(m)
         vectors = rng.uniform(-1, 1, (m, 200))
         masks = make_masks(m, 200, m)
