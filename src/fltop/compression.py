@@ -1,4 +1,4 @@
-"""Retained-coordinate index sets: Top-K and random selection, file I/O."""
+"""Retained-coordinate index sets: Top-K and random selection, index file."""
 
 from dataclasses import dataclass
 
@@ -74,9 +74,3 @@ def save_index_set(index_set, path):
     with open(path, "w") as f:
         for i in index_set.indices:
             f.write(f"{int(i)}\n")
-
-
-def load_index_set(path, n):
-    with open(path) as f:
-        idx = [int(line) for line in f if line.strip()]
-    return IndexSet(np.asarray(idx, dtype=np.int64), n)

@@ -52,7 +52,9 @@ class ArchSpec:
         if self.loss == "binary_cross_entropy" and final != "sigmoid":
             raise ConfigError("binary_cross_entropy requires a sigmoid output layer")
 
-    @property
+    # n_params and slices are cached per instance, outside the fields, so
+    # equality and hashing (which key `_topk_layout`'s cache) stay field-based.
+    @functools.cached_property
     def n_params(self):
         return sum(l.in_width * l.out_width + l.out_width for l in self.layers)
 
@@ -64,15 +66,19 @@ class ArchSpec:
     def output_width(self):
         return self.layers[-1].out_width
 
-    def slices(self):
-        """Per-layer (weight, bias) slices into the flat parameter vector."""
+    @functools.cached_property
+    def _slices(self):
         out = []
         pos = 0
         for l in self.layers:
             w_end = pos + l.in_width * l.out_width
             out.append((slice(pos, w_end), slice(w_end, w_end + l.out_width)))
             pos = w_end + l.out_width
-        return out
+        return tuple(out)
+
+    def slices(self):
+        """Per-layer (weight, bias) slices into the flat parameter vector."""
+        return self._slices
 
 
 def mlp_arch(input_width, hidden_widths, output_width, loss,
@@ -117,14 +123,6 @@ def _forward(w, arch, x):
     return acts
 
 
-def _loss_value(preds, targets, loss):
-    eps = 1e-12
-    if loss == "cross_entropy":
-        return float(-np.mean(np.sum(targets * np.log(preds + eps), axis=1)))
-    p = np.clip(preds, eps, 1.0 - eps)
-    return float(-np.mean(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p)))
-
-
 def _check_inputs(arch, x):
     if x.ndim != 2 or x.shape[1] != arch.input_width:
         raise DimensionError(
@@ -139,15 +137,6 @@ def _check_batch(arch, x, y):
             f"targets {y.shape} do not match (batch, {arch.output_width})")
 
 
-def forward_loss(w, arch, x, targets):
-    """Mean loss and predictions for one batch."""
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    _check_batch(arch, x, targets)
-    preds = _forward(w, arch, x)[-1]
-    return _loss_value(preds, targets, arch.loss), preds
-
-
 def predict(w, arch, x):
     """Output-layer activations for a batch of inputs (forward pass only)."""
     x = np.asarray(x, dtype=np.float64)
@@ -155,24 +144,43 @@ def predict(w, arch, x):
     return _forward(w, arch, x)[-1]
 
 
-def gradient(w, arch, x, targets):
-    """Backprop gradient of the mean batch loss, flat like w."""
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    _check_batch(arch, x, targets)
+def _weight_outs(arch, layout, g):
+    """Per layer of `layout` (see `_topk_layout`), where `_backward` writes
+    its weight-gradient matmul and whether to gather from there: a view of
+    `g` when the whole block is retained, else a buffer; None when no weight
+    of the layer is retained."""
+    outs = []
+    for l, (w_pos, w_sel, _, _) in zip(arch.layers, layout):
+        shape = (l.in_width, l.out_width)
+        if w_sel is None:
+            outs.append((None, False))
+        elif w_pos.stop - w_pos.start == l.in_width * l.out_width:
+            outs.append((g[w_pos].reshape(shape), False))
+        else:
+            outs.append((np.empty(shape), True))
+    return outs
+
+
+def _backward(w, arch, x, targets, layout, g, outs):
+    """One forward and backward pass of the mean batch loss at `w`. Writes
+    the gradient entries that `layout` retains into `g`, in set order;
+    `outs` comes from `_weight_outs(arch, layout, g)`."""
     acts = _forward(w, arch, x)
-    m = x.shape[0]
-    grad = np.zeros_like(w)
     # Softmax+CE and sigmoid+BCE share the same output delta.
-    delta = (acts[-1] - targets) / m
+    delta = (acts[-1] - targets) / x.shape[0]
     slices = arch.slices()
     for i in range(len(arch.layers) - 1, -1, -1):
-        layer = arch.layers[i]
-        w_sl, b_sl = slices[i]
-        grad[w_sl] = (acts[i].T @ delta).ravel()
-        grad[b_sl] = delta.sum(axis=0)
+        w_pos, w_sel, b_pos, b_sel = layout[i]
+        w_out, gather = outs[i]
+        if w_out is not None:
+            np.matmul(acts[i].T, delta, out=w_out)
+            if gather:
+                g[w_pos] = w_out.ravel()[w_sel]
+        if b_sel is not None:
+            g[b_pos] = delta.sum(axis=0)[b_sel]
         if i > 0:
-            mat = w[w_sl].reshape(layer.in_width, layer.out_width)
+            layer = arch.layers[i]
+            mat = w[slices[i][0]].reshape(layer.in_width, layer.out_width)
             delta = delta @ mat.T
             prev = acts[i]
             prev_kind = arch.layers[i - 1].activation
@@ -181,7 +189,17 @@ def gradient(w, arch, x, targets):
             elif prev_kind == "sigmoid":
                 delta = delta * prev * (1.0 - prev)
             # identity: unchanged
-    return grad
+
+
+def gradient(w, arch, x, targets):
+    """Backprop gradient of the mean batch loss, flat like w."""
+    x = np.asarray(x, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    _check_batch(arch, x, targets)
+    k, _, layout = _full(arch)[1]
+    g = np.empty(k)
+    _backward(w, arch, x, targets, layout, g, _weight_outs(arch, layout, g))
+    return g
 
 
 def _batch_stream(n_samples, batch_size, seed):
@@ -193,15 +211,6 @@ def _batch_stream(n_samples, batch_size, seed):
             chunk = order[start:start + batch_size]
             if len(chunk) == batch_size or start == 0:
                 yield chunk
-
-
-def sgd(x, y, w, arch, t_gd, eta, batch_size, seed):
-    """Plain SGD: t_gd steps of w -= eta * grad on seeded random batches.
-
-    This is `topk_sgd` over every coordinate, so the two agree bit for bit.
-    """
-    return topk_sgd(x, y, w, w, arch, t_gd, full_indices(arch), eta,
-                    batch_size, seed)
 
 
 def _selector(offsets):
@@ -258,12 +267,11 @@ def full_indices(arch):
 def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
     """SGD that only moves the coordinates in `indices`; the rest stay at w0.
 
-    `indices` must be strictly increasing. Each step runs the full forward
-    pass but computes only the retained gradient entries: a layer's weight
-    gradient comes from the same matmul as in `gradient`, written into a
-    buffer reused across steps, and only its retained entries are gathered.
-    A layer whose weights are all retained has its matmul written straight
-    into the gradient vector instead. `full_indices(arch)` is recognised by
+    `indices` must be strictly increasing. Each step runs the backward pass
+    `gradient` runs, but writes only the retained gradient entries: a layer
+    whose weights are all retained has its matmul written straight into the
+    update, any other has its retained entries gathered from a buffer reused
+    across steps. `full_indices(arch)` is recognised by
     identity, so the full set costs no per-call index bookkeeping; any other
     array is validated and its layout cached by content. The result equals
     SGD on `gradient(...)[indices]` bit for bit, and agrees with w0 outside
@@ -273,6 +281,8 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
         raise ConfigError(f"t_gd must be >= 1, got {t_gd}")
     if len(x) == 0:
         raise DataError("empty training set")
+    # Every batch is a row subset of the shard, so one check covers them all.
+    _check_batch(arch, x, y)
     full, full_layout = _full(arch)
     if indices is full:
         k, sel, layout = full_layout
@@ -283,48 +293,14 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
         # Start from w0 outside the set, caller-provided values inside it.
         cur = np.array(w0, dtype=np.float64)
         cur[sel] = np.asarray(w, dtype=np.float64)[sel]
-    slices = arch.slices()
     g = np.empty(k)
-    # Per layer, where its weight-gradient matmul writes: a view of g when
-    # the whole block is retained, else a buffer to gather from.
-    w_outs = []
-    for l, (w_pos, w_sel, _, _) in zip(arch.layers, layout):
-        shape = (l.in_width, l.out_width)
-        if w_sel is None:
-            w_outs.append((None, False))
-        elif w_pos.stop - w_pos.start == l.in_width * l.out_width:
-            w_outs.append((g[w_pos].reshape(shape), False))
-        else:
-            w_outs.append((np.empty(shape), True))
+    outs = _weight_outs(arch, layout, g)
     batch_size = min(batch_size, len(x))
     stream = _batch_stream(len(x), batch_size, seed)
     for _ in range(t_gd):
         idx = next(stream)
-        xb = np.asarray(x[idx], dtype=np.float64)
-        yb = np.asarray(y[idx], dtype=np.float64)
-        _check_batch(arch, xb, yb)
-        acts = _forward(cur, arch, xb)
-        # Softmax+CE and sigmoid+BCE share the same output delta.
-        delta = (acts[-1] - yb) / xb.shape[0]
-        for i in range(len(arch.layers) - 1, -1, -1):
-            w_pos, w_sel, b_pos, b_sel = layout[i]
-            w_out, gather = w_outs[i]
-            if w_out is not None:
-                np.matmul(acts[i].T, delta, out=w_out)
-                if gather:
-                    g[w_pos] = w_out.ravel()[w_sel]
-            if b_sel is not None:
-                g[b_pos] = delta.sum(axis=0)[b_sel]
-            if i > 0:
-                layer = arch.layers[i]
-                mat = cur[slices[i][0]].reshape(layer.in_width, layer.out_width)
-                delta = delta @ mat.T
-                prev = acts[i]
-                prev_kind = arch.layers[i - 1].activation
-                if prev_kind == "relu":
-                    delta = delta * (prev > 0)
-                elif prev_kind == "sigmoid":
-                    delta = delta * prev * (1.0 - prev)
+        _backward(cur, arch, np.asarray(x[idx], dtype=np.float64),
+                  np.asarray(y[idx], dtype=np.float64), layout, g, outs)
         g *= -eta
         cur[sel] += g
     return cur

@@ -7,8 +7,25 @@ from scipy import integrate
 from scipy.stats import rankdata
 
 from fltop import nn
+from fltop.compression import IndexSet
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _loss_value(preds, targets, loss):
+    eps = 1e-12
+    if loss == "cross_entropy":
+        return float(-np.mean(np.sum(targets * np.log(preds + eps), axis=1)))
+    p = np.clip(preds, eps, 1.0 - eps)
+    return float(-np.mean(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p)))
+
+
+def forward_loss(w, arch, x, targets):
+    """Mean loss and predictions for one batch."""
+    x = np.asarray(x, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    preds = nn._forward(w, arch, x)[-1]
+    return _loss_value(preds, targets, arch.loss), preds
 
 
 def finite_difference_gradient(w, arch, x, y, h=1e-5):
@@ -18,15 +35,43 @@ def finite_difference_gradient(w, arch, x, y, h=1e-5):
         wp, wm = w.copy(), w.copy()
         wp[i] += h
         wm[i] -= h
-        lp, _ = nn.forward_loss(wp, arch, x, y)
-        lm, _ = nn.forward_loss(wm, arch, x, y)
+        lp, _ = forward_loss(wp, arch, x, y)
+        lm, _ = forward_loss(wm, arch, x, y)
         g[i] = (lp - lm) / (2 * h)
     return g
 
 
+def dense_gradient(w, arch, x, targets):
+    """Backprop gradient of the mean batch loss, flat like w: every layer's
+    full weight and bias gradient, written independently of `nn._backward`."""
+    x = np.asarray(x, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    acts = nn._forward(w, arch, x)
+    m = x.shape[0]
+    grad = np.zeros_like(w)
+    # Softmax+CE and sigmoid+BCE share the same output delta.
+    delta = (acts[-1] - targets) / m
+    slices = arch.slices()
+    for i in range(len(arch.layers) - 1, -1, -1):
+        layer = arch.layers[i]
+        w_sl, b_sl = slices[i]
+        grad[w_sl] = (acts[i].T @ delta).ravel()
+        grad[b_sl] = delta.sum(axis=0)
+        if i > 0:
+            mat = w[w_sl].reshape(layer.in_width, layer.out_width)
+            delta = delta @ mat.T
+            prev = acts[i]
+            prev_kind = arch.layers[i - 1].activation
+            if prev_kind == "relu":
+                delta = delta * (prev > 0)
+            elif prev_kind == "sigmoid":
+                delta = delta * prev * (1.0 - prev)
+    return grad
+
+
 def reference_topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
     """Restricted-coordinate SGD from the dense gradient: each step computes
-    all n entries with `nn.gradient` and applies the retained ones."""
+    all n entries with `dense_gradient` and applies the retained ones."""
     indices = np.asarray(indices, dtype=np.int64)
     cur = np.array(w0, dtype=np.float64)
     cur[indices] = np.asarray(w, dtype=np.float64)[indices]
@@ -34,9 +79,23 @@ def reference_topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
     stream = nn._batch_stream(len(x), batch_size, seed)
     for _ in range(t_gd):
         idx = next(stream)
-        u = (-eta) * nn.gradient(cur, arch, x[idx], y[idx])
+        u = (-eta) * dense_gradient(cur, arch, x[idx], y[idx])
         cur[indices] = cur[indices] + u[indices]
     return cur
+
+
+def sgd(x, y, w, arch, t_gd, eta, batch_size, seed):
+    """Plain SGD on every coordinate from the dense gradient: t_gd steps of
+    w -= eta * grad on the seeded batches `nn.topk_sgd` draws."""
+    return reference_topk_sgd(x, y, w, w, arch, t_gd, np.arange(arch.n_params),
+                              eta, batch_size, seed)
+
+
+def load_index_set(path, n):
+    """Reads the index file `compression.save_index_set` writes."""
+    with open(path) as f:
+        idx = [int(line) for line in f if line.strip()]
+    return IndexSet(np.asarray(idx, dtype=np.int64), n)
 
 
 def reference_global_update(spec, w, w0, indices, avg):

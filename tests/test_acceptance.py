@@ -14,7 +14,7 @@ import json
 import numpy as np
 from scipy.stats import chisquare
 
-from oracles import finite_difference_gradient, quadrature_log_moments
+from oracles import finite_difference_gradient, quadrature_log_moments, sgd
 from fltop import cli, data, nn, privacy, secure_agg
 from fltop.data import to_targets
 from fltop.federation import (FederatedRun, FederationConfig, Seeds,
@@ -175,8 +175,8 @@ def test_criterion_8_learning_sanity():
     train, test, public, part, arch = _synthetic_setup()
 
     w = nn.init_model(arch, 0)
-    w = nn.sgd(train.inputs, to_targets(train.labels, arch), w, arch,
-               300, 0.3, 32, 1)
+    w = sgd(train.inputs, to_targets(train.labels, arch), w, arch,
+            300, 0.3, 32, 1)
     scores = nn._forward(w, arch, test.inputs)[-1]
     oracle = np.mean(np.argmax(scores, axis=1) == test.labels)
     ok = oracle >= 0.95

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import fltop
-from fltop import cli, compression
+from fltop import cli
 from fltop.federation import SCHEMES
+
+from oracles import load_index_set
 
 # The example config from README.md.
 README_CONFIG = {
@@ -223,7 +225,7 @@ class TestSelectTopk:
         out_file = tmp_path / "indices.txt"
         assert cli.main(["select-topk", str(path), "--out", str(out_file)]) == 0
         n = 16 * 32 + 32 + 32 * 2 + 2
-        iset = compression.load_index_set(str(out_file), n)
+        iset = load_index_set(str(out_file), n)
         assert iset.n == n
         assert iset.k == round(cfg["federation"]["ratio"] * n)
         assert "wrote" in capsys.readouterr().out

@@ -5,7 +5,7 @@ from fltop import compression, nn
 from fltop.compression import IndexSet, select_random, select_topk
 from fltop.errors import ConfigError
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, load_index_set
 
 
 class TestIndexSet:
@@ -28,7 +28,7 @@ class TestIndexSet:
         s = IndexSet(np.array([0, 2, 7, 11]), 20)
         path = tmp_path / "indices.txt"
         compression.save_index_set(s, path)
-        loaded = compression.load_index_set(path, 20)
+        loaded = load_index_set(path, 20)
         assert np.array_equal(loaded.indices, s.indices)
         assert path.read_text() == "0\n2\n7\n11\n"
 

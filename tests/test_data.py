@@ -4,6 +4,8 @@ import pytest
 from fltop import data
 from fltop.errors import ConfigError, DataError, FormatError
 
+from oracles import forward_loss, sgd
+
 
 class TestIdx:
     def _write_pair(self, tmp_path, images, labels):
@@ -68,10 +70,10 @@ class TestSynthetic:
         d = data.synth_imbalanced(20000, 10, 0.5, seed=2, separation=0.0)
         train, test = data.train_test_split(d, 0.5, 3)
         arch = nn.mlp_arch(10, [8], 1, "binary_cross_entropy")
-        w = nn.sgd(train.inputs, to_targets(train.labels, arch),
-                   nn.init_model(arch, 0), arch, 100, 0.3, 64, 4)
-        _, scores = nn.forward_loss(w, arch, test.inputs,
-                                    to_targets(test.labels, arch))
+        w = sgd(train.inputs, to_targets(train.labels, arch),
+                nn.init_model(arch, 0), arch, 100, 0.3, 64, 4)
+        _, scores = forward_loss(w, arch, test.inputs,
+                                 to_targets(test.labels, arch))
         assert auroc(scores, test.labels) == pytest.approx(0.5, abs=0.02)
 
     def test_invalid_rate(self):

@@ -4,7 +4,10 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = sorted((ROOT / "src" / "fltop").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "fltop").glob("*.py"))
+SCANNED = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+# The benchmark's own modules count as callers; its tests do not.
+CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source):
@@ -39,3 +42,39 @@ def test_no_unused_imports():
     found = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text())
              for p in SCANNED if p.name != "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def public_functions(source):
+    """Names of a module's public top-level functions."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def referenced_names(source):
+    """Every name a module reads, reads as an attribute, or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_reference_detection():
+    source = ("from .nn import gradient\nimport numpy as np\n"
+              "def used():\n    return np.mean(gradient)\n"
+              "def unused():\n    return used()\ndef _private():\n    pass\n")
+    assert public_functions(source) == {"used", "unused"}
+    assert {"gradient", "np", "numpy", "mean", "used"} <= referenced_names(source)
+    assert "unused" not in referenced_names(source)
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # A function only tests call belongs in tests/oracles.py, not in src/.
+    used = set().union(*(referenced_names(p.read_text()) for p in CALLERS))
+    found = {f"{p.stem}.{name}" for p in SOURCES
+             for name in public_functions(p.read_text()) if name not in used}
+    assert found == set()

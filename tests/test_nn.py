@@ -7,187 +7,20 @@ from hypothesis import given, settings, strategies as st
 from fltop import nn
 from fltop.errors import ConfigError, DataError, DimensionError
 
-from oracles import finite_difference_gradient, reference_topk_sgd
+from oracles import (dense_gradient, finite_difference_gradient, forward_loss,
+                     reference_topk_sgd)
+
+
+def full_sgd(x, y, w, arch, t_gd, eta, batch_size, seed):
+    """Plain SGD: `nn.topk_sgd` over the shared full index set."""
+    return nn.topk_sgd(x, y, w, w, arch, t_gd, nn.full_indices(arch), eta,
+                       batch_size, seed)
 
 
 def one_hot(labels, k):
     out = np.zeros((len(labels), k))
     out[np.arange(len(labels)), labels] = 1.0
     return out
-
-
-class TestArchSpec:
-    def test_param_counts(self):
-        arch = nn.mlp_arch(784, [128], 10, "cross_entropy")
-        assert arch.n_params == 784 * 128 + 128 + 128 * 10 + 10 == 101770
-        medical = nn.mlp_arch(7280, [200, 200], 1, "binary_cross_entropy")
-        assert medical.n_params == 1496601
-
-    def test_width_chaining_enforced(self):
-        layers = (nn.LayerSpec(4, 3, "relu"), nn.LayerSpec(2, 2, "softmax"))
-        with pytest.raises(ConfigError):
-            nn.ArchSpec(layers, "cross_entropy")
-
-    def test_loss_activation_pairing(self):
-        with pytest.raises(ConfigError):
-            nn.ArchSpec((nn.LayerSpec(4, 2, "relu"),), "cross_entropy")
-        with pytest.raises(ConfigError):
-            nn.ArchSpec((nn.LayerSpec(4, 1, "softmax"),), "binary_cross_entropy")
-        with pytest.raises(ConfigError):
-            nn.ArchSpec((nn.LayerSpec(4, 2, "softmax"),
-                         nn.LayerSpec(2, 2, "softmax")), "cross_entropy")
-
-
-class TestInit:
-    def test_deterministic(self, toy_arch):
-        a = nn.init_model(toy_arch, 7)
-        b = nn.init_model(toy_arch, 7)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, nn.init_model(toy_arch, 8))
-
-    def test_biases_zero_weights_bounded(self, toy_arch):
-        w = nn.init_model(toy_arch, 3)
-        for layer, (w_sl, b_sl) in zip(toy_arch.layers, toy_arch.slices()):
-            assert np.all(w[b_sl] == 0.0)
-            limit = math.sqrt(6.0 / (layer.in_width + layer.out_width))
-            assert np.all(np.abs(w[w_sl]) <= limit)
-
-
-class TestForward:
-    def test_zero_weight_binary_loss_is_ln2(self, binary_arch):
-        w = np.zeros(binary_arch.n_params)
-        x = np.random.default_rng(0).uniform(0, 1, (8, 4))
-        y = np.array([0, 1] * 4, dtype=float).reshape(-1, 1)
-        loss, preds = nn.forward_loss(w, binary_arch, x, y)
-        assert loss == pytest.approx(math.log(2), abs=1e-12)
-        assert np.all(preds == 0.5)
-
-    def test_softmax_rows_sum_to_one(self, toy_arch, toy_batch):
-        x, y = toy_batch
-        w = nn.init_model(toy_arch, 1)
-        _, preds = nn.forward_loss(w, toy_arch, x, y)
-        assert np.allclose(preds.sum(axis=1), 1.0, atol=1e-9)
-        assert np.array_equal(nn.predict(w, toy_arch, x), preds)
-
-    def test_matches_independent_reimplementation(self, toy_arch, toy_batch):
-        # Per-sample, loop-based forward pass written independently of the
-        # vectorized one.
-        x, y = toy_batch
-        w = nn.init_model(toy_arch, 5)
-        (w1s, b1s), (w2s, b2s) = toy_arch.slices()
-        w1 = w[w1s].reshape(2, 3)
-        b1 = w[b1s]
-        w2 = w[w2s].reshape(3, 2)
-        b2 = w[b2s]
-        total = 0.0
-        for xi, yi in zip(x, y):
-            h = np.maximum(xi @ w1 + b1, 0.0)
-            z = h @ w2 + b2
-            p = np.exp(z - z.max())
-            p /= p.sum()
-            total += -np.sum(yi * np.log(p + 1e-12))
-        expected = total / len(x)
-        loss, _ = nn.forward_loss(w, toy_arch, x, y)
-        assert loss == pytest.approx(expected, abs=1e-10)
-
-    def test_shape_mismatch(self, toy_arch):
-        w = nn.init_model(toy_arch, 0)
-        with pytest.raises(DimensionError):
-            nn.forward_loss(w, toy_arch, np.zeros((3, 5)), np.zeros((3, 2)))
-        with pytest.raises(DimensionError):
-            nn.forward_loss(w, toy_arch, np.zeros((3, 2)), np.zeros((3, 5)))
-        with pytest.raises(DimensionError):
-            nn.predict(w, toy_arch, np.zeros((3, 5)))
-
-
-class TestGradient:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_finite_differences(self, seed):
-        rng = np.random.default_rng(seed)
-        arch = nn.mlp_arch(3, [4], 2, "cross_entropy")
-        w = nn.init_model(arch, seed)
-        x = rng.uniform(0, 1, (5, 3))
-        y = one_hot(rng.integers(0, 2, 5), 2)
-        g = nn.gradient(w, arch, x, y)
-        fd = finite_difference_gradient(w, arch, x, y)
-        assert np.allclose(g, fd, rtol=1e-4, atol=1e-7)
-
-    def test_binary_matches_finite_differences(self, binary_arch):
-        rng = np.random.default_rng(10)
-        w = nn.init_model(binary_arch, 10)
-        x = rng.uniform(0, 1, (5, 4))
-        y = rng.integers(0, 2, 5).astype(float).reshape(-1, 1)
-        g = nn.gradient(w, binary_arch, x, y)
-        fd = finite_difference_gradient(w, binary_arch, x, y)
-        assert np.allclose(g, fd, rtol=1e-4, atol=1e-7)
-
-    def test_ten_parameter_net_relative_tolerance(self):
-        # 3 -> 2 -> 1 sigmoid, 11 parameters
-        arch = nn.mlp_arch(3, [2], 1, "binary_cross_entropy")
-        assert arch.n_params == 11
-        rng = np.random.default_rng(3)
-        w = rng.normal(0, 0.5, arch.n_params)
-        x = rng.uniform(0, 1, (4, 3))
-        y = rng.integers(0, 2, 4).astype(float).reshape(-1, 1)
-        g = nn.gradient(w, arch, x, y)
-        fd = finite_difference_gradient(w, arch, x, y)
-        assert np.allclose(g, fd, rtol=1e-5, atol=1e-8)
-
-    def test_zero_error_gives_zero_upstream_gradient(self):
-        # Zero last-layer weights with balanced binary labels: predictions are
-        # exactly the targets' mean, so the hidden layers receive no signal
-        # when every prediction error is zero.
-        arch = nn.mlp_arch(2, [2], 1, "binary_cross_entropy")
-        w = nn.init_model(arch, 0)
-        (w1s, b1s), (w2s, b2s) = arch.slices()
-        w[w2s] = 0.0
-        w[b2s] = 0.0
-        x = np.array([[0.2, 0.8], [0.7, 0.1]])
-        y = np.array([[0.5], [0.5]])  # matches sigmoid(0) exactly
-        g = nn.gradient(w, arch, x, y)
-        assert np.allclose(g, 0.0, atol=1e-15)
-
-
-class TestSgd:
-    def test_tgd_zero_rejected_and_eta_zero_identity(self, toy_arch, toy_batch):
-        x, y = toy_batch
-        w = nn.init_model(toy_arch, 0)
-        with pytest.raises(ConfigError):
-            nn.sgd(x, y, w, toy_arch, 0, 0.1, 4, 0)
-        out = nn.sgd(x, y, w, toy_arch, 1, 0.0, 4, 0)
-        assert np.array_equal(out, w)
-
-    def test_single_step_matches_hand_unrolled(self, toy_arch, toy_batch):
-        x, y = toy_batch
-        w = nn.init_model(toy_arch, 0)
-        out = nn.sgd(x, y, w, toy_arch, 1, 0.1, len(x), 0)
-        # batch_size = full set, so the step uses all samples in some order
-        idx = next(nn._batch_stream(len(x), len(x), 0))
-        expected = w + (-0.1) * nn.gradient(w, toy_arch, x[idx], y[idx])
-        assert np.array_equal(out, expected)
-
-    def test_deterministic(self, toy_arch, toy_batch):
-        x, y = toy_batch
-        w = nn.init_model(toy_arch, 0)
-        a = nn.sgd(x, y, w, toy_arch, 5, 0.1, 2, 9)
-        b = nn.sgd(x, y, w, toy_arch, 5, 0.1, 2, 9)
-        assert np.array_equal(a, b)
-
-    def test_empty_dataset(self, toy_arch):
-        w = nn.init_model(toy_arch, 0)
-        with pytest.raises(DataError):
-            nn.sgd(np.zeros((0, 2)), np.zeros((0, 2)), w, toy_arch, 1, 0.1, 2, 0)
-
-    def test_loss_decreases_on_separable_task(self, separable_task):
-        from fltop.data import to_targets
-        train, _, _ = separable_task
-        arch = nn.mlp_arch(20, [16], 2, "cross_entropy")
-        y = to_targets(train.labels, arch)
-        w0 = nn.init_model(arch, 0)
-        l0, _ = nn.forward_loss(w0, arch, train.inputs, y)
-        w = nn.sgd(train.inputs, y, w0, arch, 100, 0.2, 32, 1)
-        l1, _ = nn.forward_loss(w, arch, train.inputs, y)
-        assert l1 < l0
 
 
 @st.composite
@@ -254,6 +87,206 @@ def topk_inputs(arch, shard, data_seed):
     return x, y, w, w0
 
 
+class TestArchSpec:
+    def test_param_counts(self):
+        arch = nn.mlp_arch(784, [128], 10, "cross_entropy")
+        assert arch.n_params == 784 * 128 + 128 + 128 * 10 + 10 == 101770
+        medical = nn.mlp_arch(7280, [200, 200], 1, "binary_cross_entropy")
+        assert medical.n_params == 1496601
+
+    def test_cached_sizes_keep_field_equality(self):
+        a = nn.mlp_arch(3, [4], 2, "cross_entropy")
+        b = nn.mlp_arch(3, [4], 2, "cross_entropy")
+        assert a.n_params == 26 and a.slices() is a.slices()
+        assert isinstance(a.slices(), tuple)
+        assert a == b and hash(a) == hash(b)
+        assert a != nn.mlp_arch(3, [5], 2, "cross_entropy")
+
+    def test_width_chaining_enforced(self):
+        layers = (nn.LayerSpec(4, 3, "relu"), nn.LayerSpec(2, 2, "softmax"))
+        with pytest.raises(ConfigError):
+            nn.ArchSpec(layers, "cross_entropy")
+
+    def test_loss_activation_pairing(self):
+        with pytest.raises(ConfigError):
+            nn.ArchSpec((nn.LayerSpec(4, 2, "relu"),), "cross_entropy")
+        with pytest.raises(ConfigError):
+            nn.ArchSpec((nn.LayerSpec(4, 1, "softmax"),), "binary_cross_entropy")
+        with pytest.raises(ConfigError):
+            nn.ArchSpec((nn.LayerSpec(4, 2, "softmax"),
+                         nn.LayerSpec(2, 2, "softmax")), "cross_entropy")
+
+
+class TestInit:
+    def test_deterministic(self, toy_arch):
+        a = nn.init_model(toy_arch, 7)
+        b = nn.init_model(toy_arch, 7)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, nn.init_model(toy_arch, 8))
+
+    def test_biases_zero_weights_bounded(self, toy_arch):
+        w = nn.init_model(toy_arch, 3)
+        for layer, (w_sl, b_sl) in zip(toy_arch.layers, toy_arch.slices()):
+            assert np.all(w[b_sl] == 0.0)
+            limit = math.sqrt(6.0 / (layer.in_width + layer.out_width))
+            assert np.all(np.abs(w[w_sl]) <= limit)
+
+
+class TestForward:
+    def test_zero_weight_binary_loss_is_ln2(self, binary_arch):
+        w = np.zeros(binary_arch.n_params)
+        x = np.random.default_rng(0).uniform(0, 1, (8, 4))
+        y = np.array([0, 1] * 4, dtype=float).reshape(-1, 1)
+        loss, preds = forward_loss(w, binary_arch, x, y)
+        assert loss == pytest.approx(math.log(2), abs=1e-12)
+        assert np.all(preds == 0.5)
+
+    def test_softmax_rows_sum_to_one(self, toy_arch, toy_batch):
+        x, y = toy_batch
+        w = nn.init_model(toy_arch, 1)
+        _, preds = forward_loss(w, toy_arch, x, y)
+        assert np.allclose(preds.sum(axis=1), 1.0, atol=1e-9)
+        assert np.array_equal(nn.predict(w, toy_arch, x), preds)
+
+    def test_matches_independent_reimplementation(self, toy_arch, toy_batch):
+        # Per-sample, loop-based forward pass written independently of the
+        # vectorized one.
+        x, y = toy_batch
+        w = nn.init_model(toy_arch, 5)
+        (w1s, b1s), (w2s, b2s) = toy_arch.slices()
+        w1 = w[w1s].reshape(2, 3)
+        b1 = w[b1s]
+        w2 = w[w2s].reshape(3, 2)
+        b2 = w[b2s]
+        total = 0.0
+        for xi, yi in zip(x, y):
+            h = np.maximum(xi @ w1 + b1, 0.0)
+            z = h @ w2 + b2
+            p = np.exp(z - z.max())
+            p /= p.sum()
+            total += -np.sum(yi * np.log(p + 1e-12))
+        expected = total / len(x)
+        loss, _ = forward_loss(w, toy_arch, x, y)
+        assert loss == pytest.approx(expected, abs=1e-10)
+
+    def test_shape_mismatch(self, toy_arch, monkeypatch):
+        def backward(*args):
+            raise AssertionError("backward pass ran on a malformed batch")
+
+        monkeypatch.setattr(nn, "_backward", backward)
+        w = nn.init_model(toy_arch, 0)
+        full = nn.full_indices(toy_arch)
+        # Inputs too wide, targets too wide, fewer targets than inputs: the
+        # last passes a per-batch check whenever the batch misses row 2.
+        for x, y in [(np.zeros((3, 5)), np.zeros((3, 2))),
+                     (np.zeros((3, 2)), np.zeros((3, 5))),
+                     (np.zeros((3, 2)), np.zeros((2, 2)))]:
+            with pytest.raises(DimensionError):
+                nn.gradient(w, toy_arch, x, y)
+            with pytest.raises(DimensionError):
+                nn.topk_sgd(x, y, w, w, toy_arch, 1, full, 0.1, 2, 0)
+        with pytest.raises(DimensionError):
+            nn.predict(w, toy_arch, np.zeros((3, 5)))
+
+
+class TestGradient:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        arch = nn.mlp_arch(3, [4], 2, "cross_entropy")
+        w = nn.init_model(arch, seed)
+        x = rng.uniform(0, 1, (5, 3))
+        y = one_hot(rng.integers(0, 2, 5), 2)
+        g = nn.gradient(w, arch, x, y)
+        fd = finite_difference_gradient(w, arch, x, y)
+        assert np.allclose(g, fd, rtol=1e-4, atol=1e-7)
+
+    def test_binary_matches_finite_differences(self, binary_arch):
+        rng = np.random.default_rng(10)
+        w = nn.init_model(binary_arch, 10)
+        x = rng.uniform(0, 1, (5, 4))
+        y = rng.integers(0, 2, 5).astype(float).reshape(-1, 1)
+        g = nn.gradient(w, binary_arch, x, y)
+        fd = finite_difference_gradient(w, binary_arch, x, y)
+        assert np.allclose(g, fd, rtol=1e-4, atol=1e-7)
+
+    def test_ten_parameter_net_relative_tolerance(self):
+        # 3 -> 2 -> 1 sigmoid, 11 parameters
+        arch = nn.mlp_arch(3, [2], 1, "binary_cross_entropy")
+        assert arch.n_params == 11
+        rng = np.random.default_rng(3)
+        w = rng.normal(0, 0.5, arch.n_params)
+        x = rng.uniform(0, 1, (4, 3))
+        y = rng.integers(0, 2, 4).astype(float).reshape(-1, 1)
+        g = nn.gradient(w, arch, x, y)
+        fd = finite_difference_gradient(w, arch, x, y)
+        assert np.allclose(g, fd, rtol=1e-5, atol=1e-8)
+
+    def test_zero_error_gives_zero_upstream_gradient(self):
+        # Zero last-layer weights with balanced binary labels: predictions are
+        # exactly the targets' mean, so the hidden layers receive no signal
+        # when every prediction error is zero.
+        arch = nn.mlp_arch(2, [2], 1, "binary_cross_entropy")
+        w = nn.init_model(arch, 0)
+        (w1s, b1s), (w2s, b2s) = arch.slices()
+        w[w2s] = 0.0
+        w[b2s] = 0.0
+        x = np.array([[0.2, 0.8], [0.7, 0.1]])
+        y = np.array([[0.5], [0.5]])  # matches sigmoid(0) exactly
+        g = nn.gradient(w, arch, x, y)
+        assert np.allclose(g, 0.0, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(topk_cases())
+    def test_matches_dense_oracle_bitwise(self, case):
+        arch, _, shard, _, _, _, data_seed = case
+        x, y, w, _ = topk_inputs(arch, shard, data_seed)
+        assert np.array_equal(nn.gradient(w, arch, x, y),
+                              dense_gradient(w, arch, x, y))
+
+
+class TestSgd:
+    def test_tgd_zero_rejected_and_eta_zero_identity(self, toy_arch, toy_batch):
+        x, y = toy_batch
+        w = nn.init_model(toy_arch, 0)
+        with pytest.raises(ConfigError):
+            full_sgd(x, y, w, toy_arch, 0, 0.1, 4, 0)
+        out = full_sgd(x, y, w, toy_arch, 1, 0.0, 4, 0)
+        assert np.array_equal(out, w)
+
+    def test_single_step_matches_hand_unrolled(self, toy_arch, toy_batch):
+        x, y = toy_batch
+        w = nn.init_model(toy_arch, 0)
+        out = full_sgd(x, y, w, toy_arch, 1, 0.1, len(x), 0)
+        # batch_size = full set, so the step uses all samples in some order
+        idx = next(nn._batch_stream(len(x), len(x), 0))
+        expected = w + (-0.1) * nn.gradient(w, toy_arch, x[idx], y[idx])
+        assert np.array_equal(out, expected)
+
+    def test_deterministic(self, toy_arch, toy_batch):
+        x, y = toy_batch
+        w = nn.init_model(toy_arch, 0)
+        a = full_sgd(x, y, w, toy_arch, 5, 0.1, 2, 9)
+        b = full_sgd(x, y, w, toy_arch, 5, 0.1, 2, 9)
+        assert np.array_equal(a, b)
+
+    def test_empty_dataset(self, toy_arch):
+        w = nn.init_model(toy_arch, 0)
+        with pytest.raises(DataError):
+            full_sgd(np.zeros((0, 2)), np.zeros((0, 2)), w, toy_arch, 1, 0.1, 2, 0)
+
+    def test_loss_decreases_on_separable_task(self, separable_task):
+        from fltop.data import to_targets
+        train, _, _ = separable_task
+        arch = nn.mlp_arch(20, [16], 2, "cross_entropy")
+        y = to_targets(train.labels, arch)
+        w0 = nn.init_model(arch, 0)
+        l0, _ = forward_loss(w0, arch, train.inputs, y)
+        w = full_sgd(train.inputs, y, w0, arch, 100, 0.2, 32, 1)
+        l1, _ = forward_loss(w, arch, train.inputs, y)
+        assert l1 < l0
+
+
 class TestTopkSgd:
     @settings(max_examples=300, deadline=None)
     @given(topk_cases())
@@ -289,7 +322,7 @@ class TestTopkSgd:
         x, y = toy_batch
         w = nn.init_model(toy_arch, 0)
         all_idx = np.arange(toy_arch.n_params)
-        a = nn.sgd(x, y, w, toy_arch, 5, 0.1, 2, 3)
+        a = full_sgd(x, y, w, toy_arch, 5, 0.1, 2, 3)
         b = reference_topk_sgd(x, y, w, w, toy_arch, 5, all_idx, 0.1, 2, 3)
         assert np.array_equal(a, b)
 
