@@ -179,18 +179,22 @@ def initial_index_set(cfg, w0, public):
     return None
 
 
-def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, seed):
+def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, seed,
+                 layer0=None):
     """One client's local training from the global model `w`; returns the
     change at the index set's coordinates, in index order.
 
     A pinning scheme trains only the index set, with every other coordinate
     held at w0; any other scheme trains every coordinate. A set of size n is
     every coordinate, so it trains, and returns, the full vector directly.
+    `layer0` is an optional `nn.Layer0Cache` of w0 for the rows of x, which
+    only a pinning scheme can use (see `nn.topk_sgd`).
     """
     idx = index_set.indices
     full = index_set.k == arch.n_params
     trained = idx if spec.reinit_nonselected and not full else nn.full_indices(arch)
-    local = nn.topk_sgd(x, y, w, w0, arch, steps, trained, eta, batch_size, seed)
+    local = nn.topk_sgd(x, y, w, w0, arch, steps, trained, eta, batch_size, seed,
+                        layer0)
     if full:
         local -= w
         return local
@@ -203,6 +207,12 @@ class FederatedRun:
     The DP path never exposes an individual client's unmasked noised update:
     clients hand back MaskedUpdate residues only, and the server sees their
     modular sum.
+
+    With a fixed index set that is not the full set, the global model equals
+    w0 outside the set after every round. Where `nn.layer0_columns` says it
+    pays, the run therefore caches layer 0's pre-activation at w0
+    (`nn.Layer0Cache`): once for the test set, which `evaluate` then uses,
+    and, if the scheme pins, once per client shard on its first training.
     """
 
     def __init__(self, config, train, part, test=None, public=None):
@@ -220,7 +230,13 @@ class FederatedRun:
         self.round_index = 0
         self.clamp_total = 0
         self.index_set = initial_index_set(config, self.w0, public)
-        self._targets_cache = {}
+        # The layer-0 units that cached forward passes recompute (see
+        # `nn.layer0_columns`); None keeps every pass dense.
+        self._layer0_cols = None
+        if self.index_set is not None and self.spec.selection != "all":
+            self._layer0_cols = nn.layer0_columns(self.arch, self.index_set.indices)
+        self._client_cache = {}
+        self._test_layer0 = None
 
     def _round_index_set(self, t):
         if self.index_set is not None:
@@ -229,21 +245,27 @@ class FederatedRun:
             self.n, self.config.k(self.n), [102, self.config.seeds.sampling, t])
 
     def _client_batch(self, client_id):
+        """The client's inputs, targets and layer-0 cache (None unless the
+        scheme pins and `_layer0_cols` is set). The inputs are gathered per
+        call; the rest is kept per client."""
         idx = self.part.assignments[client_id]
+        x = self.train.inputs[idx]
         key = int(client_id)
-        if key not in self._targets_cache:
-            self._targets_cache[key] = (
-                self.train.inputs[idx],
-                to_targets(self.train.labels[idx], self.arch))
-        return self._targets_cache[key]
+        if key not in self._client_cache:
+            cache = None
+            if self.spec.reinit_nonselected and self._layer0_cols is not None:
+                cache = nn.layer0_cache(self.w0, self.arch, x, self._layer0_cols)
+            self._client_cache[key] = (
+                to_targets(self.train.labels[idx], self.arch), cache)
+        return (x,) + self._client_cache[key]
 
     def _local_update(self, client_id, t, index_set):
         """Train one client locally; returns its K-vector update."""
         cfg = self.config
-        x, y = self._client_batch(client_id)
+        x, y, layer0 = self._client_batch(client_id)
         return local_update(self.spec, x, y, self.w, self.w0, self.arch, index_set,
                             cfg.local_steps, cfg.learning_rate, cfg.batch_size,
-                            [100, cfg.seeds.sampling, t, int(client_id)])
+                            [100, cfg.seeds.sampling, t, int(client_id)], layer0)
 
     def run_round(self):
         """Advance the global model by one round; returns this round's cohort."""
@@ -284,7 +306,10 @@ class FederatedRun:
         """Metrics of the current global model on the held-out test set."""
         x = self.test.inputs
         y = self.test.labels
-        scores = nn.predict(self.w, self.arch, x)
+        if self._layer0_cols is not None and self._test_layer0 is None:
+            self._test_layer0 = nn.layer0_cache(self.w0, self.arch, x,
+                                                self._layer0_cols)
+        scores = nn.predict(self.w, self.arch, x, self._test_layer0)
         acc = accuracy(scores, y)
         bal = balanced_accuracy(scores, y)
         try:

@@ -9,6 +9,7 @@ evaluated independently and reproducibly.
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,12 +114,20 @@ def _activate(z, kind):
     return z
 
 
-def _forward(w, arch, x):
-    """Returns the list of post-activation values per layer, input included."""
+def _forward(w, arch, x, z0=None, cols=None):
+    """Returns the list of post-activation values per layer, input included.
+
+    With `z0`, layer 0's pre-activation is `z0` (which this overwrites) with
+    only the columns `cols` recomputed from `w`; see `Layer0Cache`.
+    """
     acts = [x]
-    for layer, (w_sl, b_sl) in zip(arch.layers, arch.slices()):
+    for i, (layer, (w_sl, b_sl)) in enumerate(zip(arch.layers, arch.slices())):
         mat = w[w_sl].reshape(layer.in_width, layer.out_width)
-        z = acts[-1] @ mat + w[b_sl]
+        if i == 0 and z0 is not None:
+            z0[:, cols] = x @ mat[:, cols] + w[b_sl][cols]
+            z = z0
+        else:
+            z = acts[-1] @ mat + w[b_sl]
         acts.append(_activate(z, layer.activation))
     return acts
 
@@ -137,35 +146,56 @@ def _check_batch(arch, x, y):
             f"targets {y.shape} do not match (batch, {arch.output_width})")
 
 
-def predict(w, arch, x):
-    """Output-layer activations for a batch of inputs (forward pass only)."""
+class Layer0Cache(NamedTuple):
+    """Layer 0's pre-activation `z = x @ W0 + b0` at a base model w0, one row
+    per input row, and the sorted layer-0 output units `cols` whose weights
+    or bias a model may hold away from w0. `predict` and `topk_sgd` take one
+    and recompute only those columns of layer 0; build it with
+    `layer0_cache`, and only where `layer0_columns` says it pays."""
+    z: np.ndarray
+    cols: np.ndarray
+
+
+def predict(w, arch, x, layer0=None):
+    """Output-layer activations for a batch of inputs (forward pass only).
+
+    `layer0` is an optional `Layer0Cache` for the rows of x. Every layer-0
+    weight and bias of `w` outside its columns must equal the base model's;
+    the scores then match the dense forward pass up to rounding in those
+    columns.
+    """
     x = np.asarray(x, dtype=np.float64)
     _check_inputs(arch, x)
-    return _forward(w, arch, x)[-1]
+    if layer0 is None:
+        return _forward(w, arch, x)[-1]
+    return _forward(w, arch, x, layer0.z.copy(), layer0.cols)[-1]
 
 
-def _weight_outs(arch, layout, g):
+def _weight_outs(arch, layout, g, cols=None):
     """Per layer of `layout` (see `_topk_layout`), where `_backward` writes
     its weight-gradient matmul and whether to gather from there: a view of
     `g` when the whole block is retained, else a buffer; None when no weight
-    of the layer is retained."""
+    of the layer is retained. With `cols`, layer 0's block is only those
+    columns, as `_column_layout` lays it out."""
     outs = []
-    for l, (w_pos, w_sel, _, _) in zip(arch.layers, layout):
-        shape = (l.in_width, l.out_width)
+    for i, (l, (w_pos, w_sel, _, _)) in enumerate(zip(arch.layers, layout)):
+        shape = (l.in_width, l.out_width if i or cols is None else len(cols))
         if w_sel is None:
             outs.append((None, False))
-        elif w_pos.stop - w_pos.start == l.in_width * l.out_width:
+        elif w_pos.stop - w_pos.start == shape[0] * shape[1]:
             outs.append((g[w_pos].reshape(shape), False))
         else:
             outs.append((np.empty(shape), True))
     return outs
 
 
-def _backward(w, arch, x, targets, layout, g, outs):
+def _backward(w, arch, x, targets, layout, g, outs, z0=None, cols=None):
     """One forward and backward pass of the mean batch loss at `w`. Writes
     the gradient entries that `layout` retains into `g`, in set order;
-    `outs` comes from `_weight_outs(arch, layout, g)`."""
-    acts = _forward(w, arch, x)
+    `outs` comes from `_weight_outs(arch, layout, g, cols)`. With `z0`, layer
+    0 runs on the cached pre-activation (see `_forward`) and its weight
+    gradient covers only the columns `cols`."""
+    acts = _forward(w, arch, x, z0, cols)
     # Softmax+CE and sigmoid+BCE share the same output delta.
     delta = (acts[-1] - targets) / x.shape[0]
     slices = arch.slices()
@@ -173,7 +203,8 @@ def _backward(w, arch, x, targets, layout, g, outs):
         w_pos, w_sel, b_pos, b_sel = layout[i]
         w_out, gather = outs[i]
         if w_out is not None:
-            np.matmul(acts[i].T, delta, out=w_out)
+            np.matmul(acts[i].T, delta if i or z0 is None else delta[:, cols],
+                      out=w_out)
             if gather:
                 g[w_pos] = w_out.ravel()[w_sel]
         if b_sel is not None:
@@ -264,7 +295,70 @@ def full_indices(arch):
     return _full(arch)[0]
 
 
-def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
+def _offsets(sel):
+    """The offsets a `_selector` result picks, as an array."""
+    return np.arange(sel.start, sel.stop) if isinstance(sel, slice) else sel
+
+
+@functools.lru_cache(maxsize=8)
+def _column_layout(arch, key):
+    """`_topk_layout(arch, key)` with layer 0 cut down to the output units
+    the set touches. Returns `(k, sel, layers, cols)`: `cols` are those
+    units, sorted, and layer 0's `w_sel` picks the set's weights out of the
+    flattened (in_width, len(cols)) matrix that `_backward` computes then.
+    """
+    k, sel, layers = _topk_layout(arch, key)
+    w_pos, w_sel, b_pos, b_sel = layers[0]
+    empty = np.empty(0, dtype=np.int64)
+    rows, units = np.divmod(empty if w_sel is None else _offsets(w_sel),
+                            arch.layers[0].out_width)
+    cols = np.union1d(units, empty if b_sel is None else _offsets(b_sel))
+    cols.flags.writeable = False
+    if w_sel is not None:
+        w_sel = _selector(rows * cols.size + np.searchsorted(cols, units))
+    return k, sel, ((w_pos, w_sel, b_pos, b_sel),) + layers[1:], cols
+
+
+# The floor of `layer0_columns`' predicate, in layer-0 multiply-adds per
+# input row. Timings of both paths (5 steps, batch 10, 1 BLAS thread, 2-vCPU
+# 2.1 GHz Xeon VM) broke even near 2**14 (256→64 and 128→128 with 4 units
+# touched); the floor is twice that, for margin.
+LAYER0_CACHE_MIN_SAVED = 1 << 15
+
+
+def layer0_columns(arch, indices):
+    """The layer-0 output units that the index set `indices` touches, or
+    None when a `Layer0Cache` for it would not pay.
+
+    Per input row, the cached path skips `in_width` multiply-adds for every
+    unit the set leaves clean, and gathers about as many per touched unit
+    (their weight columns, delta columns and pre-activation rows). So it is
+    taken only when in_width × (clean − touched units) reaches
+    LAYER0_CACHE_MIN_SAVED. A Top-K set on 784→100 touching 3 units passes
+    (784 × 94); the README config's set (20 × 48), a set that touches at
+    least half the units and the full set do not.
+    """
+    cols = _column_layout(arch, np.asarray(indices, dtype=np.int64).tobytes())[3]
+    first = arch.layers[0]
+    clean = first.out_width - cols.size
+    if first.in_width * (clean - cols.size) < LAYER0_CACHE_MIN_SAVED:
+        return None
+    return cols
+
+
+def layer0_cache(w0, arch, x, cols):
+    """The `Layer0Cache` of the base model w0 for the rows of x; `cols`
+    comes from `layer0_columns`."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_inputs(arch, x)
+    first = arch.layers[0]
+    w_sl, b_sl = arch.slices()[0]
+    mat = w0[w_sl].reshape(first.in_width, first.out_width)
+    return Layer0Cache(x @ mat + w0[b_sl], cols)
+
+
+def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
+             layer0=None):
     """SGD that only moves the coordinates in `indices`; the rest stay at w0.
 
     `indices` must be strictly increasing. Each step runs the backward pass
@@ -276,6 +370,14 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
     array is validated and its layout cached by content. The result equals
     SGD on `gradient(...)[indices]` bit for bit, and agrees with w0 outside
     the index set exactly. Only `w[indices]` is read.
+
+    `layer0` is an optional `Layer0Cache` of w0 for the rows of x, built for
+    exactly the layer-0 units the set touches (as `layer0_columns` returns
+    them where the cache pays). Each step then takes layer 0's pre-activation
+    from its rows and recomputes only those units, and computes layer 0's
+    weight gradient only there. The model still agrees
+    with w0 outside the set exactly; inside it, the result matches the dense
+    one up to rounding, not bit for bit.
     """
     if t_gd < 1:
         raise ConfigError(f"t_gd must be >= 1, got {t_gd}")
@@ -284,23 +386,31 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
     # Every batch is a row subset of the shard, so one check covers them all.
     _check_batch(arch, x, y)
     full, full_layout = _full(arch)
-    if indices is full:
+    cols = None
+    if indices is full and layer0 is None:
         k, sel, layout = full_layout
         cur = np.array(w, dtype=np.float64)
     else:
-        k, sel, layout = _topk_layout(
-            arch, np.asarray(indices, dtype=np.int64).tobytes())
+        key = np.asarray(indices, dtype=np.int64).tobytes()
+        if layer0 is None:
+            k, sel, layout = _topk_layout(arch, key)
+        else:
+            k, sel, layout, cols = _column_layout(arch, key)
+            if not np.array_equal(cols, layer0.cols) or len(layer0.z) != len(x):
+                raise ValueError("layer-0 cache does not match the index set "
+                                 "and shard")
         # Start from w0 outside the set, caller-provided values inside it.
         cur = np.array(w0, dtype=np.float64)
         cur[sel] = np.asarray(w, dtype=np.float64)[sel]
     g = np.empty(k)
-    outs = _weight_outs(arch, layout, g)
+    outs = _weight_outs(arch, layout, g, cols)
     batch_size = min(batch_size, len(x))
     stream = _batch_stream(len(x), batch_size, seed)
     for _ in range(t_gd):
         idx = next(stream)
         _backward(cur, arch, np.asarray(x[idx], dtype=np.float64),
-                  np.asarray(y[idx], dtype=np.float64), layout, g, outs)
+                  np.asarray(y[idx], dtype=np.float64), layout, g, outs,
+                  None if cols is None else layer0.z[idx], cols)
         g *= -eta
         cur[sel] += g
     return cur

@@ -143,6 +143,35 @@ class TestGoldenTraces:
         assert hashlib.sha256(trace).hexdigest() == GOLDEN_TRACES[scheme]
 
 
+# sha256 of trace.csv for the benchmark's wide-topk-dp workload at seed 7
+# (fl-top-dp, r = 0.005 on 784 -> 100 -> 10), whose runs cache layer 0.
+WIDE_TOPK_SEED_7 = "63be5ac966737bc76ae434e9810f10399bf20cb51c1556ec9f3287efbf892c3a"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("blas_threads", ["1", None])
+def test_wide_topk_trace_is_unchanged(tmp_path, blas_threads):
+    # perfbench/gen.py writes the workload's IDX files and config. A fresh
+    # interpreter, because BLAS reads its thread count at import; None keeps
+    # the library's default.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if blas_threads is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, blas_threads))
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(fltop.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, str(root / "perfbench")])
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave perfbench/ as it is
+    script = ("import sys, gen\n"
+              "from fltop import cli\n"
+              "spec = gen.generate('wide-topk-dp', 7, sys.argv[1])\n"
+              "sys.exit(cli.main(['run', spec['config'], '--output-dir', sys.argv[2]]))\n")
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "in"),
+                    str(tmp_path / "out")], env=env, timeout=300,
+                   capture_output=True, check=True)
+    trace = (tmp_path / "out" / "trace.csv").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == WIDE_TOPK_SEED_7
+
+
 class TestErrors:
     def test_unknown_scheme_exit_2(self, tmp_path, capsys):
         path, _ = base_config(tmp_path, scheme="fl-nope")

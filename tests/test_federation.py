@@ -22,6 +22,26 @@ def small_setup(separable_task):
     return train, test, public, part, arch
 
 
+@pytest.fixture(scope="module")
+def wide_setup():
+    """784 -> 100 -> 10 on random images: a Top-K set there touches only a
+    few hidden units, so fixed-set runs cache layer 0."""
+    rng = np.random.default_rng(0)
+
+    def images(count):
+        return data.Dataset(rng.uniform(0, 1, (count, 784)),
+                            rng.integers(0, 10, count))
+
+    train, test, public = images(200), images(100), images(10)
+    part = data.partition(train, 20, seed=3)
+    arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
+    return train, test, (public.inputs, public.labels), part, arch
+
+
+FIXED_SET_SCHEMES = sorted(name for name, spec in SCHEMES.items()
+                           if spec.fixed_across_rounds and spec.selection != "all")
+
+
 def make_config(arch, scheme, **kw):
     defaults = dict(n_clients=50, sampling_fraction=0.2, rounds=5,
                     local_steps=5, batch_size=10, learning_rate=0.3,
@@ -283,6 +303,60 @@ class TestRounds:
         w_prev = run.w.copy()
         run.run_round()
         assert np.array_equal(run.w, w_prev)
+
+
+class TestLayer0Cache:
+    def test_readme_config_stays_dense(self, small_setup):
+        train, test, public, part, arch = small_setup
+        for scheme in sorted(SCHEMES):
+            run = FederatedRun(make_config(arch, scheme), train, part, test=test,
+                               public=public)
+            run.run_round()
+            run.evaluate()
+            assert run._layer0_cols is None, scheme
+            assert run._test_layer0 is None, scheme
+            assert all(cache is None for _, cache in run._client_cache.values())
+
+    @pytest.mark.parametrize("scheme,trains_cached", [
+        ("fl-top", True), ("fl-top-dp", True), ("fl-top-bis", False)])
+    def test_wide_topk_run_takes_the_cache(self, wide_setup, monkeypatch,
+                                           scheme, trains_cached):
+        train, test, public, part, arch = wide_setup
+        cfg = make_config(arch, scheme, n_clients=20, sampling_fraction=0.1,
+                          ratio=0.005)
+        runs = [FederatedRun(cfg, train, part, test=test, public=public)]
+        with monkeypatch.context() as m:
+            # The same run with the predicate refusing every set.
+            m.setattr(nn, "layer0_columns", lambda arch, indices: None)
+            runs.append(FederatedRun(cfg, train, part, test=test, public=public))
+        cached, dense = runs
+        assert cached._layer0_cols is not None and dense._layer0_cols is None
+        for _ in range(3):
+            scores = []
+            for run in runs:
+                run.run_round()
+                scores.append(run.evaluate())
+            # Within rounding: the tolerance of the nn-level oracle tests.
+            np.testing.assert_allclose(cached.w, dense.w, rtol=1e-10, atol=1e-10)
+            # Accuracy and balanced accuracy; AUROC is nan for 10 classes.
+            assert scores[0][:2] == scores[1][:2]
+        assert cached._test_layer0 is not None
+        client_caches = [cache for _, cache in cached._client_cache.values()]
+        assert all((cache is not None) == trains_cached for cache in client_caches)
+
+    @pytest.mark.parametrize("scheme", FIXED_SET_SCHEMES)
+    def test_model_stays_at_w0_off_the_set(self, wide_setup, scheme):
+        # The test-set cache holds layer 0 at w0, so it is exact only while
+        # every coordinate outside the fixed set is still w0's.
+        train, test, public, part, arch = wide_setup
+        cfg = make_config(arch, scheme, n_clients=20, sampling_fraction=0.1,
+                          ratio=0.005)
+        run = FederatedRun(cfg, train, part, test=test, public=public)
+        for _ in range(3):
+            run.run_round()
+        off = np.setdiff1d(np.arange(run.n), run.index_set.indices)
+        assert np.array_equal(run.w[off], run.w0[off])
+        assert not np.array_equal(run.w, run.w0)
 
 
 class TestExperiment:

@@ -78,3 +78,24 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     found = {f"{p.stem}.{name}" for p in SOURCES
              for name in public_functions(p.read_text()) if name not in used}
     assert found == set()
+
+
+def backprop_sites(source):
+    """`delta @ <matrix>.T` expressions: one per backprop loop."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and isinstance(node.left, ast.Name) and node.left.id == "delta"
+            and isinstance(node.right, ast.Attribute) and node.right.attr == "T"]
+
+
+def test_backprop_site_detection():
+    source = ("def f(delta, mat, acts):\n    d = delta @ mat.T\n"
+              "    g = acts.T @ delta\n    return delta @ mat[:, 1].T, d, g\n")
+    assert backprop_sites(source) == [2, 4]
+
+
+def test_nn_has_one_backward_pass():
+    # A second backprop loop (say, one for a sparse path) must instead be
+    # an option of `_backward`.
+    source = (ROOT / "src" / "fltop" / "nn.py").read_text()
+    assert len(backprop_sites(source)) == 1

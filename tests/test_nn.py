@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fltop import nn
+from fltop import compression, nn
 from fltop.errors import ConfigError, DataError, DimensionError
 
 from oracles import (dense_gradient, finite_difference_gradient, forward_loss,
@@ -72,6 +72,57 @@ def topk_cases(draw):
     eta = draw(st.sampled_from((0.05, 0.3, 1.0)))
     data_seed = draw(st.integers(0, 2**32 - 1))
     return arch, indices, shard, batch_size, t_gd, eta, data_seed
+
+
+@st.composite
+def layer0_cases(draw):
+    """A network whose layer 0 is wide enough for the layer-0 cache to pay,
+    a shard, and an index set that touches a few of layer 0's units or every
+    one of them, plus some deeper coordinates."""
+    in_width = draw(st.integers(512, 784))
+    widths = [in_width] + draw(st.lists(st.integers(96, 128), min_size=1,
+                                        max_size=1))
+    widths += draw(st.lists(st.integers(2, 6), max_size=1))
+    loss = draw(st.sampled_from(nn.LOSSES))
+    binary = loss == "binary_cross_entropy"
+    kinds = draw(st.lists(st.sampled_from(("relu", "sigmoid")),
+                          min_size=len(widths) - 1, max_size=len(widths) - 1))
+    layers = [nn.LayerSpec(a, b, kind)
+              for a, b, kind in zip(widths, widths[1:], kinds)]
+    layers.append(nn.LayerSpec(widths[-1], 1 if binary else 10,
+                               "sigmoid" if binary else "softmax"))
+    arch = nn.ArchSpec(tuple(layers), loss)
+    every = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hidden = widths[1]
+    units = np.arange(hidden) if every else rng.choice(
+        hidden, draw(st.integers(1, 8)), replace=False)
+    w_sl, b_sl = arch.slices()[0]
+    chosen = set()
+    for u in units:
+        # Some of the unit's weights, its bias, or both.
+        rows = rng.choice(in_width, rng.integers(0, 4), replace=False)
+        chosen.update(w_sl.start + rows * hidden + u)
+        if rows.size == 0 or rng.random() < 0.5:
+            chosen.add(b_sl.start + u)
+    chosen.update(rng.choice(np.arange(b_sl.stop, arch.n_params),
+                             rng.integers(0, 20), replace=False))
+    indices = np.array(sorted(chosen), dtype=np.int64)
+    shard = draw(st.integers(1, 12))
+    batch_size = draw(st.integers(1, 10))
+    t_gd = draw(st.integers(1, 4))
+    eta = draw(st.sampled_from((0.05, 0.3, 1.0)))
+    data_seed = draw(st.integers(0, 2**32 - 1))
+    return arch, indices, every, shard, batch_size, t_gd, eta, data_seed
+
+
+def touched_units(arch, indices):
+    """Layer 0's output units that hold a weight or bias of `indices`."""
+    w_sl, b_sl = arch.slices()[0]
+    width = arch.layers[0].out_width
+    first = indices[indices < b_sl.stop]
+    return np.unique(np.where(first < w_sl.stop, (first - w_sl.start) % width,
+                              first - b_sl.start))
 
 
 def topk_inputs(arch, shard, data_seed):
@@ -358,9 +409,92 @@ class TestTopkSgd:
         assert np.max(np.abs(out[frozen] - w0[frozen])) == 0.0
         assert not np.array_equal(out[idx], w0[idx])
 
+    # The cached path sums layer 0 in other shapes than the dense one, so
+    # it agrees with the dense reference up to rounding: within an absolute
+    # and relative 1e-10 (differences seen are below 1e-15).
+    @settings(max_examples=100, deadline=None)
+    @given(layer0_cases())
+    def test_layer0_cache_matches_dense_reference(self, case):
+        arch, indices, every, shard, batch_size, t_gd, eta, data_seed = case
+        x, y, w, w0 = topk_inputs(arch, shard, data_seed)
+        cols = touched_units(arch, indices)
+        # A few touched units clear the predicate's floor; every unit never.
+        if every:
+            assert nn.layer0_columns(arch, indices) is None
+        else:
+            assert np.array_equal(nn.layer0_columns(arch, indices), cols)
+        args = (arch, t_gd, indices, eta, batch_size, data_seed)
+        out = nn.topk_sgd(x, y, w, w0, *args,
+                          layer0=nn.layer0_cache(w0, arch, x, cols))
+        ref = reference_topk_sgd(x, y, w, w0, *args)
+        np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10)
+        frozen = np.setdiff1d(np.arange(arch.n_params), indices)
+        assert np.array_equal(out[frozen], w0[frozen])
+
+    def test_layer0_cache_for_another_set_rejected(self):
+        arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
+        w0 = nn.init_model(arch, 0)
+        x, y = np.zeros((4, 784)), np.eye(10)[:4]
+        cache = nn.layer0_cache(w0, arch, x, np.array([0, 1]))
+        with pytest.raises(ValueError):
+            nn.topk_sgd(x, y, w0, w0, arch, 1, np.array([2, 3]), 0.1, 2, 0,
+                        layer0=cache)
+        with pytest.raises(ValueError):
+            nn.topk_sgd(x[:3], y[:3], w0, w0, arch, 1, np.array([0, 1]), 0.1, 2,
+                        0, layer0=cache)
+
     def test_out_of_range_index(self, toy_arch, toy_batch):
         x, y = toy_batch
         w0 = nn.init_model(toy_arch, 0)
         with pytest.raises(IndexError):
             nn.topk_sgd(x, y, w0, w0, toy_arch, 1,
                         np.array([toy_arch.n_params]), 0.1, 2, 0)
+
+
+class TestLayer0Dispatch:
+    def test_readme_and_toy_archs_stay_dense(self, toy_arch, binary_arch):
+        # The README config's 20 -> 64 model, with sets from a few units to
+        # every one; the toy archs with every set.
+        readme = nn.mlp_arch(20, [64], 2, "cross_entropy")
+        for units in (1, 8, 64):
+            assert nn.layer0_columns(readme, np.arange(units)) is None
+        for arch in (toy_arch, binary_arch):
+            assert nn.layer0_columns(arch, np.array([0], dtype=np.int64)) is None
+            assert nn.layer0_columns(arch, nn.full_indices(arch)) is None
+
+    def test_wide_topk_set_takes_the_cache(self):
+        arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, (10, 784))
+        y = one_hot(rng.integers(0, 10, 10), 10)
+        w0 = nn.init_model(arch, 0)
+        iset = compression.select_topk(w0, arch, x, y, 5, 398, 0.1)
+        cols = nn.layer0_columns(arch, iset.indices)
+        assert cols is not None
+        assert np.array_equal(cols, touched_units(arch, iset.indices))
+        assert nn.layer0_columns(arch, nn.full_indices(arch)) is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cached_scores_match_predict(self, seed):
+        arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
+        rng = np.random.default_rng(seed)
+        w0 = nn.init_model(arch, seed)
+        units = rng.choice(100, 3, replace=False)
+        w_sl, b_sl = arch.slices()[0]
+        indices = np.sort(np.concatenate([
+            w_sl.start + rng.choice(784, 60) * 100 + np.repeat(units, 20),
+            b_sl.start + units[:1],
+            rng.choice(np.arange(b_sl.stop, arch.n_params), 30, replace=False)]))
+        indices = np.unique(indices)
+        w = w0.copy()
+        w[indices] += rng.normal(0, 0.5, indices.size)
+        x = rng.uniform(0, 1, (300, 784))
+        cols = nn.layer0_columns(arch, indices)
+        assert np.array_equal(cols, np.sort(units))
+        cache = nn.layer0_cache(w0, arch, x, cols)
+        cached = nn.predict(w, arch, x, cache)
+        dense = nn.predict(w, arch, x)
+        np.testing.assert_allclose(cached, dense, rtol=1e-10, atol=1e-12)
+        assert np.array_equal(cached.argmax(axis=1), dense.argmax(axis=1))
+        # The cache is read, never written.
+        assert np.array_equal(cache.z, nn.layer0_cache(w0, arch, x, cols).z)
