@@ -149,8 +149,7 @@ def main(argv=None):
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ConfigError, FormatError, DataError, FileNotFoundError, KeyError,
-            TypeError) as e:
+    except (ConfigError, FormatError, DataError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as e:

@@ -8,7 +8,7 @@ run exactly.
 """
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import compression, data, nn, privacy
 from .data import to_targets
@@ -44,6 +44,13 @@ def load_config(path):
     return raw
 
 
+def _required(section, path, key):
+    """`section[key]`; a missing key is a ConfigError naming `path.key`."""
+    if key not in section:
+        raise ConfigError(f"missing required key {path}.{key}")
+    return section[key]
+
+
 def _build_datasets(ds_cfg):
     kind = ds_cfg.get("type")
     if kind == "synthetic":
@@ -65,9 +72,10 @@ def _build_datasets(ds_cfg):
             ds_cfg.get("seed", 0) + 1000,
             separation=ds_cfg.get("separation", 2.0))
     elif kind == "fashion_mnist":
-        train = data.load_idx(ds_cfg["images"], ds_cfg["labels"])
-        test = data.load_idx(ds_cfg["test_images"], ds_cfg["test_labels"])
-        public_src = data.load_idx(ds_cfg["public_images"], ds_cfg["public_labels"])
+        pairs = [(_required(ds_cfg, "dataset", f"{part}images"),
+                  _required(ds_cfg, "dataset", f"{part}labels"))
+                 for part in ("", "test_", "public_")]
+        train, test, public_src = (data.load_idx(*pair) for pair in pairs)
     else:
         raise ConfigError(f"unknown dataset type {kind!r}")
     public = data.public_batch(public_src, ds_cfg.get("public_size", 10),
@@ -93,15 +101,20 @@ def resolve(raw):
     train, test, public = _build_datasets(raw["dataset"])
     arch = _build_arch(raw["model"], train)
     fed_cfg = raw["federation"]
+    seed_keys = {f.name for f in fields(Seeds)}
+    for key in fed_cfg.get("seeds", {}):
+        if key not in seed_keys:
+            raise ConfigError(f"unknown key federation.seeds.{key}; valid: "
+                              f"{', '.join(sorted(seed_keys))}")
     seeds = Seeds(**fed_cfg.get("seeds", {}))
     clip_setting = fed_cfg.get("clip", 1.0)
 
     fed = FederationConfig(
         arch=arch,
         scheme=raw["scheme"],
-        n_clients=fed_cfg["n_clients"],
-        sampling_fraction=fed_cfg["sampling_fraction"],
-        rounds=fed_cfg["rounds"],
+        n_clients=_required(fed_cfg, "federation", "n_clients"),
+        sampling_fraction=_required(fed_cfg, "federation", "sampling_fraction"),
+        rounds=_required(fed_cfg, "federation", "rounds"),
         local_steps=fed_cfg.get("local_steps", 5),
         batch_size=fed_cfg.get("batch_size", 10),
         learning_rate=fed_cfg.get("learning_rate", 0.1),

@@ -108,40 +108,51 @@ def _activate(z, kind):
     if kind == "sigmoid":
         return 1.0 / (1.0 + np.exp(-z))
     if kind == "softmax":
-        shifted = z - z.max(axis=1, keepdims=True)
+        shifted = z - z.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return e / e.sum(axis=-1, keepdims=True)
     return z
+
+
+def _layer(w, arch, i):
+    """Layer i's weight matrix and bias row as views of `w`: (in, out) and
+    (1, out) for a flat model, with a leading group axis for a (G, n) stack."""
+    layer = arch.layers[i]
+    w_sl, b_sl = arch.slices()[i]
+    return (w[..., w_sl].reshape(w.shape[:-1] + (layer.in_width, layer.out_width)),
+            w[..., None, b_sl])
 
 
 def _forward(w, arch, x, z0=None, cols=None):
     """Returns the list of post-activation values per layer, input included.
 
+    Rank-polymorphic: a flat model `w` with (rows, width) inputs, or a (G, n)
+    stack of models with a (G, rows, width) stack of inputs, one per model.
     With `z0`, layer 0's pre-activation is `z0` (which this overwrites) with
     only the columns `cols` recomputed from `w`; see `Layer0Cache`.
     """
     acts = [x]
-    for i, (layer, (w_sl, b_sl)) in enumerate(zip(arch.layers, arch.slices())):
-        mat = w[w_sl].reshape(layer.in_width, layer.out_width)
+    for i, layer in enumerate(arch.layers):
+        mat, bias = _layer(w, arch, i)
         if i == 0 and z0 is not None:
-            z0[:, cols] = x @ mat[:, cols] + w[b_sl][cols]
+            z0[..., cols] = x @ mat[..., cols] + bias[..., cols]
             z = z0
         else:
-            z = acts[-1] @ mat + w[b_sl]
+            z = acts[-1] @ mat + bias
         acts.append(_activate(z, layer.activation))
     return acts
 
 
 def _check_inputs(arch, x):
-    if x.ndim != 2 or x.shape[1] != arch.input_width:
+    if x.ndim not in (2, 3) or x.shape[-1] != arch.input_width:
         raise DimensionError(
-            f"inputs of width {x.shape[-1] if x.ndim == 2 else '?'} do not match "
-            f"architecture input width {arch.input_width}")
+            f"inputs of width {x.shape[-1] if x.ndim in (2, 3) else '?'} do not "
+            f"match architecture input width {arch.input_width}")
 
 
 def _check_batch(arch, x, y):
     _check_inputs(arch, x)
-    if y.shape != (x.shape[0], arch.output_width):
+    if y.shape != x.shape[:-1] + (arch.output_width,):
         raise DimensionError(
             f"targets {y.shape} do not match (batch, {arch.output_width})")
 
@@ -176,14 +187,16 @@ def _weight_outs(arch, layout, g, cols=None):
     its weight-gradient matmul and whether to gather from there: a view of
     `g` when the whole block is retained, else a buffer; None when no weight
     of the layer is retained. With `cols`, layer 0's block is only those
-    columns, as `_column_layout` lays it out."""
+    columns, as `_column_layout` lays it out. A (G, k) `g` gets (G, in, out)
+    blocks."""
     outs = []
     for i, (l, (w_pos, w_sel, _, _)) in enumerate(zip(arch.layers, layout)):
-        shape = (l.in_width, l.out_width if i or cols is None else len(cols))
+        shape = g.shape[:-1] + (
+            l.in_width, l.out_width if i or cols is None else len(cols))
         if w_sel is None:
             outs.append((None, False))
-        elif w_pos.stop - w_pos.start == shape[0] * shape[1]:
-            outs.append((g[w_pos].reshape(shape), False))
+        elif w_pos.stop - w_pos.start == shape[-2] * shape[-1]:
+            outs.append((g[..., w_pos].reshape(shape), False))
         else:
             outs.append((np.empty(shape), True))
     return outs
@@ -192,27 +205,27 @@ def _weight_outs(arch, layout, g, cols=None):
 def _backward(w, arch, x, targets, layout, g, outs, z0=None, cols=None):
     """One forward and backward pass of the mean batch loss at `w`. Writes
     the gradient entries that `layout` retains into `g`, in set order;
-    `outs` comes from `_weight_outs(arch, layout, g, cols)`. With `z0`, layer
-    0 runs on the cached pre-activation (see `_forward`) and its weight
-    gradient covers only the columns `cols`."""
+    `outs` comes from `_weight_outs(arch, layout, g, cols)`. A (G, n) stack
+    of models runs on (G, batch, width) stacks and fills a (G, k) `g`, each
+    row as its own flat pass would. With `z0`, layer 0 runs on the cached
+    pre-activation (see `_forward`) and its weight gradient covers only the
+    columns `cols`."""
     acts = _forward(w, arch, x, z0, cols)
     # Softmax+CE and sigmoid+BCE share the same output delta.
-    delta = (acts[-1] - targets) / x.shape[0]
-    slices = arch.slices()
+    delta = (acts[-1] - targets) / x.shape[-2]
     for i in range(len(arch.layers) - 1, -1, -1):
         w_pos, w_sel, b_pos, b_sel = layout[i]
         w_out, gather = outs[i]
         if w_out is not None:
-            np.matmul(acts[i].T, delta if i or z0 is None else delta[:, cols],
-                      out=w_out)
+            np.matmul(acts[i].swapaxes(-1, -2),
+                      delta if i or z0 is None else delta[..., cols], out=w_out)
             if gather:
-                g[w_pos] = w_out.ravel()[w_sel]
+                g[..., w_pos] = w_out.reshape(g.shape[:-1] + (-1,))[..., w_sel]
         if b_sel is not None:
-            g[b_pos] = delta.sum(axis=0)[b_sel]
+            g[..., b_pos] = delta.sum(axis=-2)[..., b_sel]
         if i > 0:
-            layer = arch.layers[i]
-            mat = w[slices[i][0]].reshape(layer.in_width, layer.out_width)
-            delta = delta @ mat.T
+            mat = _layer(w, arch, i)[0]
+            delta = delta @ mat.swapaxes(-1, -2)
             prev = acts[i]
             prev_kind = arch.layers[i - 1].activation
             if prev_kind == "relu":
@@ -347,19 +360,25 @@ def layer0_columns(arch, indices):
 
 
 def layer0_cache(w0, arch, x, cols):
-    """The `Layer0Cache` of the base model w0 for the rows of x; `cols`
-    comes from `layer0_columns`."""
+    """The `Layer0Cache` of the base model w0 for the rows of x, or for each
+    shard of a (G, rows, width) stack; `cols` comes from `layer0_columns`."""
     x = np.asarray(x, dtype=np.float64)
     _check_inputs(arch, x)
-    first = arch.layers[0]
-    w_sl, b_sl = arch.slices()[0]
-    mat = w0[w_sl].reshape(first.in_width, first.out_width)
-    return Layer0Cache(x @ mat + w0[b_sl], cols)
+    mat, bias = _layer(w0, arch, 0)
+    return Layer0Cache(x @ mat + bias, cols)
 
 
 def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
              layer0=None):
     """SGD that only moves the coordinates in `indices`; the rest stay at w0.
+
+    Trains one client, or a group of G clients at once: `x` and `y` are one
+    shard, (rows, width), or a stack of G equal shards, (G, rows, width),
+    and `seed` is then a sequence of G batch seeds. Every client starts from
+    the same `w` and shares `w0`, the index set and `layer0`'s columns; a
+    stack returns (G, n), one model per shard, each equal bit for bit to the
+    model its own single-shard call returns. Each step is one stacked
+    forward and backward pass over every client's batch.
 
     `indices` must be strictly increasing. Each step runs the backward pass
     `gradient` runs, but writes only the retained gradient entries: a layer
@@ -371,46 +390,71 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     SGD on `gradient(...)[indices]` bit for bit, and agrees with w0 outside
     the index set exactly. Only `w[indices]` is read.
 
-    `layer0` is an optional `Layer0Cache` of w0 for the rows of x, built for
-    exactly the layer-0 units the set touches (as `layer0_columns` returns
-    them where the cache pays). Each step then takes layer 0's pre-activation
-    from its rows and recomputes only those units, and computes layer 0's
-    weight gradient only there. The model still agrees
+    `layer0` is an optional `Layer0Cache` of w0 for the rows of x (stacked
+    like x), built for exactly the layer-0 units the set touches (as
+    `layer0_columns` returns them where the cache pays). Each step then takes
+    layer 0's pre-activation from its rows and recomputes only those units,
+    and computes layer 0's weight gradient only there. The model still agrees
     with w0 outside the set exactly; inside it, the result matches the dense
     one up to rounding, not bit for bit.
     """
     if t_gd < 1:
         raise ConfigError(f"t_gd must be >= 1, got {t_gd}")
-    if len(x) == 0:
-        raise DataError("empty training set")
-    # Every batch is a row subset of the shard, so one check covers them all.
+    x, y = np.asarray(x), np.asarray(y)
+    # Every batch is a row subset of the shards, so one check covers them all.
     _check_batch(arch, x, y)
+    if x.shape[-2] == 0:
+        raise DataError("empty training set")
+    lead = x.shape[:-2]  # (G,) for a stack, () for one shard
+    seeds = list(seed) if lead else [seed]
+    if len(seeds) != math.prod(lead):
+        raise DimensionError(
+            f"{len(seeds)} batch seeds for {math.prod(lead)} shards")
     full, full_layout = _full(arch)
-    cols = None
-    if indices is full and layer0 is None:
+    full_set = indices is full and layer0 is None
+    cols = z = None
+    if full_set:
         k, sel, layout = full_layout
-        cur = np.array(w, dtype=np.float64)
     else:
         key = np.asarray(indices, dtype=np.int64).tobytes()
         if layer0 is None:
             k, sel, layout = _topk_layout(arch, key)
         else:
             k, sel, layout, cols = _column_layout(arch, key)
-            if not np.array_equal(cols, layer0.cols) or len(layer0.z) != len(x):
+            z = layer0.z
+            if not np.array_equal(cols, layer0.cols) or z.shape[:-1] != x.shape[:-1]:
                 raise ValueError("layer-0 cache does not match the index set "
                                  "and shard")
+    if lead == (1,):
+        # A group of one trains as its plain shard: the same passes on 2-D
+        # arrays, which numpy dispatches with less overhead.
+        x, y, z = x[0], y[0], None if z is None else z[0]
+    # One model row per client.
+    cur = np.empty(x.shape[:-2] + (arch.n_params,))
+    if full_set:
+        cur[...] = w
+    else:
         # Start from w0 outside the set, caller-provided values inside it.
-        cur = np.array(w0, dtype=np.float64)
-        cur[sel] = np.asarray(w, dtype=np.float64)[sel]
-    g = np.empty(k)
+        cur[...] = w0
+        cur[..., sel] = np.asarray(w, dtype=np.float64)[sel]
+    g = np.empty(x.shape[:-2] + (k,))
     outs = _weight_outs(arch, layout, g, cols)
-    batch_size = min(batch_size, len(x))
-    stream = _batch_stream(len(x), batch_size, seed)
-    for _ in range(t_gd):
-        idx = next(stream)
-        _backward(cur, arch, np.asarray(x[idx], dtype=np.float64),
-                  np.asarray(y[idx], dtype=np.float64), layout, g, outs,
-                  None if cols is None else layer0.z[idx], cols)
+    # batches[..., s, :] holds each client's batch for step s, as rows of x
+    # with its shards flattened; every batch is full.
+    rows = x.shape[-2]
+    batch_size = min(batch_size, rows)
+    streams = [_batch_stream(rows, batch_size, s) for s in seeds]
+    batches = np.reshape([[next(stream) + c * rows for _ in range(t_gd)]
+                          for c, stream in enumerate(streams)],
+                         x.shape[:-2] + (t_gd, batch_size))
+    x, y = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
+    if z is not None:
+        z = z.reshape(-1, z.shape[-1])
+    for step in range(t_gd):
+        at = batches[..., step, :]
+        _backward(cur, arch, np.asarray(x[at], dtype=np.float64),
+                  np.asarray(y[at], dtype=np.float64), layout, g, outs,
+                  None if z is None else z[at], cols)
         g *= -eta
-        cur[sel] += g
-    return cur
+        cur[..., sel] += g
+    return cur.reshape(lead + (arch.n_params,))

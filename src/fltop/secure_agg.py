@@ -102,5 +102,5 @@ def aggregate_decode(masked_updates, codec, num_clients):
             f"{num_clients} without risk of wrapping")
     total = np.zeros_like(np.asarray(masked_updates[0], dtype=_U64))
     for m in masked_updates:
-        total = total + np.asarray(m, dtype=_U64)
+        np.add(total, np.asarray(m, dtype=_U64), out=total)
     return decode(total, codec)

@@ -33,3 +33,18 @@ def separable_task():
     pub_src = data.synth_imbalanced(200, 20, 0.5, seed=99, separation=4.0)
     public = data.public_batch(pub_src, 16, 5)
     return train, test, public
+
+
+@pytest.fixture
+def topk_sgd_calls(monkeypatch):
+    """The rank of `x` in every `nn.topk_sgd` call the test makes: 3 for a
+    stacked group of clients, 2 for one client."""
+    calls = []
+    topk_sgd = nn.topk_sgd
+
+    def spy(x, *args, **kwargs):
+        calls.append(np.ndim(x))
+        return topk_sgd(x, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "topk_sgd", spy)
+    return calls

@@ -165,7 +165,7 @@ def test_criterion_7_coordinate_freeze():
                            test=test, public=public)
         for t in range(1, 21):
             iset = run._round_index_set(t)
-            upd = run._local_update(0, t, iset)
+            upd, = run._local_updates(np.array([0]), t, iset)
             ok = ok and len(upd) == run.config.k(run.n)
             run.run_round()
     check(7, "coordinate freeze and transmission length", ok)

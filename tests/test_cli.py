@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fltop
-from fltop import cli
+from fltop import cli, config, federation
 from fltop.federation import SCHEMES
 
 from oracles import load_index_set
@@ -143,6 +144,20 @@ class TestGoldenTraces:
         assert hashlib.sha256(trace).hexdigest() == GOLDEN_TRACES[scheme]
 
 
+def test_readme_round_is_one_stacked_call(topk_sgd_calls):
+    # The README config's cohort of 10 fits one group, so a round trains it
+    # in ceil(m / G) = 1 stacked `nn.topk_sgd` call, not one call per client.
+    exp = config.resolve(README_CONFIG)
+    run = federation.FederatedRun(exp.fed, exp.train, exp.part, exp.test,
+                                  exp.public)
+    m = exp.fed.cohort_size
+    assert m == 10 and run._group >= m
+    topk_sgd_calls.clear()
+    for _ in range(3):
+        run.run_round()
+    assert topk_sgd_calls == [3] * (3 * math.ceil(m / run._group))
+
+
 # sha256 of trace.csv for the benchmark's wide-topk-dp workload at seed 7
 # (fl-top-dp, r = 0.005 on 784 -> 100 -> 10), whose runs cache layer 0.
 WIDE_TOPK_SEED_7 = "63be5ac966737bc76ae434e9810f10399bf20cb51c1556ec9f3287efbf892c3a"
@@ -202,6 +217,39 @@ class TestErrors:
 
     def test_bad_flag_exit_2(self):
         assert cli.main(["accountant", "--sigma", "1.5"]) == 2
+
+    def test_missing_required_key_exit_2(self, tmp_path, capsys):
+        path, cfg = base_config(tmp_path)
+        del cfg["federation"]["rounds"]
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == 2
+        assert "federation.rounds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_idx_key_exit_2(self, tmp_path, capsys):
+        path, cfg = base_config(tmp_path)
+        cfg["dataset"] = {"type": "fashion_mnist", "images": "a", "labels": "b"}
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == 2
+        assert "dataset.test_images" in capsys.readouterr().err
+
+    def test_unknown_seed_key_exit_2(self, tmp_path, capsys):
+        path, cfg = base_config(tmp_path)
+        cfg["federation"]["seeds"] = {"model": 1, "sampling_seed": 2}
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == 2
+        assert "federation.seeds.sampling_seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError])
+    def test_internal_error_exit_1(self, tmp_path, capsys, monkeypatch, error):
+        # A bug inside the run, not a malformed config, is a runtime error.
+        def broken(*args, **kwargs):
+            raise error("shape bug")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        path, _ = base_config(tmp_path)
+        assert cli.main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("runtime error:")
 
 
 class TestAccountant:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import rankdata_auroc, reference_global_update, reference_topk_sgd
-from fltop import data, nn, privacy
+from fltop import data, federation, nn, privacy
 from fltop.data import to_targets
 from fltop.errors import ConfigError, DataError
 from fltop.federation import (SCHEMES, FederatedRun, FederationConfig,
@@ -191,7 +191,7 @@ class TestRounds:
             cfg = make_config(arch, scheme)
             run = FederatedRun(cfg, train, part, test=test, public=public)
             iset = run._round_index_set(1)
-            upd = run._local_update(0, 1, iset)
+            upd, = run._local_updates(np.array([0]), 1, iset)
             assert len(upd) == cfg.k(run.n) == iset.k, scheme
 
     def test_dp_sigma_near_zero_matches_clipped_topk(self, small_setup):
@@ -263,12 +263,13 @@ class TestRounds:
         run = FederatedRun(cfg, train, part, test=test, public=public)
         calls = []
 
-        def spy(cid, t, index_set):
-            upd = FederatedRun._local_update(run, cid, t, index_set)
-            calls.append((cid, t, index_set, upd))
-            return upd
+        def spy(cohort, t, index_set):
+            updates = FederatedRun._local_updates(run, cohort, t, index_set)
+            calls.extend((cid, t, index_set, upd)
+                         for cid, upd in zip(cohort, updates, strict=True))
+            return updates
 
-        monkeypatch.setattr(run, "_local_update", spy)
+        monkeypatch.setattr(run, "_local_updates", spy)
         for _ in range(3):
             w_prev = run.w.copy()
             calls.clear()
@@ -299,7 +300,8 @@ class TestRounds:
         k = run.index_set.k
         u = np.arange(1, k + 1, dtype=np.float64)
         updates = iter([u, -u])
-        monkeypatch.setattr(run, "_local_update", lambda cid, t, s: next(updates))
+        monkeypatch.setattr(run, "_local_updates",
+                            lambda cohort, t, s: [next(updates) for _ in cohort])
         w_prev = run.w.copy()
         run.run_round()
         assert np.array_equal(run.w, w_prev)
@@ -315,7 +317,7 @@ class TestLayer0Cache:
             run.evaluate()
             assert run._layer0_cols is None, scheme
             assert run._test_layer0 is None, scheme
-            assert all(cache is None for _, cache in run._client_cache.values())
+            assert run._client_layer0 is None, scheme
 
     @pytest.mark.parametrize("scheme,trains_cached", [
         ("fl-top", True), ("fl-top-dp", True), ("fl-top-bis", False)])
@@ -341,8 +343,9 @@ class TestLayer0Cache:
             # Accuracy and balanced accuracy; AUROC is nan for 10 classes.
             assert scores[0][:2] == scores[1][:2]
         assert cached._test_layer0 is not None
-        client_caches = [cache for _, cache in cached._client_cache.values()]
-        assert all((cache is not None) == trains_cached for cache in client_caches)
+        assert (cached._client_layer0 is not None) == trains_cached
+        if trains_cached:
+            assert cached._layer0_filled.any()
 
     @pytest.mark.parametrize("scheme", FIXED_SET_SCHEMES)
     def test_model_stays_at_w0_off_the_set(self, wide_setup, scheme):
@@ -357,6 +360,46 @@ class TestLayer0Cache:
         off = np.setdiff1d(np.arange(run.n), run.index_set.indices)
         assert np.array_equal(run.w[off], run.w0[off])
         assert not np.array_equal(run.w, run.w0)
+
+
+class TestCohortGroups:
+    # A budget of 0 bytes trains one client a call; an unbounded one trains
+    # the whole cohort in one call. Either way each client's update, and so
+    # every trace byte, is the same.
+    BUDGETS = (0, 1 << 62)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_trace_does_not_depend_on_group_size(self, small_setup, monkeypatch,
+                                                 topk_sgd_calls, scheme):
+        train, test, public, part, arch = small_setup
+        cfg = make_config(arch, scheme)
+        m = cfg.cohort_size
+        traces = []
+        for budget, group in zip(self.BUDGETS, (1, m)):
+            monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
+            topk_sgd_calls.clear()
+            trace, _ = run_experiment(cfg, train, part, test, public=public)
+            assert len(topk_sgd_calls) == cfg.rounds * m // group
+            traces.append(trace_to_csv(trace))
+        assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("scheme", ["fl-top", "fl-top-dp"])
+    def test_cached_run_does_not_depend_on_group_size(self, wide_setup,
+                                                      monkeypatch, scheme):
+        # Pinned wide runs train through stacked layer-0 caches.
+        train, test, public, part, arch = wide_setup
+        cfg = make_config(arch, scheme, n_clients=20, sampling_fraction=0.25,
+                          ratio=0.005)
+        finals = []
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
+            run = FederatedRun(cfg, train, part, test=test, public=public)
+            assert run._client_layer0 is not None
+            for _ in range(3):
+                run.run_round()
+            finals.append((run.w, run.evaluate()[:2]))
+        assert np.array_equal(finals[0][0], finals[1][0])
+        assert finals[0][1] == finals[1][1]
 
 
 class TestExperiment:

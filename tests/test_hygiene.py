@@ -80,18 +80,30 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert found == set()
 
 
+def is_transpose(node):
+    """`<matrix>.T`, or `<matrix>.swapaxes(-1, -2)` for a stack of them."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "T"
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "swapaxes" and not node.keywords
+            and [ast.unparse(arg) for arg in node.args] == ["-1", "-2"])
+
+
 def backprop_sites(source):
-    """`delta @ <matrix>.T` expressions: one per backprop loop."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
-            and isinstance(node.left, ast.Name) and node.left.id == "delta"
-            and isinstance(node.right, ast.Attribute) and node.right.attr == "T"]
+    """`delta @ <matrix>.T` expressions, stacked or not: one per backprop loop."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                  and isinstance(node.left, ast.Name) and node.left.id == "delta"
+                  and is_transpose(node.right))
 
 
 def test_backprop_site_detection():
     source = ("def f(delta, mat, acts):\n    d = delta @ mat.T\n"
-              "    g = acts.T @ delta\n    return delta @ mat[:, 1].T, d, g\n")
-    assert backprop_sites(source) == [2, 4]
+              "    g = acts.T @ delta\n    return delta @ mat[:, 1].T, d, g\n"
+              "def h(delta, mat, acts):\n    d = delta @ mat.swapaxes(-1, -2)\n"
+              "    g = acts.swapaxes(-1, -2) @ delta\n"
+              "    return delta @ mat.swapaxes(0, 1), delta @ mat[0].swapaxes(-1, -2)\n")
+    assert backprop_sites(source) == [2, 4, 6, 8]
 
 
 def test_nn_has_one_backward_pass():

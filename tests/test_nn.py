@@ -138,6 +138,12 @@ def topk_inputs(arch, shard, data_seed):
     return x, y, w, w0
 
 
+def stacked_inputs(arch, group, shard, data_seed):
+    """`topk_inputs` for `group` equal shards, stacked as (group, shard, width)."""
+    x, y, w, w0 = topk_inputs(arch, group * shard, data_seed)
+    return x.reshape(group, shard, -1), y.reshape(group, shard, -1), w, w0
+
+
 class TestArchSpec:
     def test_param_counts(self):
         arch = nn.mlp_arch(784, [128], 10, "cross_entropy")
@@ -430,6 +436,36 @@ class TestTopkSgd:
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10)
         frozen = np.setdiff1d(np.arange(arch.n_params), indices)
         assert np.array_equal(out[frozen], w0[frozen])
+
+    # A stack of G shards trains like G single-shard calls, bit for bit:
+    # both losses, relu/sigmoid, 1-3 hidden layers, every kind of set (empty,
+    # sparse, whole blocks, full), batches above and below the shard size,
+    # and wide archs whose set is trained through a stacked layer-0 cache.
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(topk_cases().map(lambda case: case + (False,)),
+                     layer0_cases().map(lambda case: case[:2] + case[3:] + (True,))),
+           st.integers(1, 4))
+    def test_stack_matches_single_shard_calls_bitwise(self, case, group):
+        arch, indices, shard, batch_size, t_gd, eta, data_seed, cached = case
+        x, y, w, w0 = stacked_inputs(arch, group, shard, data_seed)
+        cols = touched_units(arch, indices) if cached else None
+        seeds = [[data_seed, c] for c in range(group)]
+        args = (arch, t_gd, indices, eta, batch_size)
+        stacked = nn.topk_sgd(
+            x, y, w, w0, *args, seeds,
+            layer0=nn.layer0_cache(w0, arch, x, cols) if cached else None)
+        assert stacked.shape == (group, arch.n_params)
+        for c in range(group):
+            single = nn.topk_sgd(
+                x[c], y[c], w, w0, *args, seeds[c],
+                layer0=nn.layer0_cache(w0, arch, x[c], cols) if cached else None)
+            assert np.array_equal(stacked[c], single)
+
+    def test_stack_needs_one_seed_per_shard(self, toy_arch):
+        x, y, w, w0 = stacked_inputs(toy_arch, 3, 4, 0)
+        with pytest.raises(DimensionError):
+            nn.topk_sgd(x, y, w, w0, toy_arch, 1, nn.full_indices(toy_arch), 0.1,
+                        2, [[0, 0], [0, 1]])
 
     def test_layer0_cache_for_another_set_rejected(self):
         arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
