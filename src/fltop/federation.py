@@ -200,31 +200,40 @@ def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, see
     if full:
         local -= w
         return local
-    return local[..., idx] - w[idx]
+    return local.take(idx, axis=-1) - w[idx]
 
 
-# The working set, in bytes, that one stacked local-SGD call may span: the L2
+# The footprint, in bytes, that one stacked local-SGD call may span: the L2
 # cache of one core (2 MiB) of the 2-vCPU Xeon VM the timings below ran on.
-# One round's local training (m = 10, 5 steps of batch 10, BLAS at 1 thread;
-# median CPU time of 20-40 interleaved samples), against per-client calls:
-#   20→64→2, Top-K set (35 KB a client): G = 2 1.2×, 5 2.1×, 10 2.8×;
-#   784→100→10, layer-0 cache of 3 units (133 KB): G = 5 1.3×, 10 1.4×;
-#   784→100→10, full set (1.35 MB): G = 1 1.0×; 2-10 0.75-0.97×.
+# Stacking saves per-client Python and numpy dispatch work: on 20→64→2 with
+# a Top-K set (58 KB a client), a round ran 2.1× faster at G = 10 than at
+# G = 1 (median of 300 interleaved rounds). On 784→100→10 with a 3-unit
+# layer-0 cache, a group of 10 holds about 12 MB. It ran a round faster in
+# one process, but over 10 fresh-process benchmark runs its round rate
+# spread 2.4 times as widely as one client a call: its time follows the
+# load on the shared cache and memory, which moves from run to run. A
+# client's footprint therefore counts all the call holds for it, and that
+# model (1.2 MB a client) gets G = 1.
 COHORT_GROUP_BYTES = 2 << 20
 
 
-def cohort_group_size(arch, batch_size, layer0_cols=None):
+def cohort_group_size(arch, batch_size, rows, layer0_cols=None):
     """How many clients one stacked `nn.topk_sgd` call trains:
-    max(1, COHORT_GROUP_BYTES // a client's working set).
+    max(1, COHORT_GROUP_BYTES // a client's footprint in the call).
 
-    A client's working set is what one step reads and writes for it: each
-    weight matrix twice (the passes read it, its gradient is written), in
-    full or, with a `nn.Layer0Cache`, only layer 0's `layer0_cols`, plus
-    its batch's activations and deltas. Stacking removes per-client Python
-    and numpy dispatch work but, once the group outgrows the cache, costs
-    more in memory traffic than it saves.
+    A client's footprint is its model row, which the call writes in full at
+    its start and reads at its end, its shard's `rows` of inputs and
+    targets and, with a `nn.Layer0Cache`, of layer-0 pre-activations, plus
+    what one step reads and writes for it: each weight matrix twice (the
+    passes read it, its gradient is written), in full or, with a cache,
+    only layer 0's `layer0_cols`, and its batch's activations and deltas.
+    Stacking removes per-client Python and numpy dispatch work but, once the
+    group outgrows the cache, costs more in memory traffic than it saves.
     """
-    values = 0
+    first = arch.layers[0]
+    values = arch.n_params + rows * (first.in_width + arch.output_width)
+    if layer0_cols is not None:
+        values += rows * first.out_width
     for i, layer in enumerate(arch.layers):
         units = layer.out_width if i or layer0_cols is None else len(layer0_cols)
         values += (2 * layer.in_width * units
@@ -277,11 +286,9 @@ class FederatedRun:
         # its first training; kept only when a pinning scheme can use it.
         self._client_layer0 = None
         if self.spec.reinit_nonselected and self._layer0_cols is not None:
-            self._client_layer0 = np.empty(self._shards.shape
-                                           + (self.arch.layers[0].out_width,))
-            self._layer0_filled = np.zeros(len(self._shards), dtype=bool)
+            self._client_layer0 = [None] * len(self._shards)
         self._group = cohort_group_size(
-            self.arch, config.batch_size,
+            self.arch, config.batch_size, self._shards.shape[1],
             None if self._client_layer0 is None else self._layer0_cols)
         self._test_layer0 = None
 
@@ -291,32 +298,42 @@ class FederatedRun:
         return compression.select_random(
             self.n, self.config.k(self.n), [102, self.config.seeds.sampling, t])
 
-    def _group_batch(self, group):
-        """A group's stacked inputs, targets and layer-0 cache (None unless
-        `_client_layer0` is kept). The inputs are gathered per call."""
-        x = self.train.inputs[self._shards[group]]
+    def _group_batch(self, group, t):
+        """A group's inputs, targets, layer-0 cache (None unless
+        `_client_layer0` is kept) and batch seeds: stacks and one seed per
+        client, or, for a group of one, the client's plain shard and seed.
+        The inputs are gathered per call."""
+        one = len(group) == 1
+        # An int takes one client's rows as views; an array stacks copies.
+        pick = int(group[0]) if one else group
+        x = self.train.inputs[self._shards[pick]]
         layer0 = None
         if self._client_layer0 is not None:
-            fresh = ~self._layer0_filled[group]
-            if fresh.any():
-                self._client_layer0[group[fresh]] = nn.layer0_cache(
-                    self.w0, self.arch, x[fresh], self._layer0_cols).z
-                self._layer0_filled[group[fresh]] = True
-            layer0 = nn.Layer0Cache(self._client_layer0[group], self._layer0_cols)
-        return x, self._targets[group], layer0
+            zs, cols = self._client_layer0, self._layer0_cols
+            for j, cid in enumerate(group):
+                if zs[cid] is None:
+                    zs[cid] = nn.layer0_cache(self.w0, self.arch,
+                                              x if one else x[j], cols).z
+            layer0 = nn.Layer0Cache(
+                zs[pick] if one else np.stack([zs[c] for c in group]), cols)
+        seeds = [[100, self.config.seeds.sampling, t, int(cid)] for cid in group]
+        return x, self._targets[pick], layer0, seeds[0] if one else seeds
 
     def _local_updates(self, cohort, t, index_set):
         """Train the cohort locally in ceil(m / `cohort_group_size`) groups of
-        near-equal size, one stacked call each; returns one K-vector update
-        per client, in cohort order."""
+        near-equal size, one `local_update` call each; returns one K-vector
+        update per client, in cohort order."""
         cfg = self.config
+        m = len(cohort)
+        n_groups = -(-m // self._group)
         updates = []
-        for group in np.array_split(cohort, -(-len(cohort) // self._group)):
-            x, y, layer0 = self._group_batch(group)
-            seeds = [[100, cfg.seeds.sampling, t, int(cid)] for cid in group]
+        for i in range(n_groups):
+            group = cohort[i * m // n_groups:(i + 1) * m // n_groups]
+            x, y, layer0, seeds = self._group_batch(group, t)
             updates.extend(local_update(
                 self.spec, x, y, self.w, self.w0, self.arch, index_set,
-                cfg.local_steps, cfg.learning_rate, cfg.batch_size, seeds, layer0))
+                cfg.local_steps, cfg.learning_rate, cfg.batch_size, seeds,
+                layer0).reshape(len(group), -1))
         return updates
 
     def run_round(self):

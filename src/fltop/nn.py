@@ -114,28 +114,30 @@ def _activate(z, kind):
     return z
 
 
-def _layer(w, arch, i):
-    """Layer i's weight matrix and bias row as views of `w`: (in, out) and
-    (1, out) for a flat model, with a leading group axis for a (G, n) stack."""
-    layer = arch.layers[i]
-    w_sl, b_sl = arch.slices()[i]
-    return (w[..., w_sl].reshape(w.shape[:-1] + (layer.in_width, layer.out_width)),
-            w[..., None, b_sl])
+def _layers(w, arch):
+    """Each layer's weight matrix and bias row as views of `w`: (in, out) and
+    (1, out) for a flat model, with a leading group axis for a (G, n) stack.
+    The views follow in-place updates of `w`, so SGD takes them once."""
+    lead = w.shape[:-1]
+    return [(w[..., w_sl].reshape(lead + (layer.in_width, layer.out_width)),
+             w[..., None, b_sl])
+            for layer, (w_sl, b_sl) in zip(arch.layers, arch.slices())]
 
 
-def _forward(w, arch, x, z0=None, cols=None):
+def _forward(layers, arch, x, z0=None, cols=None):
     """Returns the list of post-activation values per layer, input included.
 
-    Rank-polymorphic: a flat model `w` with (rows, width) inputs, or a (G, n)
-    stack of models with a (G, rows, width) stack of inputs, one per model.
-    With `z0`, layer 0's pre-activation is `z0` (which this overwrites) with
-    only the columns `cols` recomputed from `w`; see `Layer0Cache`.
+    `layers` comes from `_layers(w, arch)`. Rank-polymorphic: a flat model
+    `w` with (rows, width) inputs, or a (G, n) stack of models with a
+    (G, rows, width) stack of inputs, one per model. With `z0`, layer 0's
+    pre-activation is `z0` (which this overwrites) with only the columns
+    `cols` recomputed from `w`; see `Layer0Cache`.
     """
     acts = [x]
     for i, layer in enumerate(arch.layers):
-        mat, bias = _layer(w, arch, i)
+        mat, bias = layers[i]
         if i == 0 and z0 is not None:
-            z0[..., cols] = x @ mat[..., cols] + bias[..., cols]
+            z0[..., cols] = x @ mat[..., cols] + bias.take(cols, axis=-1)
             z = z0
         else:
             z = acts[-1] @ mat + bias
@@ -178,54 +180,66 @@ def predict(w, arch, x, layer0=None):
     x = np.asarray(x, dtype=np.float64)
     _check_inputs(arch, x)
     if layer0 is None:
-        return _forward(w, arch, x)[-1]
-    return _forward(w, arch, x, layer0.z.copy(), layer0.cols)[-1]
+        return _forward(_layers(w, arch), arch, x)[-1]
+    return _forward(_layers(w, arch), arch, x, layer0.z.copy(), layer0.cols)[-1]
 
 
 def _weight_outs(arch, layout, g, cols=None):
     """Per layer of `layout` (see `_topk_layout`), where `_backward` writes
-    its weight-gradient matmul and whether to gather from there: a view of
-    `g` when the whole block is retained, else a buffer; None when no weight
-    of the layer is retained. With `cols`, layer 0's block is only those
+    its gradients into `g`: `(w_out, w_gather, b_key)`.
+
+    `w_out` takes the weight-gradient matmul: a view of `g` when the whole
+    block is retained, else a buffer, from whose flat view `w_gather =
+    (flat, key)` picks the retained entries; None when no weight of the
+    layer is retained. `b_key` picks the retained entries of the bias
+    gradient, or is None. With `cols`, layer 0's block is only those
     columns, as `_column_layout` lays it out. A (G, k) `g` gets (G, in, out)
-    blocks."""
+    blocks, and keys that lead with a slice for the group axis; a flat
+    model's keys have none, which numpy indexes faster than `[..., sel]`.
+    """
+    lead = g.shape[:-1]
+    group_axes = (slice(None),) * len(lead)
     outs = []
-    for i, (l, (w_pos, w_sel, _, _)) in enumerate(zip(arch.layers, layout)):
-        shape = g.shape[:-1] + (
-            l.in_width, l.out_width if i or cols is None else len(cols))
-        if w_sel is None:
-            outs.append((None, False))
-        elif w_pos.stop - w_pos.start == shape[-2] * shape[-1]:
-            outs.append((g[..., w_pos].reshape(shape), False))
-        else:
-            outs.append((np.empty(shape), True))
+    for i, (l, (w_pos, w_sel, _, b_sel)) in enumerate(zip(arch.layers, layout)):
+        shape = lead + (l.in_width, l.out_width if i or cols is None else len(cols))
+        w_out = w_gather = None
+        if w_sel is not None:
+            if w_pos.stop - w_pos.start == shape[-2] * shape[-1]:
+                w_out = g[..., w_pos].reshape(shape)
+            else:
+                w_out = np.empty(shape)
+                w_gather = (w_out.reshape(lead + (-1,)), group_axes + (w_sel,))
+        b_key = None if b_sel is None else group_axes + (b_sel,)
+        outs.append((w_out, w_gather, b_key))
     return outs
 
 
-def _backward(w, arch, x, targets, layout, g, outs, z0=None, cols=None):
-    """One forward and backward pass of the mean batch loss at `w`. Writes
-    the gradient entries that `layout` retains into `g`, in set order;
-    `outs` comes from `_weight_outs(arch, layout, g, cols)`. A (G, n) stack
+def _backward(layers, arch, x, targets, layout, g, outs, z0=None, cols=None):
+    """One forward and backward pass of the mean batch loss at the model
+    whose `_layers` are `layers`. Writes the gradient entries that `layout`
+    retains into `g`, in set order; `outs` comes from
+    `_weight_outs(arch, layout, g, cols)`. A (G, n) stack
     of models runs on (G, batch, width) stacks and fills a (G, k) `g`, each
     row as its own flat pass would. With `z0`, layer 0 runs on the cached
     pre-activation (see `_forward`) and its weight gradient covers only the
     columns `cols`."""
-    acts = _forward(w, arch, x, z0, cols)
+    acts = _forward(layers, arch, x, z0, cols)
     # Softmax+CE and sigmoid+BCE share the same output delta.
     delta = (acts[-1] - targets) / x.shape[-2]
     for i in range(len(arch.layers) - 1, -1, -1):
-        w_pos, w_sel, b_pos, b_sel = layout[i]
-        w_out, gather = outs[i]
+        w_pos, _, b_pos, _ = layout[i]
+        w_out, w_gather, b_key = outs[i]
         if w_out is not None:
             np.matmul(acts[i].swapaxes(-1, -2),
-                      delta if i or z0 is None else delta[..., cols], out=w_out)
-            if gather:
-                g[..., w_pos] = w_out.reshape(g.shape[:-1] + (-1,))[..., w_sel]
-        if b_sel is not None:
-            g[..., b_pos] = delta.sum(axis=-2)[..., b_sel]
+                      delta if i or z0 is None else delta.take(cols, axis=-1),
+                      out=w_out)
+            if w_gather is not None:
+                flat, key = w_gather
+                g[..., w_pos] = flat[key]
+        if b_key is not None:
+            g[..., b_pos] = delta.sum(axis=-2)[b_key]
         if i > 0:
-            mat = _layer(w, arch, i)[0]
-            delta = delta @ mat.swapaxes(-1, -2)
+            delta = delta @ layers[i][0].swapaxes(-1, -2)
             prev = acts[i]
             prev_kind = arch.layers[i - 1].activation
             if prev_kind == "relu":
@@ -242,7 +256,8 @@ def gradient(w, arch, x, targets):
     _check_batch(arch, x, targets)
     k, _, layout = _full(arch)[1]
     g = np.empty(k)
-    _backward(w, arch, x, targets, layout, g, _weight_outs(arch, layout, g))
+    _backward(_layers(w, arch), arch, x, targets, layout, g,
+              _weight_outs(arch, layout, g))
     return g
 
 
@@ -364,7 +379,7 @@ def layer0_cache(w0, arch, x, cols):
     shard of a (G, rows, width) stack; `cols` comes from `layer0_columns`."""
     x = np.asarray(x, dtype=np.float64)
     _check_inputs(arch, x)
-    mat, bias = _layer(w0, arch, 0)
+    mat, bias = _layers(w0, arch)[0]
     return Layer0Cache(x @ mat + bias, cols)
 
 
@@ -425,36 +440,38 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
             if not np.array_equal(cols, layer0.cols) or z.shape[:-1] != x.shape[:-1]:
                 raise ValueError("layer-0 cache does not match the index set "
                                  "and shard")
-    if lead == (1,):
-        # A group of one trains as its plain shard: the same passes on 2-D
-        # arrays, which numpy dispatches with less overhead.
-        x, y, z = x[0], y[0], None if z is None else z[0]
-    # One model row per client.
-    cur = np.empty(x.shape[:-2] + (arch.n_params,))
+    # One model row per client; cur[in_set] is each row's entries in the
+    # set (numpy indexes a flat model faster without a leading slice).
+    cur = np.empty(lead + (arch.n_params,))
+    in_set = (slice(None),) * len(lead) + (sel,)
     if full_set:
         cur[...] = w
     else:
         # Start from w0 outside the set, caller-provided values inside it.
         cur[...] = w0
-        cur[..., sel] = np.asarray(w, dtype=np.float64)[sel]
-    g = np.empty(x.shape[:-2] + (k,))
+        cur[in_set] = np.asarray(w, dtype=np.float64)[sel]
+    layers = _layers(cur, arch)
+    g = np.empty(lead + (k,))
     outs = _weight_outs(arch, layout, g, cols)
-    # batches[..., s, :] holds each client's batch for step s, as rows of x
-    # with its shards flattened; every batch is full.
     rows = x.shape[-2]
     batch_size = min(batch_size, rows)
     streams = [_batch_stream(rows, batch_size, s) for s in seeds]
-    batches = np.reshape([[next(stream) + c * rows for _ in range(t_gd)]
-                          for c, stream in enumerate(streams)],
-                         x.shape[:-2] + (t_gd, batch_size))
-    x, y = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
-    if z is not None:
-        z = z.reshape(-1, z.shape[-1])
-    for step in range(t_gd):
-        at = batches[..., step, :]
-        _backward(cur, arch, np.asarray(x[at], dtype=np.float64),
+    if lead:
+        # A stack's batches index its shards flattened, where client c's
+        # shard starts at row c * rows.
+        starts = rows * np.arange(len(streams))[:, None]
+        x, y = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
+        if z is not None:
+            z = z.reshape(-1, z.shape[-1])
+    for _ in range(t_gd):
+        # Each client's batch for this step; every batch is full.
+        if lead:
+            at = np.stack([next(stream) for stream in streams]) + starts
+        else:
+            at = next(streams[0])
+        _backward(layers, arch, np.asarray(x[at], dtype=np.float64),
                   np.asarray(y[at], dtype=np.float64), layout, g, outs,
                   None if z is None else z[at], cols)
         g *= -eta
-        cur[..., sel] += g
-    return cur.reshape(lead + (arch.n_params,))
+        cur[in_set] += g
+    return cur

@@ -24,7 +24,7 @@ def forward_loss(w, arch, x, targets):
     """Mean loss and predictions for one batch."""
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    preds = nn._forward(w, arch, x)[-1]
+    preds = nn.predict(w, arch, x)
     return _loss_value(preds, targets, arch.loss), preds
 
 
@@ -46,7 +46,7 @@ def dense_gradient(w, arch, x, targets):
     full weight and bias gradient, written independently of `nn._backward`."""
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    acts = nn._forward(w, arch, x)
+    acts = nn._forward(nn._layers(w, arch), arch, x)
     m = x.shape[0]
     grad = np.zeros_like(w)
     # Softmax+CE and sigmoid+BCE share the same output delta.

@@ -177,7 +177,7 @@ def test_criterion_8_learning_sanity():
     w = nn.init_model(arch, 0)
     w = sgd(train.inputs, to_targets(train.labels, arch), w, arch,
             300, 0.3, 32, 1)
-    scores = nn._forward(w, arch, test.inputs)[-1]
+    scores = nn.predict(w, arch, test.inputs)
     oracle = np.mean(np.argmax(scores, axis=1) == test.labels)
     ok = oracle >= 0.95
 

@@ -345,7 +345,7 @@ class TestLayer0Cache:
         assert cached._test_layer0 is not None
         assert (cached._client_layer0 is not None) == trains_cached
         if trains_cached:
-            assert cached._layer0_filled.any()
+            assert any(z is not None for z in cached._client_layer0)
 
     @pytest.mark.parametrize("scheme", FIXED_SET_SCHEMES)
     def test_model_stays_at_w0_off_the_set(self, wide_setup, scheme):
