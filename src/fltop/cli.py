@@ -28,7 +28,7 @@ def _load_and_resolve(path):
 
 def cmd_run(args):
     exp = _load_and_resolve(args.config)
-    out_dir = Path(args.output_dir or exp.raw.get("output_dir", "out"))
+    out_dir = Path(args.output_dir or exp.raw["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     trace, summary = run_experiment(exp.fed, exp.train, exp.part, exp.test,
                                     public=exp.public)
@@ -59,13 +59,9 @@ def cmd_sweep(args):
         raise ConfigError("no ratios given")
 
     raw = config_mod.load_config(args.config)
-    out_dir = Path(args.output_dir or raw.get("output_dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["ratio,scheme,best_metric,best_value,round,down_kb,up_kb,epsilon"]
     for r in ratios:
-        raw_r = json.loads(json.dumps(raw))
-        raw_r["federation"]["ratio"] = r
-        exp = config_mod.resolve(raw_r)
+        exp = config_mod.resolve({**raw, "federation": {**raw["federation"], "ratio": r}})
         _, summary = run_experiment(exp.fed, exp.train, exp.part, exp.test,
                                     public=exp.public)
         rows.append(f"{r:.10g},{summary['scheme']},{summary['best_metric']},"
@@ -73,6 +69,8 @@ def cmd_sweep(args):
                     f"{summary['down_kb']:.10g},{summary['up_kb']:.10g},"
                     f"{summary['epsilon']:.10g}")
         print(rows[-1])
+    out_dir = Path(args.output_dir or exp.raw["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n")
     return 0
 

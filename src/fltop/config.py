@@ -1,22 +1,89 @@
 """Experiment configuration files: JSON schema, loading, and resolution.
 
 A config file pins everything a run needs: scheme, dataset source, model
-shape, federation parameters, and the four named seeds. `resolve` turns the
-raw dict into concrete objects (datasets, partition, arch, FederationConfig)
-and fills in calibrated values, so the emitted resolved config reproduces the
-run exactly.
+shape, federation parameters, and the four named seeds. Each section is one
+dataclass (`federation` is `FederationConfig`) declaring its keys, types and
+defaults. `resolve` reads the sections into them, builds the run objects and
+writes every section back out, defaults and calibrated values included, so
+the emitted resolved config reproduces the run exactly.
 """
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import (MISSING, asdict, dataclass, field, fields, is_dataclass,
+                         replace)
 
 from . import compression, data, nn, privacy
 from .data import to_targets
 from .errors import ConfigError
-from .federation import (SCHEMES, FederationConfig, Seeds, initial_index_set,
-                         local_update)
+from .federation import FederationConfig, initial_index_set, local_update
 
-_REQUIRED_TOP = ("scheme", "dataset", "model", "federation")
+@dataclass
+class Config:
+    """The top level; each section is read by its own class."""
+    scheme: str
+    dataset: dict
+    model: dict
+    federation: dict
+    output_dir: str = "out"
+
+
+@dataclass
+class SyntheticData:
+    """`"type": "synthetic"`: the imbalanced binary task of `data.synth_imbalanced`."""
+    n_samples: int = 2000
+    n_features: int = 20
+    positive_rate: float = 0.5
+    seed: int = 0
+    separation: float = 2.0
+    downsample: bool = False
+    test_fraction: float = 0.2
+    public_size: int = 10
+    public_seed: int = 7
+
+    def load(self):
+        def draw(count, seed):
+            return data.synth_imbalanced(count, self.n_features, self.positive_rate,
+                                         seed, separation=self.separation)
+        full = draw(self.n_samples, self.seed)
+        if self.downsample:
+            full = data.downsample(full, self.seed + 1)
+        train, test = data.train_test_split(full, self.test_fraction, self.seed + 2)
+        # Public data: a fresh draw from the same generator, different seed.
+        return train, test, draw(max(self.public_size * 4, 64), self.seed + 1000)
+
+
+@dataclass
+class FashionMnistData:
+    """`"type": "fashion_mnist"`: train, test and public IDX file pairs."""
+    images: str
+    labels: str
+    test_images: str
+    test_labels: str
+    public_images: str
+    public_labels: str
+    public_size: int = 10
+    public_seed: int = 7
+
+    def load(self):
+        return tuple(data.load_idx(getattr(self, f"{part}images"),
+                                   getattr(self, f"{part}labels"))
+                     for part in ("", "test_", "public_"))
+
+
+# The dataset sections by `type`; `load()` gives (train, test, public source).
+DATASETS = {"synthetic": SyntheticData, "fashion_mnist": FashionMnistData}
+
+
+@dataclass
+class ModelConfig:
+    """The `model` section: an MLP whose output layer matches the loss."""
+    hidden: list = field(default_factory=lambda: [32])
+    loss: str = "cross_entropy"
+    hidden_activation: str = "relu"
+
+    def __post_init__(self):
+        if not all(type(width) is int and width > 0 for width in self.hidden):
+            raise ConfigError(f"model.hidden widths must be positive ints: {self.hidden}")
 
 
 @dataclass
@@ -29,122 +96,75 @@ class ResolvedExperiment:
     public: tuple             # (inputs, labels) or None
 
 
+def _section(cls, values, path, **given):
+    """The dataclass `cls` read from `values`, the JSON object at key path
+    `path`. Each key must be a field not in `given` and hold that field's
+    JSON type (a bool is no int, an int is a float) or, for a dataclass
+    field, a nested section. Each field without a default must be present."""
+    prefix = f"{path}." if path else ""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{path or 'the config'} must be a JSON object")
+    declared = {f.name: f for f in fields(cls) if f.name not in given}
+    for key, value in values.items():
+        if key not in declared:
+            raise ConfigError(f"unknown key {prefix}{key}; valid: {', '.join(declared)}")
+        kind = declared[key].type
+        if is_dataclass(kind):
+            value = _section(kind, value, prefix + key)
+        elif type(value) not in ((int, float) if kind is float else (kind,)):
+            raise ConfigError(f"{prefix}{key} must be of type {kind.__name__}, "
+                              f"got {json.dumps(value)}")
+        given[key] = float(value) if kind is float else value
+    for name, f in declared.items():
+        if name not in given and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key {prefix}{name}")
+    return cls(**given)
+
+
 def load_config(path):
     with open(path) as f:
         try:
             raw = json.load(f)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    for key in _REQUIRED_TOP:
-        if key not in raw:
-            raise ConfigError(f"{path}: missing required section {key!r}")
-    if raw["scheme"] not in SCHEMES:
-        raise ConfigError(
-            f"unknown scheme {raw['scheme']!r}; valid: {', '.join(sorted(SCHEMES))}")
+    _section(Config, raw, "")  # the top level; `resolve` reads the sections
     return raw
-
-
-def _required(section, path, key):
-    """`section[key]`; a missing key is a ConfigError naming `path.key`."""
-    if key not in section:
-        raise ConfigError(f"missing required key {path}.{key}")
-    return section[key]
-
-
-def _build_datasets(ds_cfg):
-    kind = ds_cfg.get("type")
-    if kind == "synthetic":
-        full = data.synth_imbalanced(
-            ds_cfg.get("n_samples", 2000),
-            ds_cfg.get("n_features", 20),
-            ds_cfg.get("positive_rate", 0.5),
-            ds_cfg.get("seed", 0),
-            separation=ds_cfg.get("separation", 2.0))
-        if ds_cfg.get("downsample", False):
-            full = data.downsample(full, ds_cfg.get("seed", 0) + 1)
-        train, test = data.train_test_split(
-            full, ds_cfg.get("test_fraction", 0.2), ds_cfg.get("seed", 0) + 2)
-        # Public data: a fresh draw from the same generator, different seed.
-        public_src = data.synth_imbalanced(
-            max(ds_cfg.get("public_size", 10) * 4, 64),
-            ds_cfg.get("n_features", 20),
-            ds_cfg.get("positive_rate", 0.5),
-            ds_cfg.get("seed", 0) + 1000,
-            separation=ds_cfg.get("separation", 2.0))
-    elif kind == "fashion_mnist":
-        pairs = [(_required(ds_cfg, "dataset", f"{part}images"),
-                  _required(ds_cfg, "dataset", f"{part}labels"))
-                 for part in ("", "test_", "public_")]
-        train, test, public_src = (data.load_idx(*pair) for pair in pairs)
-    else:
-        raise ConfigError(f"unknown dataset type {kind!r}")
-    public = data.public_batch(public_src, ds_cfg.get("public_size", 10),
-                               ds_cfg.get("public_seed", 7))
-    return train, test, public
-
-
-def _build_arch(model_cfg, train):
-    loss = model_cfg.get("loss", "cross_entropy")
-    n_out = 1 if loss == "binary_cross_entropy" else train.n_classes
-    return nn.mlp_arch(train.inputs.shape[1], model_cfg.get("hidden", [32]),
-                       n_out, loss,
-                       hidden_activation=model_cfg.get("hidden_activation", "relu"))
 
 
 def resolve(raw):
     """Build all run objects from a config dict; calibrates S if requested.
 
-    Returns a ResolvedExperiment whose .raw dict has every implicit value
-    (including a calibrated clipping threshold) made explicit.
-    """
-    raw = json.loads(json.dumps(raw))  # deep copy; keeps emitted config JSON-clean
-    train, test, public = _build_datasets(raw["dataset"])
-    arch = _build_arch(raw["model"], train)
-    fed_cfg = raw["federation"]
-    seed_keys = {f.name for f in fields(Seeds)}
-    for key in fed_cfg.get("seeds", {}):
-        if key not in seed_keys:
-            raise ConfigError(f"unknown key federation.seeds.{key}; valid: "
-                              f"{', '.join(sorted(seed_keys))}")
-    seeds = Seeds(**fed_cfg.get("seeds", {}))
-    clip_setting = fed_cfg.get("clip", 1.0)
+    The returned ResolvedExperiment's .raw lists every declared key with its
+    default or calibrated value made explicit. `raw` itself is not changed."""
+    top = _section(Config, raw, "")
+    kind = top.dataset.get("type")
+    if not isinstance(kind, str) or kind not in DATASETS:
+        raise ConfigError(f"dataset.type must be one of {', '.join(DATASETS)}; "
+                          f"got {json.dumps(kind)}")
+    fed_values = top.federation
+    calibrate = fed_values.get("clip") == "calibrate"
+    if calibrate:  # the declared default stands in until the dry run
+        fed_values = {k: v for k, v in fed_values.items() if k != "clip"}
+    # Checked before any data file is read; the model's shape comes from the data.
+    fed = _section(FederationConfig, fed_values, "federation", arch=None,
+                   scheme=top.scheme)
+    model = _section(ModelConfig, top.model, "model")
+    dataset = _section(DATASETS[kind], {k: v for k, v in top.dataset.items()
+                                        if k != "type"}, "dataset")
 
-    fed = FederationConfig(
-        arch=arch,
-        scheme=raw["scheme"],
-        n_clients=_required(fed_cfg, "federation", "n_clients"),
-        sampling_fraction=_required(fed_cfg, "federation", "sampling_fraction"),
-        rounds=_required(fed_cfg, "federation", "rounds"),
-        local_steps=fed_cfg.get("local_steps", 5),
-        batch_size=fed_cfg.get("batch_size", 10),
-        learning_rate=fed_cfg.get("learning_rate", 0.1),
-        ratio=fed_cfg.get("ratio", 1.0),
-        sigma=fed_cfg.get("sigma", 1.0),
-        delta=fed_cfg.get("delta", 1e-5),
-        clip_s=1.0 if clip_setting == "calibrate" else float(clip_setting),
-        t_init=fed_cfg.get("t_init", 5),
-        lam_max=fed_cfg.get("lambda_max", 64),
-        frac_bits=fed_cfg.get("frac_bits", 32),
-        seeds=seeds)
+    train, test, public_src = dataset.load()
+    public = data.public_batch(public_src, dataset.public_size, dataset.public_seed)
+    n_out = 1 if model.loss == "binary_cross_entropy" else train.n_classes
+    fed = replace(fed, arch=nn.mlp_arch(train.inputs.shape[1], model.hidden, n_out,
+                                        model.loss, model.hidden_activation))
+    if calibrate:
+        fed = replace(fed, clip=calibrate_clip(fed, public))
 
-    if clip_setting == "calibrate":
-        fed.clip_s = calibrate_clip(fed, public)
-        raw["federation"]["clip"] = fed.clip_s
-
-    raw["federation"].setdefault("seeds", {})
-    raw["federation"]["seeds"] = asdict(seeds)
-    for key, default in (("local_steps", fed.local_steps),
-                         ("batch_size", fed.batch_size),
-                         ("learning_rate", fed.learning_rate),
-                         ("ratio", fed.ratio), ("sigma", fed.sigma),
-                         ("delta", fed.delta), ("t_init", fed.t_init),
-                         ("lambda_max", fed.lam_max),
-                         ("frac_bits", fed.frac_bits)):
-        raw["federation"].setdefault(key, default)
-    raw["federation"].setdefault("clip", fed.clip_s)
-
-    part = data.partition(train, fed.n_clients, seed=seeds.sampling)
-    return ResolvedExperiment(raw, fed, train, test, part, public)
+    resolved = dict(asdict(top), dataset={"type": kind, **asdict(dataset)},
+                    model=asdict(model), federation=asdict(fed))
+    del resolved["federation"]["arch"], resolved["federation"]["scheme"]
+    part = data.partition(train, fed.n_clients, seed=fed.seeds.sampling)
+    return ResolvedExperiment(resolved, fed, train, test, part, public)
 
 
 def calibrate_clip(fed, public, trials_random=100):

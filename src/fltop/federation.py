@@ -55,20 +55,21 @@ class Seeds:
 
 @dataclass
 class FederationConfig:
+    """The `federation` section (fields named by its JSON keys), scheme and model."""
     arch: nn.ArchSpec
     scheme: str
     n_clients: int
     sampling_fraction: float
     rounds: int
-    local_steps: int
-    batch_size: int
-    learning_rate: float
+    local_steps: int = 5
+    batch_size: int = 10
+    learning_rate: float = 0.1
     ratio: float = 1.0            # K = round(ratio * n), ignored for selection=all
     sigma: float = 1.0
     delta: float = 1e-5
-    clip_s: float = 1.0           # DP clipping threshold S
+    clip: float = 1.0             # DP clipping threshold S
     t_init: int = 5
-    lam_max: int = 64
+    lambda_max: int = 64
     frac_bits: int = 32
     seeds: Seeds = field(default_factory=Seeds)
 
@@ -76,15 +77,29 @@ class FederationConfig:
         if self.scheme not in SCHEMES:
             raise ConfigError(
                 f"unknown scheme {self.scheme!r}; valid: {', '.join(sorted(SCHEMES))}")
+        for key in ("n_clients", "rounds", "local_steps", "batch_size", "t_init"):
+            if (value := getattr(self, key)) < 1:
+                raise ConfigError(f"federation.{key} must be >= 1, got {value}")
         if not 0 < self.sampling_fraction <= 1:
-            raise ConfigError("sampling fraction must be in (0, 1]")
+            raise ConfigError("federation.sampling_fraction must be in (0, 1]")
         if self.cohort_size < 1:
-            raise ConfigError("sampling fraction selects no client")
+            raise ConfigError("federation.sampling_fraction selects no client")
         if self.spec.dp and self.cohort_size < 2:
-            raise ConfigError(f"{self.scheme} masks the cohort's sum, which needs "
-                              f"at least 2 clients; the cohort is {self.cohort_size}")
+            raise ConfigError(f"federation.sampling_fraction: {self.scheme} masks the "
+                              f"cohort's sum, which needs at least 2 clients; the "
+                              f"cohort is {self.cohort_size}")
         if not 0 < self.ratio <= 1:
-            raise ConfigError("compression ratio must be in (0, 1]")
+            raise ConfigError("federation.ratio must be in (0, 1]")
+        if self.spec.dp:
+            # Each validator's message starts with its parameter, the key.
+            try:
+                if not self.clip > 0:
+                    raise ConfigError(f"clip must be positive, got {self.clip}")
+                privacy.AccountantQuery(self.sigma, self.sampling_rate, self.rounds,
+                                        self.delta, self.lambda_max)
+                secure_agg.FixedPointCodec(self.frac_bits, cohort_size=self.cohort_size)
+            except ConfigError as e:
+                raise ConfigError(f"federation.{e}") from None
 
     @property
     def spec(self):
@@ -269,8 +284,8 @@ class FederatedRun:
         self.w0 = nn.init_model(self.arch, config.seeds.model)
         self.w = self.w0.copy()
         self.n = len(self.w0)
-        self.codec = secure_agg.FixedPointCodec(config.frac_bits,
-                                                cohort_size=config.cohort_size)
+        self.codec = secure_agg.FixedPointCodec(
+            config.frac_bits, cohort_size=config.cohort_size) if self.spec.dp else None
         self.round_index = 0
         self.clamp_total = 0
         self.index_set = initial_index_set(config, self.w0, public)
@@ -351,9 +366,9 @@ class FederatedRun:
             masks = secure_agg.make_masks(m, index_set.k, [cfg.seeds.masks, t])
             masked = []
             for j, (cid, delta) in enumerate(zip(cohort, updates)):
-                clipped = privacy.clip(delta, cfg.clip_s)
+                clipped = privacy.clip(delta, cfg.clip)
                 noised = privacy.add_client_noise(
-                    clipped, cfg.clip_s, cfg.sigma, m,
+                    clipped, cfg.clip, cfg.sigma, m,
                     [cfg.seeds.noise, t, int(cid)])
                 residues, clamps = secure_agg.encode(noised, self.codec)
                 self.clamp_total += clamps
@@ -405,7 +420,7 @@ class FederatedRun:
         cfg = self.config
         eps, _ = privacy.epsilon(privacy.AccountantQuery(
             cfg.sigma, cfg.sampling_rate, self.round_index,
-            cfg.delta, cfg.lam_max))
+            cfg.delta, cfg.lambda_max))
         return eps
 
 
@@ -425,8 +440,6 @@ def run_experiment(config, train, part, test, public=None):
 def summarize(config, trace):
     """Best-round summary matching the reported-results convention: all metrics
     of the round with the best (balanced, if binary) accuracy."""
-    if not trace:
-        return {"scheme": config.scheme, "rounds": 0}
     binary = config.arch.loss == "binary_cross_entropy"
     key = (lambda rm: rm.balanced_accuracy) if binary else (lambda rm: rm.accuracy)
     best = max(trace, key=key)

@@ -95,7 +95,7 @@ class AccountantQuery:
         if not 0 < self.delta < 1:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
         if self.lam_max < 1:
-            raise ConfigError(f"lam_max must be >= 1, got {self.lam_max}")
+            raise ConfigError(f"lambda_max must be >= 1, got {self.lam_max}")
 
 
 def epsilon(query):

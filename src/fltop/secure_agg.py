@@ -21,15 +21,12 @@ _U64 = np.uint64
 class FixedPointCodec:
     """`cohort_size` is the most encoded vectors one aggregate may sum."""
     frac_bits: int = 32
-    modulus_bits: int = MODULUS_BITS
     cohort_size: int = 1
 
     def __post_init__(self):
-        if self.modulus_bits != MODULUS_BITS:
-            raise ConfigError("only a 2^64 ring is supported")
-        if not 0 < self.frac_bits < self.modulus_bits - 8:
+        if not 0 < self.frac_bits < MODULUS_BITS - 8:
             raise ConfigError(
-                f"frac_bits must be in (0, {self.modulus_bits - 8}), "
+                f"frac_bits must be in (0, {MODULUS_BITS - 8}), "
                 f"got {self.frac_bits}")
         if self.cohort_size < 1:
             raise ConfigError(f"cohort_size must be >= 1, got {self.cohort_size}")
@@ -43,7 +40,7 @@ class FixedPointCodec:
         # Encoded, a clamped value is at most 2^e with e = 63 - m.bit_length()
         # for m = cohort_size. Since m < 2^(63 - e), a sum of m of them stays
         # inside the signed 64-bit range and cannot wrap.
-        return math.ldexp(1.0, self.modulus_bits - 1 - self.cohort_size.bit_length()
+        return math.ldexp(1.0, MODULUS_BITS - 1 - self.cohort_size.bit_length()
                           - self.frac_bits)
 
 

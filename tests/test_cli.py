@@ -1,12 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fltop
 from fltop import cli, config, federation
@@ -86,6 +90,30 @@ class TestRun:
                          "--output-dir", str(tmp_path / "again")]) == 0
         second = (tmp_path / "again" / "trace.csv").read_bytes()
         assert first == second
+
+    def test_resolved_config_lists_every_default(self, tmp_path):
+        cfg = {"scheme": "fl-top", "dataset": {"type": "synthetic"}, "model": {},
+               "federation": {"n_clients": 10, "sampling_fraction": 0.2,
+                              "rounds": 1}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--output-dir", str(out)]) == 0
+        assert json.loads((out / "resolved_config.json").read_text()) == {
+            "scheme": "fl-top", "output_dir": str(out),
+            "dataset": {"type": "synthetic", "n_samples": 2000, "n_features": 20,
+                        "positive_rate": 0.5, "seed": 0, "separation": 2.0,
+                        "downsample": False, "test_fraction": 0.2,
+                        "public_size": 10, "public_seed": 7},
+            "model": {"hidden": [32], "loss": "cross_entropy",
+                      "hidden_activation": "relu"},
+            "federation": {"n_clients": 10, "sampling_fraction": 0.2, "rounds": 1,
+                           "local_steps": 5, "batch_size": 10,
+                           "learning_rate": 0.1, "ratio": 1.0, "sigma": 1.0,
+                           "delta": 1e-5, "clip": 1.0, "t_init": 5,
+                           "lambda_max": 64, "frac_bits": 32,
+                           "seeds": {"model": 0, "sampling": 1, "noise": 2,
+                                     "masks": 3}}}
 
     def test_dp_scheme_round_trip(self, tmp_path):
         path, _ = base_config(tmp_path, scheme="fl-top-dp")
@@ -187,7 +215,131 @@ def test_wide_topk_trace_is_unchanged(tmp_path, blas_threads):
     assert hashlib.sha256(trace).hexdigest() == WIDE_TOPK_SEED_7
 
 
+DROP = object()  # `malformed` deletes the key
+
+# (scheme, key path, value): one malformed config each, made from
+# `base_config`. The error must name the key path.
+MALFORMED = [
+    ("fl-top", "federation.learning_rte", 0.1),
+    ("fl-top", "model.hidden_activaton", "relu"),
+    ("fl-top", "dataset.n_sample", 100),
+    ("fl-top", "schem", "fl-top"),
+    ("fl-top", "dataset.type", DROP),
+    ("fl-top", "dataset.type", "mnist"),
+    ("fl-top", "federation.rounds", True),
+    ("fl-top", "federation.rounds", "3"),
+    ("fl-top", "federation.n_clients", "10"),
+    ("fl-top", "federation.sampling_fraction", None),
+    ("fl-top", "federation.seeds", 5),
+    ("fl-top", "model.hidden", 8),
+    ("fl-top", "model.hidden", ["a"]),
+    ("fl-top", "model.hidden", [0]),
+    ("fl-top", "federation.clip", "calibrat"),
+    ("fl-top", "federation", []),
+    ("fl-top", "federation.rounds", -1),
+    ("fl-top", "federation.batch_size", 0),
+    ("fl-top", "federation.local_steps", 0),
+    ("fl-top-dp", "federation.sigma", 0),
+    ("fl-top-dp", "federation.lambda_max", 0),
+    ("fl-top-dp", "federation.delta", 2),
+    ("fl-top-dp", "federation.frac_bits", 60),
+    ("fl-top-dp", "federation.clip", 0),
+]
+
+
+def malformed(cfg, key_path, value):
+    """Set (or, with DROP, delete) the key at `key_path` in `cfg`."""
+    *parents, key = key_path.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    if value is DROP:
+        del section[key]
+    else:
+        section[key] = value
+
+
+def assert_usage_error(config_path, out_dir, key_path):
+    """`fltop run` exits 2 with one `error:` line naming `key_path`, no
+    traceback and no output directory."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = cli.main(["run", str(config_path), "--output-dir", str(out_dir)])
+    err = stderr.getvalue()
+    assert rc == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert key_path in err, err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+# Values a mutation puts in. A swap takes one whose JSON type differs from
+# the value it replaces, so a number never replaces a number.
+SWAPS = [None, True, "x", [1], {"x": 1}]
+
+
+def json_type(value):
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+@st.composite
+def mutated_readme_configs(draw):
+    """(config, key path): the README config with one key of one section
+    inserted unknown, dropped (if required) or given a value of another JSON
+    type."""
+    cfg = json.loads(json.dumps(README_CONFIG))
+    sections = {"": cfg, "dataset": cfg["dataset"], "model": cfg["model"],
+                "federation": cfg["federation"]}
+    path = draw(st.sampled_from(sorted(sections)))
+    section = sections[path]
+    required = {"": ["scheme", "dataset", "model", "federation"],
+                "dataset": ["type"], "model": [],
+                "federation": ["n_clients", "sampling_fraction", "rounds"]}[path]
+    kinds = ["unknown", "swap"] + (["drop"] if required else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "unknown":
+        # No declared key has an upper-case letter.
+        key = draw(st.from_regex(r"[a-z_]{0,8}[A-Z][a-z_]{0,8}", fullmatch=True))
+        section[key] = draw(st.sampled_from(SWAPS))
+    elif kind == "drop":
+        key = draw(st.sampled_from(required))
+        del section[key]
+    else:
+        key = draw(st.sampled_from(sorted(section)))
+        section[key] = draw(st.sampled_from(
+            [v for v in SWAPS if json_type(v) != json_type(section[key])]))
+    return cfg, f"{path}.{key}" if path else key
+
+
 class TestErrors:
+    @pytest.mark.parametrize("scheme, key_path, value", MALFORMED,
+                             ids=[f"{s}-{k}={'drop' if v is DROP else json.dumps(v)}"
+                                  for s, k, v in MALFORMED])
+    def test_malformed_config_exit_2(self, tmp_path, scheme, key_path, value):
+        path, cfg = base_config(tmp_path, scheme=scheme)
+        malformed(cfg, key_path, value)
+        path.write_text(json.dumps(cfg))
+        assert_usage_error(path, tmp_path / "out", key_path)
+
+    @pytest.mark.parametrize("key, value", [("sigma", 0), ("lambda_max", 0),
+                                            ("delta", 2), ("frac_bits", 60),
+                                            ("clip", 0)])
+    def test_dp_settings_ignored_without_dp(self, tmp_path, key, value):
+        # fl-top never reads them; the same values exit 2 on fl-top-dp above.
+        path, cfg = base_config(tmp_path)
+        cfg["federation"][key] = value
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_readme_configs())
+    def test_mutated_readme_config_exit_2(self, mutation):
+        cfg, key_path = mutation
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            assert_usage_error(path, Path(tmp) / "out", key_path)
+
     def test_unknown_scheme_exit_2(self, tmp_path, capsys):
         path, _ = base_config(tmp_path, scheme="fl-nope")
         assert cli.main(["run", str(path)]) == 2

@@ -45,7 +45,7 @@ FIXED_SET_SCHEMES = sorted(name for name, spec in SCHEMES.items()
 def make_config(arch, scheme, **kw):
     defaults = dict(n_clients=50, sampling_fraction=0.2, rounds=5,
                     local_steps=5, batch_size=10, learning_rate=0.3,
-                    ratio=0.05, sigma=1.54, clip_s=1.0)
+                    ratio=0.05, sigma=1.54, clip=1.0)
     defaults.update(kw)
     return FederationConfig(arch, scheme, **defaults)
 
@@ -153,6 +153,18 @@ class TestSchemeTable:
         assert make_config(arch, "fl-top", sampling_fraction=0.02).cohort_size == 1
         assert make_config(arch, "fl-top-dp", sampling_fraction=0.04).cohort_size == 2
 
+    @pytest.mark.parametrize("scheme, key, value", [
+        ("fl-top", "n_clients", 0), ("fl-top", "rounds", 0),
+        ("fl-top", "rounds", -1), ("fl-top", "local_steps", 0),
+        ("fl-top", "batch_size", 0), ("fl-top", "t_init", 0),
+        ("fl-top-dp", "sigma", 0.0), ("fl-top-dp", "delta", 2.0),
+        ("fl-top-dp", "lambda_max", 0), ("fl-top-dp", "frac_bits", 60),
+        ("fl-top-dp", "clip", 0.0)])
+    def test_out_of_range_rejected(self, scheme, key, value):
+        arch = nn.mlp_arch(4, [3], 2, "cross_entropy")
+        with pytest.raises(ConfigError, match=rf"^federation\.{key} "):
+            make_config(arch, scheme, **{key: value})
+
 
 class TestRounds:
     def test_degeneracy_topk_full_equals_std(self, small_setup):
@@ -198,7 +210,7 @@ class TestRounds:
         # With vanishing noise and a generous clip the DP pipeline reduces to
         # plain FL-TOP up to fixed-point quantization.
         train, test, public, part, arch = small_setup
-        c_dp = make_config(arch, "fl-top-dp", sigma=1e-12, clip_s=100.0)
+        c_dp = make_config(arch, "fl-top-dp", sigma=1e-12, clip=100.0)
         c_np = make_config(arch, "fl-top")
         r1 = FederatedRun(c_dp, train, part, test=test, public=public)
         r2 = FederatedRun(c_np, train, part, test=test, public=public)
@@ -214,7 +226,7 @@ class TestRounds:
         # rounds should be S*sigma per coordinate.
         train, test, public, part, arch = small_setup
         s, sigma = 0.5, 1.3
-        cfg = make_config(arch, "fl-top-dp", sigma=sigma, clip_s=s,
+        cfg = make_config(arch, "fl-top-dp", sigma=sigma, clip=s,
                           learning_rate=0.0, sampling_fraction=0.32)
         run = FederatedRun(cfg, train, part, test=test, public=public)
         m = cfg.cohort_size
@@ -236,7 +248,7 @@ class TestRounds:
         for rm in trace:
             expected, _ = privacy.epsilon(privacy.AccountantQuery(
                 cfg.sigma, cfg.sampling_fraction, rm.round, cfg.delta,
-                cfg.lam_max))
+                cfg.lambda_max))
             assert rm.epsilon == pytest.approx(expected, abs=1e-12)
 
     def test_accounting_uses_the_realised_sampling_rate(self, small_setup):
@@ -248,7 +260,7 @@ class TestRounds:
         run.round_index = 200
         assert run.epsilon_so_far() == pytest.approx(2.337, abs=5e-4)
         nominal, _ = privacy.epsilon(privacy.AccountantQuery(
-            cfg.sigma, 0.03, 200, cfg.delta, cfg.lam_max))
+            cfg.sigma, 0.03, 200, cfg.delta, cfg.lambda_max))
         assert nominal == pytest.approx(1.749, abs=5e-4)
         full = bandwidth_cost(1.0, arch.n_params, 200, 0.04, False)
         assert run.costs() == (full, full)
@@ -403,13 +415,6 @@ class TestCohortGroups:
 
 
 class TestExperiment:
-    def test_zero_rounds_empty_trace(self, small_setup):
-        train, test, public, part, arch = small_setup
-        cfg = make_config(arch, "fl-top", rounds=0)
-        trace, summary = run_experiment(cfg, train, part, test, public=public)
-        assert trace == []
-        assert summary["rounds"] == 0
-
     def test_deterministic_trace(self, small_setup):
         train, test, public, part, arch = small_setup
         cfg = make_config(arch, "fl-top-dp", rounds=3)
