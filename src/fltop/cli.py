@@ -2,9 +2,9 @@
 
 Subcommands: run (one experiment from a JSON config), sweep (same config over
 several compression ratios), accountant (epsilon for given noise/sampling/
-rounds), calibrate (clipping threshold dry run), select-topk (emit the
-retained-coordinate file). Exit codes: 0 success, 1 runtime failure,
-2 usage/config error.
+rounds). A run writes the clipping threshold it calibrated to its
+resolved_config.json. Exit codes: 0 success, 1 runtime failure, 2 usage/config
+error.
 """
 
 import argparse
@@ -12,8 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import compression, config as config_mod, nn, privacy
-from .data import to_targets
+from . import config as config_mod, privacy
 from .errors import ConfigError, DataError, FormatError
 from .federation import run_experiment, trace_to_csv
 
@@ -21,13 +20,8 @@ USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
 
-def _load_and_resolve(path):
-    raw = config_mod.load_config(path)
-    return config_mod.resolve(raw)
-
-
 def cmd_run(args):
-    exp = _load_and_resolve(args.config)
+    exp = config_mod.resolve(config_mod.load_config(args.config))
     out_dir = Path(args.output_dir or exp.raw["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     trace, summary = run_experiment(exp.fed, exp.train, exp.part, exp.test,
@@ -83,25 +77,6 @@ def cmd_accountant(args):
     return 0
 
 
-def cmd_calibrate(args):
-    exp = _load_and_resolve(args.config)
-    s = config_mod.calibrate_clip(exp.fed, exp.public)
-    print(f"S = {s:.6g}")
-    return 0
-
-
-def cmd_select_topk(args):
-    exp = _load_and_resolve(args.config)
-    fed = exp.fed
-    w0 = nn.init_model(fed.arch, fed.seeds.model)
-    px, py = exp.public
-    iset = compression.select_topk(w0, fed.arch, px, to_targets(py, fed.arch),
-                                   fed.t_init, fed.k(len(w0)), fed.learning_rate)
-    compression.save_index_set(iset, args.out)
-    print(f"wrote {iset.k} indices (n={iset.n}) to {args.out}")
-    return 0
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="fltop",
@@ -127,15 +102,6 @@ def build_parser():
     acc_p.add_argument("--delta", type=float, default=1e-5)
     acc_p.add_argument("--lambda-max", type=int, default=64)
     acc_p.set_defaults(fn=cmd_accountant)
-
-    cal_p = sub.add_parser("calibrate", help="clipping threshold dry run")
-    cal_p.add_argument("config")
-    cal_p.set_defaults(fn=cmd_calibrate)
-
-    topk_p = sub.add_parser("select-topk", help="emit the retained-index file")
-    topk_p.add_argument("config")
-    topk_p.add_argument("--out", required=True)
-    topk_p.set_defaults(fn=cmd_select_topk)
     return p
 
 

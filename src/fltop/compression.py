@@ -1,4 +1,4 @@
-"""Retained-coordinate index sets: Top-K and random selection, index file."""
+"""Retained-coordinate index sets: Top-K and random selection."""
 
 from dataclasses import dataclass
 
@@ -34,10 +34,6 @@ class IndexSet:
         return self.k / self.n
 
 
-def full_set(n):
-    return IndexSet(np.arange(n, dtype=np.int64), n)
-
-
 def select_topk(w0, arch, public_x, public_y, t_init, k, eta):
     """Coordinates with the largest |gradient| accumulated over t_init SGD steps.
 
@@ -68,9 +64,3 @@ def select_random(n, k, seed):
     rng = np.random.default_rng(seed)
     return IndexSet(np.sort(rng.choice(n, size=k, replace=False)), n)
 
-
-def save_index_set(index_set, path):
-    """Newline-delimited decimal indices, ascending."""
-    with open(path, "w") as f:
-        for i in index_set.indices:
-            f.write(f"{int(i)}\n")

@@ -12,7 +12,9 @@ import json
 from dataclasses import (MISSING, asdict, dataclass, field, fields, is_dataclass,
                          replace)
 
-from . import compression, data, nn, privacy
+import numpy as np
+
+from . import compression, data, nn
 from .data import to_targets
 from .errors import ConfigError
 from .federation import FederationConfig, initial_index_set, local_update
@@ -27,6 +29,13 @@ class Config:
     output_dir: str = "out"
 
 
+def _at_least_one(section, *keys):
+    """Rejects a dataset section whose `keys` hold a value below 1."""
+    for key in keys:
+        if (value := getattr(section, key)) < 1:
+            raise ConfigError(f"dataset.{key} must be >= 1, got {value}")
+
+
 @dataclass
 class SyntheticData:
     """`"type": "synthetic"`: the imbalanced binary task of `data.synth_imbalanced`."""
@@ -39,6 +48,12 @@ class SyntheticData:
     test_fraction: float = 0.2
     public_size: int = 10
     public_seed: int = 7
+
+    def __post_init__(self):
+        _at_least_one(self, "n_samples", "n_features", "public_size")
+        for key in ("positive_rate", "test_fraction"):
+            if not 0 < (value := getattr(self, key)) < 1:
+                raise ConfigError(f"dataset.{key} must be in (0, 1), got {value}")
 
     def load(self):
         def draw(count, seed):
@@ -64,6 +79,9 @@ class FashionMnistData:
     public_size: int = 10
     public_seed: int = 7
 
+    def __post_init__(self):
+        _at_least_one(self, "public_size")
+
     def load(self):
         return tuple(data.load_idx(getattr(self, f"{part}images"),
                                    getattr(self, f"{part}labels"))
@@ -84,6 +102,11 @@ class ModelConfig:
     def __post_init__(self):
         if not all(type(width) is int and width > 0 for width in self.hidden):
             raise ConfigError(f"model.hidden widths must be positive ints: {self.hidden}")
+        for key, valid in (("loss", nn.LOSSES),
+                           ("hidden_activation", nn.HIDDEN_ACTIVATIONS)):
+            if (value := getattr(self, key)) not in valid:
+                raise ConfigError(f"model.{key} must be one of {', '.join(valid)}; "
+                                  f"got {json.dumps(value)}")
 
 
 @dataclass
@@ -167,29 +190,21 @@ def resolve(raw):
     return ResolvedExperiment(resolved, fed, train, test, part, public)
 
 
-def calibrate_clip(fed, public, trials_random=100):
-    """Clipping threshold from a local dry run on the public batch.
-
-    Fixed-set schemes: the L2 norm of the compressed update of one local
-    round; per-round random schemes: the median over `trials_random` freshly
-    drawn index sets.
+def calibrate_clip(fed, public):
+    """Clipping threshold from a local dry run on the public batch: the
+    median L2 norm of one local round's update over the scheme's index sets.
+    A fixed-set scheme has one set, so this is that update's norm; a
+    per-round scheme takes 100 freshly drawn sets.
     """
     arch = fed.arch
     w0 = nn.init_model(arch, fed.seeds.model)
     px, py = public
     targets = to_targets(py, arch)
-
-    def train_fn(iset):
-        return local_update(fed.spec, px, targets, w0, w0, arch, iset,
-                            fed.local_steps, fed.learning_rate, len(px),
-                            [104, fed.seeds.sampling])
-
+    n = len(w0)
     iset = initial_index_set(fed, w0, public)
-    if iset is not None:
-        sets, trials = [iset], 1
-    else:
-        n = len(w0)
-        sets = (compression.select_random(n, fed.k(n), [105, fed.seeds.sampling, i])
-                for i in range(trials_random))
-        trials = trials_random
-    return privacy.calibrate_sensitivity(train_fn, sets, trials=trials)
+    sets = [iset] if iset is not None else [
+        compression.select_random(n, fed.k(n), [105, fed.seeds.sampling, i])
+        for i in range(100)]
+    return float(np.median([np.linalg.norm(local_update(
+        fed.spec, px, targets, w0, w0, arch, s, fed.local_steps,
+        fed.learning_rate, len(px), [104, fed.seeds.sampling])) for s in sets]))

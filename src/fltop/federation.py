@@ -181,7 +181,7 @@ def initial_index_set(cfg, w0, public):
     n = len(w0)
     spec = cfg.spec
     if spec.selection == "all":
-        return compression.full_set(n)
+        return compression.IndexSet(nn.full_indices(cfg.arch), n)
     k = cfg.k(n)
     if spec.selection == "topk":
         if public is None:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
 
-ACTIVATIONS = ("relu", "sigmoid", "softmax", "identity")
+HIDDEN_ACTIVATIONS = ("relu", "sigmoid", "identity")
+ACTIVATIONS = HIDDEN_ACTIVATIONS + ("softmax",)
 LOSSES = ("cross_entropy", "binary_cross_entropy")
 
 
@@ -54,7 +55,7 @@ class ArchSpec:
             raise ConfigError("binary_cross_entropy requires a sigmoid output layer")
 
     # n_params and slices are cached per instance, outside the fields, so
-    # equality and hashing (which key `_topk_layout`'s cache) stay field-based.
+    # equality and hashing (which key `_index_set`'s cache) stay field-based.
     @functools.cached_property
     def n_params(self):
         return sum(l.in_width * l.out_width + l.out_width for l in self.layers)
@@ -114,14 +115,19 @@ def _activate(z, kind):
     return z
 
 
-def _layers(w, arch):
+def _layers(w, arch, cols=None):
     """Each layer's weight matrix and bias row as views of `w`: (in, out) and
     (1, out) for a flat model, with a leading group axis for a (G, n) stack.
-    The views follow in-place updates of `w`, so SGD takes them once."""
+    The views follow in-place updates of `w`, so SGD takes them once. With
+    `cols`, layer 0's matrix is only those columns, (in, len(cols)), packed
+    at the front of its block: a gradient buffer for a `Layer0Cache`."""
     lead = w.shape[:-1]
-    return [(w[..., w_sl].reshape(lead + (layer.in_width, layer.out_width)),
-             w[..., None, b_sl])
-            for layer, (w_sl, b_sl) in zip(arch.layers, arch.slices())]
+    out = []
+    for i, (layer, (w_sl, b_sl)) in enumerate(zip(arch.layers, arch.slices())):
+        width = layer.out_width if i or cols is None else len(cols)
+        mat = w[..., w_sl.start:w_sl.start + layer.in_width * width]
+        out.append((mat.reshape(lead + (layer.in_width, width)), w[..., None, b_sl]))
+    return out
 
 
 def _forward(layers, arch, x, z0=None, cols=None):
@@ -184,60 +190,25 @@ def predict(w, arch, x, layer0=None):
     return _forward(_layers(w, arch), arch, x, layer0.z.copy(), layer0.cols)[-1]
 
 
-def _weight_outs(arch, layout, g, cols=None):
-    """Per layer of `layout` (see `_topk_layout`), where `_backward` writes
-    its gradients into `g`: `(w_out, w_gather, b_key)`.
-
-    `w_out` takes the weight-gradient matmul: a view of `g` when the whole
-    block is retained, else a buffer, from whose flat view `w_gather =
-    (flat, key)` picks the retained entries; None when no weight of the
-    layer is retained. `b_key` picks the retained entries of the bias
-    gradient, or is None. With `cols`, layer 0's block is only those
-    columns, as `_column_layout` lays it out. A (G, k) `g` gets (G, in, out)
-    blocks, and keys that lead with a slice for the group axis; a flat
-    model's keys have none, which numpy indexes faster than `[..., sel]`.
-    """
-    lead = g.shape[:-1]
-    group_axes = (slice(None),) * len(lead)
-    outs = []
-    for i, (l, (w_pos, w_sel, _, b_sel)) in enumerate(zip(arch.layers, layout)):
-        shape = lead + (l.in_width, l.out_width if i or cols is None else len(cols))
-        w_out = w_gather = None
-        if w_sel is not None:
-            if w_pos.stop - w_pos.start == shape[-2] * shape[-1]:
-                w_out = g[..., w_pos].reshape(shape)
-            else:
-                w_out = np.empty(shape)
-                w_gather = (w_out.reshape(lead + (-1,)), group_axes + (w_sel,))
-        b_key = None if b_sel is None else group_axes + (b_sel,)
-        outs.append((w_out, w_gather, b_key))
-    return outs
-
-
-def _backward(layers, arch, x, targets, layout, g, outs, z0=None, cols=None):
+def _backward(layers, arch, x, targets, grads, z0=None, cols=None):
     """One forward and backward pass of the mean batch loss at the model
-    whose `_layers` are `layers`. Writes the gradient entries that `layout`
-    retains into `g`, in set order; `outs` comes from
-    `_weight_outs(arch, layout, g, cols)`. A (G, n) stack
-    of models runs on (G, batch, width) stacks and fills a (G, k) `g`, each
-    row as its own flat pass would. With `z0`, layer 0 runs on the cached
-    pre-activation (see `_forward`) and its weight gradient covers only the
-    columns `cols`."""
+    whose `_layers` are `layers`. Writes each layer's weight and bias
+    gradient into `grads`, the `_layers` of a buffer shaped like the model.
+    A (G, n) stack of models runs on (G, batch, width) stacks and fills a
+    (G, n) buffer, each row as its own flat pass would. With `z0`, layer 0
+    runs on the cached pre-activation (see `_forward`) and its weight
+    gradient covers only the columns `cols`, as `_layers(g, arch, cols)`
+    lays them out."""
     acts = _forward(layers, arch, x, z0, cols)
     # Softmax+CE and sigmoid+BCE share the same output delta.
     delta = (acts[-1] - targets) / x.shape[-2]
     for i in range(len(arch.layers) - 1, -1, -1):
-        w_pos, _, b_pos, _ = layout[i]
-        w_out, w_gather, b_key = outs[i]
-        if w_out is not None:
-            np.matmul(acts[i].swapaxes(-1, -2),
-                      delta if i or z0 is None else delta.take(cols, axis=-1),
-                      out=w_out)
-            if w_gather is not None:
-                flat, key = w_gather
-                g[..., w_pos] = flat[key]
-        if b_key is not None:
-            g[..., b_pos] = delta.sum(axis=-2)[b_key]
+        g_mat, g_bias = grads[i]
+        np.matmul(acts[i].swapaxes(-1, -2),
+                  delta if i or z0 is None else delta.take(cols, axis=-1),
+                  out=g_mat)
+        # `ndarray.sum`, not `np.sum`, whose Python wrapper costs µs a call.
+        delta.sum(axis=-2, keepdims=True, out=g_bias)
         if i > 0:
             delta = delta @ layers[i][0].swapaxes(-1, -2)
             prev = acts[i]
@@ -254,10 +225,8 @@ def gradient(w, arch, x, targets):
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     _check_batch(arch, x, targets)
-    k, _, layout = _full(arch)[1]
-    g = np.empty(k)
-    _backward(_layers(w, arch), arch, x, targets, layout, g,
-              _weight_outs(arch, layout, g))
+    g = np.empty(arch.n_params)
+    _backward(_layers(w, arch), arch, x, targets, _layers(g, arch))
     return g
 
 
@@ -272,79 +241,43 @@ def _batch_stream(n_samples, batch_size, seed):
                 yield chunk
 
 
-def _selector(offsets):
-    """A slice when the sorted offsets form one contiguous run, as for the
-    full set, so that gathers become copies; else the offsets themselves,
-    read-only as the layout cache hands them to every caller."""
-    if offsets.size and offsets[-1] - offsets[0] == offsets.size - 1:
-        return slice(int(offsets[0]), int(offsets[-1]) + 1)
-    offsets.flags.writeable = False
-    return offsets
+@functools.lru_cache(maxsize=8)
+def full_indices(arch):
+    """Every coordinate of `arch`, as one shared read-only array.
+
+    `topk_sgd` recognises this array by identity, so a full-set call
+    neither hashes nor validates n indices, and gathers none.
+    """
+    full = np.arange(arch.n_params, dtype=np.int64)
+    full.flags.writeable = False
+    return full
 
 
 @functools.lru_cache(maxsize=8)
-def _topk_layout(arch, key):
-    """Where a retained index set falls in each layer's weight and bias block.
+def _index_set(arch, key):
+    """The index set whose int64 bytes are `key`, validated; equal sets
+    share one cache entry whatever array they come in.
 
-    `key` holds the set's int64 bytes, so equal sets share one cache entry
-    whatever array they come in. Returns `(k, sel, layers)`: `k` is the set's
-    size; `sel` picks the set out of a flat vector; `layers[i]` is
-    `(w_pos, w_sel, b_pos, b_sel)`, where positions `w_pos` of the set are
-    the weights of layer i that `w_sel` picks out of its flattened (in, out)
-    matrix (None if there are none), and likewise for the biases.
+    Returns read-only `(indices, cols, packed)`: `cols` are the layer-0
+    output units that hold a weight or bias of the set, sorted; `packed`
+    are the set's positions in a gradient buffer laid out by
+    `_layers(g, arch, cols)`, where layer 0's weight gradient is only those
+    columns, packed at the front of its block.
     """
     indices = np.frombuffer(key, dtype=np.int64)
     if indices.size and (indices.min() < 0 or indices.max() >= arch.n_params):
         raise IndexError("index set out of range for this architecture")
     if np.any(np.diff(indices) <= 0):
         raise IndexError("index set must be strictly increasing")
-    layers = []
-    for w_sl, b_sl in arch.slices():
-        w_lo, b_lo, b_hi = np.searchsorted(indices, (w_sl.start, b_sl.start, b_sl.stop))
-        w_sel = _selector(indices[w_lo:b_lo] - w_sl.start) if b_lo > w_lo else None
-        b_sel = _selector(indices[b_lo:b_hi] - b_sl.start) if b_hi > b_lo else None
-        layers.append((slice(w_lo, b_lo), w_sel, slice(b_lo, b_hi), b_sel))
-    return indices.size, _selector(indices), tuple(layers)
-
-
-@functools.lru_cache(maxsize=8)
-def _full(arch):
-    # The shared array is a read-only view of the layout cache's own key.
-    key = np.arange(arch.n_params, dtype=np.int64).tobytes()
-    return np.frombuffer(key, dtype=np.int64), _topk_layout(arch, key)
-
-
-def full_indices(arch):
-    """Every coordinate of `arch`, as one shared read-only array.
-
-    `topk_sgd` recognises this array by identity and uses the layout built
-    with it, so a full-set call neither hashes nor validates n indices.
-    """
-    return _full(arch)[0]
-
-
-def _offsets(sel):
-    """The offsets a `_selector` result picks, as an array."""
-    return np.arange(sel.start, sel.stop) if isinstance(sel, slice) else sel
-
-
-@functools.lru_cache(maxsize=8)
-def _column_layout(arch, key):
-    """`_topk_layout(arch, key)` with layer 0 cut down to the output units
-    the set touches. Returns `(k, sel, layers, cols)`: `cols` are those
-    units, sorted, and layer 0's `w_sel` picks the set's weights out of the
-    flattened (in_width, len(cols)) matrix that `_backward` computes then.
-    """
-    k, sel, layers = _topk_layout(arch, key)
-    w_pos, w_sel, b_pos, b_sel = layers[0]
-    empty = np.empty(0, dtype=np.int64)
-    rows, units = np.divmod(empty if w_sel is None else _offsets(w_sel),
-                            arch.layers[0].out_width)
-    cols = np.union1d(units, empty if b_sel is None else _offsets(b_sel))
-    cols.flags.writeable = False
-    if w_sel is not None:
-        w_sel = _selector(rows * cols.size + np.searchsorted(cols, units))
-    return k, sel, ((w_pos, w_sel, b_pos, b_sel),) + layers[1:], cols
+    # Layer 0's weight block starts at 0, and its bias block follows it.
+    (w_sl, b_sl), first = arch.slices()[0], arch.layers[0]
+    n_weights, n_first = np.searchsorted(indices, (w_sl.stop, b_sl.stop))
+    rows, units = np.divmod(indices[:n_weights], first.out_width)
+    cols = np.union1d(units, indices[n_weights:n_first] - b_sl.start)
+    packed = indices.copy()
+    packed[:n_weights] = rows * cols.size + np.searchsorted(cols, units)
+    cols.flags.writeable = packed.flags.writeable = False
+    return indices, cols, packed
 
 
 # The floor of `layer0_columns`' predicate, in layer-0 multiply-adds per
@@ -366,7 +299,7 @@ def layer0_columns(arch, indices):
     (784 × 94); the README config's set (20 × 48), a set that touches at
     least half the units and the full set do not.
     """
-    cols = _column_layout(arch, np.asarray(indices, dtype=np.int64).tobytes())[3]
+    cols = _index_set(arch, np.asarray(indices, dtype=np.int64).tobytes())[1]
     first = arch.layers[0]
     clean = first.out_width - cols.size
     if first.in_width * (clean - cols.size) < LAYER0_CACHE_MIN_SAVED:
@@ -396,14 +329,12 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     forward and backward pass over every client's batch.
 
     `indices` must be strictly increasing. Each step runs the backward pass
-    `gradient` runs, but writes only the retained gradient entries: a layer
-    whose weights are all retained has its matmul written straight into the
-    update, any other has its retained entries gathered from a buffer reused
-    across steps. `full_indices(arch)` is recognised by
-    identity, so the full set costs no per-call index bookkeeping; any other
-    array is validated and its layout cached by content. The result equals
-    SGD on `gradient(...)[indices]` bit for bit, and agrees with w0 outside
-    the index set exactly. Only `w[indices]` is read.
+    `gradient` runs into one model-shaped buffer, gathers the set's entries
+    from it and adds them, scaled by -eta, into the model.
+    `full_indices(arch)` is recognised by identity and gathers nothing; any
+    other array is validated and cached by content. The result equals SGD on
+    `gradient(...)[indices]` bit for bit, and agrees with w0 outside the
+    index set exactly. Only `w[indices]` is read.
 
     `layer0` is an optional `Layer0Cache` of w0 for the rows of x (stacked
     like x), built for exactly the layer-0 units the set touches (as
@@ -425,34 +356,31 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     if len(seeds) != math.prod(lead):
         raise DimensionError(
             f"{len(seeds)} batch seeds for {math.prod(lead)} shards")
-    full, full_layout = _full(arch)
-    full_set = indices is full and layer0 is None
+    # One model row per client. in_set picks each row's entries in the set,
+    # in_g the same entries of the gradient buffer (numpy indexes a flat
+    # model faster without a leading slice).
+    cur = np.empty(lead + (arch.n_params,))
     cols = z = None
-    if full_set:
-        k, sel, layout = full_layout
+    if indices is full_indices(arch) and layer0 is None:
+        cur[...] = w
+        in_set = in_g = ...
     else:
-        key = np.asarray(indices, dtype=np.int64).tobytes()
-        if layer0 is None:
-            k, sel, layout = _topk_layout(arch, key)
-        else:
-            k, sel, layout, cols = _column_layout(arch, key)
-            z = layer0.z
+        indices, touched, packed = _index_set(
+            arch, np.asarray(indices, dtype=np.int64).tobytes())
+        if layer0 is not None:
+            cols, z = touched, layer0.z
             if not np.array_equal(cols, layer0.cols) or z.shape[:-1] != x.shape[:-1]:
                 raise ValueError("layer-0 cache does not match the index set "
                                  "and shard")
-    # One model row per client; cur[in_set] is each row's entries in the
-    # set (numpy indexes a flat model faster without a leading slice).
-    cur = np.empty(lead + (arch.n_params,))
-    in_set = (slice(None),) * len(lead) + (sel,)
-    if full_set:
-        cur[...] = w
-    else:
+        group_axes = (slice(None),) * len(lead)
+        in_set = group_axes + (indices,)
+        in_g = group_axes + (indices if cols is None else packed,)
         # Start from w0 outside the set, caller-provided values inside it.
         cur[...] = w0
-        cur[in_set] = np.asarray(w, dtype=np.float64)[sel]
+        cur[in_set] = np.asarray(w, dtype=np.float64)[indices]
     layers = _layers(cur, arch)
-    g = np.empty(lead + (k,))
-    outs = _weight_outs(arch, layout, g, cols)
+    g = np.empty(lead + (arch.n_params,))
+    grads = _layers(g, arch, cols)
     rows = x.shape[-2]
     batch_size = min(batch_size, rows)
     streams = [_batch_stream(rows, batch_size, s) for s in seeds]
@@ -470,8 +398,9 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
         else:
             at = next(streams[0])
         _backward(layers, arch, np.asarray(x[at], dtype=np.float64),
-                  np.asarray(y[at], dtype=np.float64), layout, g, outs,
+                  np.asarray(y[at], dtype=np.float64), grads,
                   None if z is None else z[at], cols)
-        g *= -eta
-        cur[in_set] += g
+        step = g[in_g]
+        step *= -eta
+        cur[in_set] += step
     return cur

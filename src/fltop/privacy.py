@@ -115,23 +115,3 @@ def epsilon(query):
             best_lam = lam
     return best_eps, best_lam
 
-
-def calibrate_sensitivity(train_fn, index_sets, trials=1):
-    """Clipping threshold from local dry runs: L2 norm of the compressed update.
-
-    train_fn(index_set) must run one local training round from the initial
-    model on public data and return the compressed update vector. Fixed-set
-    schemes use trials=1; schemes that redraw the index set every round pass
-    trials=100 and a sequence/generator of index sets, and the median of the
-    resulting norms is returned.
-    """
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    sets = iter(index_sets)
-    norms = []
-    for _ in range(trials):
-        update = train_fn(next(sets))
-        norms.append(float(np.linalg.norm(update)))
-    if trials == 1:
-        return norms[0]
-    return float(np.median(norms))

@@ -7,7 +7,6 @@ from scipy import integrate
 from scipy.stats import rankdata
 
 from fltop import nn
-from fltop.compression import IndexSet
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -91,11 +90,22 @@ def sgd(x, y, w, arch, t_gd, eta, batch_size, seed):
                               eta, batch_size, seed)
 
 
-def load_index_set(path, n):
-    """Reads the index file `compression.save_index_set` writes."""
-    with open(path) as f:
-        idx = [int(line) for line in f if line.strip()]
-    return IndexSet(np.asarray(idx, dtype=np.int64), n)
+def update_norms(x, y, w0, arch, sets, steps, eta, seed):
+    """Per index set, the L2 norm of one local round's change at the set's
+    coordinates: `reference_topk_sgd` from w0 on all of x as one batch,
+    with every other coordinate pinned at w0."""
+    return [float(np.linalg.norm(reference_topk_sgd(
+        x, y, w0, w0, arch, steps, idx, eta, len(x), seed)[idx] - w0[idx]))
+        for idx in sets]
+
+
+def touched_units(arch, indices):
+    """Layer 0's output units that hold a weight or bias of `indices`."""
+    w_sl, b_sl = arch.slices()[0]
+    width = arch.layers[0].out_width
+    first = indices[indices < b_sl.stop]
+    return np.unique(np.where(first < w_sl.stop, (first - w_sl.start) % width,
+                              first - b_sl.start))
 
 
 def reference_global_update(spec, w, w0, indices, avg):

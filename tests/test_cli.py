@@ -16,8 +16,6 @@ import fltop
 from fltop import cli, config, federation
 from fltop.federation import SCHEMES
 
-from oracles import load_index_set
-
 # The example config from README.md.
 README_CONFIG = {
     "scheme": "fl-top-dp",
@@ -234,6 +232,20 @@ MALFORMED = [
     ("fl-top", "model.hidden", 8),
     ("fl-top", "model.hidden", ["a"]),
     ("fl-top", "model.hidden", [0]),
+    ("fl-top", "model.loss", "mse"),
+    ("fl-top", "model.hidden_activation", "softmax"),
+    ("fl-top", "model.hidden_activation", "tanh"),
+    ("fl-top", "dataset.n_samples", 0),
+    ("fl-top", "dataset.n_features", 0),
+    ("fl-top", "dataset.public_size", 0),
+    ("fl-top", "dataset.test_fraction", 0.0),
+    ("fl-top", "dataset.test_fraction", 2.0),
+    ("fl-top", "dataset.positive_rate", 1.0),
+    # Checked before the (absent) files are opened.
+    ("fl-top", "dataset", {"type": "fashion_mnist", "public_size": 0,
+                           **dict.fromkeys(("images", "labels", "test_images",
+                                            "test_labels", "public_images",
+                                            "public_labels"), "absent")}),
     ("fl-top", "federation.clip", "calibrat"),
     ("fl-top", "federation", []),
     ("fl-top", "federation.rounds", -1),
@@ -438,23 +450,3 @@ class TestSweep:
         path, _ = base_config(tmp_path)
         assert cli.main(["sweep", str(path), "--ratios", " , "]) == 2
 
-
-class TestCalibrate:
-    def test_prints_positive_threshold(self, tmp_path, capsys):
-        path, _ = base_config(tmp_path)
-        assert cli.main(["calibrate", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("S = ")
-        assert float(out.split()[2]) > 0
-
-
-class TestSelectTopk:
-    def test_index_file_round_trip(self, tmp_path, capsys):
-        path, cfg = base_config(tmp_path)
-        out_file = tmp_path / "indices.txt"
-        assert cli.main(["select-topk", str(path), "--out", str(out_file)]) == 0
-        n = 16 * 32 + 32 + 32 * 2 + 2
-        iset = load_index_set(str(out_file), n)
-        assert iset.n == n
-        assert iset.k == round(cfg["federation"]["ratio"] * n)
-        assert "wrote" in capsys.readouterr().out

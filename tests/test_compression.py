@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fltop import compression, nn
+from fltop import nn
 from fltop.compression import IndexSet, select_random, select_topk
 from fltop.errors import ConfigError
 
-from oracles import finite_difference_gradient, load_index_set
+from oracles import finite_difference_gradient
 
 
 class TestIndexSet:
@@ -23,14 +23,6 @@ class TestIndexSet:
         s = IndexSet(np.array([1, 4]), 8)
         assert s.k == 2
         assert s.ratio == 0.25
-
-    def test_file_round_trip(self, tmp_path):
-        s = IndexSet(np.array([0, 2, 7, 11]), 20)
-        path = tmp_path / "indices.txt"
-        compression.save_index_set(s, path)
-        loaded = load_index_set(path, 20)
-        assert np.array_equal(loaded.indices, s.indices)
-        assert path.read_text() == "0\n2\n7\n11\n"
 
 
 class TestSelectTopk:

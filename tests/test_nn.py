@@ -8,7 +8,7 @@ from fltop import compression, nn
 from fltop.errors import ConfigError, DataError, DimensionError
 
 from oracles import (dense_gradient, finite_difference_gradient, forward_loss,
-                     reference_topk_sgd)
+                     reference_topk_sgd, touched_units)
 
 
 def full_sgd(x, y, w, arch, t_gd, eta, batch_size, seed):
@@ -114,15 +114,6 @@ def layer0_cases(draw):
     eta = draw(st.sampled_from((0.05, 0.3, 1.0)))
     data_seed = draw(st.integers(0, 2**32 - 1))
     return arch, indices, every, shard, batch_size, t_gd, eta, data_seed
-
-
-def touched_units(arch, indices):
-    """Layer 0's output units that hold a weight or bias of `indices`."""
-    w_sl, b_sl = arch.slices()[0]
-    width = arch.layers[0].out_width
-    first = indices[indices < b_sl.stop]
-    return np.unique(np.where(first < w_sl.stop, (first - w_sl.start) % width,
-                              first - b_sl.start))
 
 
 def topk_inputs(arch, shard, data_seed):
@@ -485,6 +476,28 @@ class TestTopkSgd:
         with pytest.raises(IndexError):
             nn.topk_sgd(x, y, w0, w0, toy_arch, 1,
                         np.array([toy_arch.n_params]), 0.1, 2, 0)
+
+
+class TestIndexSet:
+    # Over every kind of set, wide archs included: `cols` is exactly the
+    # touched units (a superset would still train correctly, only slower),
+    # and the packed positions read the set's entries out of a buffer laid
+    # out by `_layers(g, arch, cols)`.
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(topk_cases(), layer0_cases()).map(lambda case: case[:2]))
+    def test_packed_positions_read_the_packed_layer0_block(self, case):
+        arch, indices = case
+        got, cols, packed = nn._index_set(arch, indices.tobytes())
+        assert np.array_equal(got, indices)
+        assert np.array_equal(cols, touched_units(arch, indices))
+        first = arch.layers[0]
+        mat = np.random.default_rng(indices.size).standard_normal(
+            (first.in_width, first.out_width))
+        buf = np.full(arch.n_params, np.nan)
+        buf[:first.in_width * cols.size] = mat[:, cols].ravel()
+        k0 = np.searchsorted(indices, arch.slices()[0][0].stop)
+        assert np.array_equal(buf[packed[:k0]], mat.ravel()[indices[:k0]])
+        assert np.array_equal(packed[k0:], indices[k0:])
 
 
 class TestLayer0Dispatch:

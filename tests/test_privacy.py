@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import quadrature_log_moments
-from fltop.privacy import (AccountantQuery, add_client_noise,
-                           calibrate_sensitivity, clip, epsilon, log_moment)
+from fltop.privacy import AccountantQuery, add_client_noise, clip, epsilon, log_moment
 from fltop.errors import ConfigError
 
 
@@ -152,26 +151,3 @@ class TestEpsilon:
         with pytest.raises(ConfigError):
             AccountantQuery(1.54, 0.0, 10)
 
-
-class TestCalibrate:
-    def test_fixed_set_deterministic(self):
-        calls = []
-
-        def train_fn(iset):
-            calls.append(iset)
-            return np.array([3.0, 4.0])
-
-        s = calibrate_sensitivity(train_fn, ["only"], trials=1)
-        assert s == 5.0
-        assert calls == ["only"]
-
-    def test_median_within_sample_range(self):
-        rng = np.random.default_rng(0)
-        norms = rng.uniform(0.5, 3.0, 100)
-
-        def train_fn(i):
-            return np.array([norms[i]])
-
-        s = calibrate_sensitivity(train_fn, iter(range(100)), trials=100)
-        assert norms.min() <= s <= norms.max()
-        assert s == pytest.approx(np.median(norms))
