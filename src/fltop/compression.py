@@ -1,37 +1,13 @@
-"""Retained-coordinate index sets: Top-K and random selection."""
+"""Retained-coordinate index sets: Top-K and random selection.
 
-from dataclasses import dataclass
+An index set is a sorted int64 array of distinct coordinate positions in
+[0, n); `nn` validates each set that reaches `topk_sgd` or `layer0_columns`.
+"""
 
 import numpy as np
 
 from .errors import ConfigError
 from .nn import gradient
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """Strictly increasing coordinate positions within a model of size n."""
-    indices: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        object.__setattr__(self, "indices", idx)
-        if idx.size > self.n:
-            raise ConfigError(f"K={idx.size} exceeds model size n={self.n}")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.n:
-                raise ConfigError("index out of range")
-            if np.any(np.diff(idx) <= 0):
-                raise ConfigError("indices must be strictly increasing")
-
-    @property
-    def k(self):
-        return int(self.indices.size)
-
-    @property
-    def ratio(self):
-        return self.k / self.n
 
 
 def select_topk(w0, arch, public_x, public_y, t_init, k, eta):
@@ -54,7 +30,7 @@ def select_topk(w0, arch, public_x, public_y, t_init, k, eta):
         w = w + (-eta) * g
     # Stable sort on descending magnitude keeps the lowest index first on ties.
     order = np.argsort(-acc, kind="stable")[:k]
-    return IndexSet(np.sort(order), n)
+    return np.sort(order)
 
 
 def select_random(n, k, seed):
@@ -62,5 +38,5 @@ def select_random(n, k, seed):
     if not 1 <= k <= n:
         raise ConfigError(f"K must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
-    return IndexSet(np.sort(rng.choice(n, size=k, replace=False)), n)
+    return np.sort(rng.choice(n, size=k, replace=False))
 

@@ -63,6 +63,10 @@ class SyntheticData:
         if self.downsample:
             full = data.downsample(full, self.seed + 1)
         train, test = data.train_test_split(full, self.test_fraction, self.seed + 2)
+        if not (len(train) and len(test)):
+            raise ConfigError(f"dataset.test_fraction {self.test_fraction} splits "
+                              f"{len(full)} samples into {len(train)} training and "
+                              f"{len(test)} test samples; each needs at least 1")
         # Public data: a fresh draw from the same generator, different seed.
         return train, test, draw(max(self.public_size * 4, 64), self.seed + 1000)
 
@@ -115,7 +119,7 @@ class ResolvedExperiment:
     fed: FederationConfig
     train: data.Dataset
     test: data.Dataset
-    part: data.Partition
+    part: np.ndarray          # (n_clients, shard size) training-row indices
     public: tuple             # (inputs, labels) or None
 
 

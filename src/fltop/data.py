@@ -15,7 +15,6 @@ IDX_LABELS_MAGIC = 0x00000801
 class Dataset:
     inputs: np.ndarray   # (m, d) float64, features in [0, 1]
     labels: np.ndarray   # (m,) integer class ids
-    name: str = ""
 
     def __post_init__(self):
         if len(self.inputs) != len(self.labels):
@@ -70,7 +69,7 @@ def load_idx(images_path, labels_path):
     if len(images) != len(labels):
         raise FormatError("image and label files disagree on sample count")
     flat = images.reshape(len(images), -1).astype(np.float64) / 255.0
-    return Dataset(flat, labels.astype(np.int64), name="idx")
+    return Dataset(flat, labels.astype(np.int64))
 
 
 def write_idx(images, labels, images_path, labels_path):
@@ -102,7 +101,7 @@ def synth_imbalanced(n_samples, n_features, positive_rate, seed, separation=2.0)
     base = rng.uniform(0.3, 0.7, n_features)
     x = base + rng.standard_normal((n_samples, n_features)) * spread
     x[labels == 1] += offset
-    return Dataset(np.clip(x, 0.0, 1.0), labels, name="synthetic")
+    return Dataset(np.clip(x, 0.0, 1.0), labels)
 
 
 def train_test_split(d, test_fraction, seed):
@@ -111,24 +110,19 @@ def train_test_split(d, test_fraction, seed):
     order = rng.permutation(len(d))
     n_test = int(round(len(d) * test_fraction))
     test, train = order[:n_test], order[n_test:]
-    return (Dataset(d.inputs[train], d.labels[train], d.name),
-            Dataset(d.inputs[test], d.labels[test], d.name))
-
-
-@dataclass(frozen=True)
-class Partition:
-    assignments: tuple  # per-client index arrays
+    return (Dataset(d.inputs[train], d.labels[train]),
+            Dataset(d.inputs[test], d.labels[test]))
 
 
 def partition(d, n_clients, seed=0):
-    """Split a dataset into equal-size, disjoint, iid random per-client shards."""
+    """Split a dataset into equal-size, disjoint, iid random client shards:
+    an (n_clients, len(d) // n_clients) array, row i client i's sorted rows."""
     if n_clients > len(d):
-        raise ConfigError(f"cannot split {len(d)} samples over {n_clients} clients")
-    rng = np.random.default_rng(seed)
+        raise ConfigError(f"federation.n_clients must be at most the {len(d)} "
+                          f"training samples, got {n_clients}")
+    order = np.random.default_rng(seed).permutation(len(d))
     per = len(d) // n_clients
-    order = rng.permutation(len(d))
-    return Partition(tuple(np.sort(order[i * per:(i + 1) * per])
-                           for i in range(n_clients)))
+    return np.sort(order[:n_clients * per].reshape(n_clients, per), axis=1)
 
 
 def downsample(d, seed):
@@ -145,7 +139,7 @@ def downsample(d, seed):
         if c != minority:
             keep.append(rng.choice(counts[c], size=n_min, replace=False))
     idx = np.sort(np.concatenate(keep))
-    return Dataset(d.inputs[idx], d.labels[idx], d.name)
+    return Dataset(d.inputs[idx], d.labels[idx])
 
 
 def public_batch(source, size, seed):

@@ -6,6 +6,9 @@ coordinates are re-pinned to the initial model, and whether the update path
 is differentially private (clip + noise + masked aggregation). All of them
 pick the set with `initial_index_set`, train with `local_update`, and move the
 set's coordinates by the cohort mean, resetting the rest to w0 if pinned.
+
+An index set is a sorted int64 array of coordinate positions, validated by
+`nn`; a partition is one (clients × shard) array of training-row indices.
 """
 
 from dataclasses import dataclass, field
@@ -178,10 +181,10 @@ def _hard_predictions(scores):
 def initial_index_set(cfg, w0, public):
     """The scheme's index set before round 1, or None if it is redrawn each
     round. Top-K selection runs on the public batch from w0."""
-    n = len(w0)
     spec = cfg.spec
     if spec.selection == "all":
-        return compression.IndexSet(nn.full_indices(cfg.arch), n)
+        return nn.full_indices(cfg.arch)
+    n = len(w0)
     k = cfg.k(n)
     if spec.selection == "topk":
         if public is None:
@@ -207,15 +210,14 @@ def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, see
     `layer0` is an optional `nn.Layer0Cache` of w0 for the rows of x, which
     only a pinning scheme can use (see `nn.topk_sgd`).
     """
-    idx = index_set.indices
-    full = index_set.k == arch.n_params
-    trained = idx if spec.reinit_nonselected and not full else nn.full_indices(arch)
+    full = len(index_set) == arch.n_params
+    trained = index_set if spec.reinit_nonselected and not full else nn.full_indices(arch)
     local = nn.topk_sgd(x, y, w, w0, arch, steps, trained, eta, batch_size, seed,
                         layer0)
     if full:
         local -= w
         return local
-    return local.take(idx, axis=-1) - w[idx]
+    return local.take(index_set, axis=-1) - w[index_set]
 
 
 # The footprint, in bytes, that one stacked local-SGD call may span: the L2
@@ -265,7 +267,8 @@ class FederatedRun:
 
     A round trains its cohort in groups of `cohort_group_size` clients, one
     stacked `nn.topk_sgd` call per group. `data.partition` makes equal
-    shards, so a group's inputs are one fancy index into the training set.
+    shards, one row each, so a group's inputs are one fancy index into the
+    training set.
 
     With a fixed index set that is not the full set, the global model equals
     w0 outside the set after every round. Where `nn.layer0_columns` says it
@@ -278,7 +281,6 @@ class FederatedRun:
         self.config = config
         self.spec = config.spec
         self.train = train
-        self.part = part
         self.test = test
         self.arch = config.arch
         self.w0 = nn.init_model(self.arch, config.seeds.model)
@@ -289,14 +291,14 @@ class FederatedRun:
         self.round_index = 0
         self.clamp_total = 0
         self.index_set = initial_index_set(config, self.w0, public)
-        self._shards = np.stack(part.assignments)
+        self._shards = part
         self._targets = to_targets(train.labels[self._shards].ravel(),
                                    self.arch).reshape(self._shards.shape + (-1,))
         # The layer-0 units that cached forward passes recompute (see
         # `nn.layer0_columns`); None keeps every pass dense.
         self._layer0_cols = None
         if self.index_set is not None and self.spec.selection != "all":
-            self._layer0_cols = nn.layer0_columns(self.arch, self.index_set.indices)
+            self._layer0_cols = nn.layer0_columns(self.arch, self.index_set)
         # Per client, layer 0's pre-activation at w0 on its shard, filled on
         # its first training; kept only when a pinning scheme can use it.
         self._client_layer0 = None
@@ -363,7 +365,7 @@ class FederatedRun:
         updates = self._local_updates(cohort, t, index_set)
 
         if self.spec.dp:
-            masks = secure_agg.make_masks(m, index_set.k, [cfg.seeds.masks, t])
+            masks = secure_agg.make_masks(m, len(index_set), [cfg.seeds.masks, t])
             masked = []
             for j, (cid, delta) in enumerate(zip(cohort, updates)):
                 clipped = privacy.clip(delta, cfg.clip)
@@ -377,11 +379,11 @@ class FederatedRun:
         else:
             avg = sum(updates) / m
 
-        if index_set.k == self.n:
+        if len(index_set) == self.n:
             self.w = self.w + avg
         else:
             new_w = (self.w0 if self.spec.reinit_nonselected else self.w).copy()
-            new_w[index_set.indices] = self.w[index_set.indices] + avg
+            new_w[index_set] = self.w[index_set] + avg
             self.w = new_w
         self.round_index = t
         return cohort

@@ -158,7 +158,7 @@ def test_criterion_7_coordinate_freeze():
         for t in range(1, 21):
             run.run_round()
             iset = run._round_index_set(t)
-            frozen = np.setdiff1d(np.arange(run.n), iset.indices)
+            frozen = np.setdiff1d(np.arange(run.n), iset)
             ok = ok and np.array_equal(run.w[frozen], run.w0[frozen])
     for scheme in ("fl-top-bis", "fl-bas-2", "fl-bas-4"):
         run = FederatedRun(_config(arch, scheme), train, part,

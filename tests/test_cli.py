@@ -184,14 +184,22 @@ def test_readme_round_is_one_stacked_call(topk_sgd_calls):
     assert topk_sgd_calls == [3] * (3 * math.ceil(m / run._group))
 
 
-# sha256 of trace.csv for the benchmark's wide-topk-dp workload at seed 7
-# (fl-top-dp, r = 0.005 on 784 -> 100 -> 10), whose runs cache layer 0.
-WIDE_TOPK_SEED_7 = "63be5ac966737bc76ae434e9810f10399bf20cb51c1556ec9f3287efbf892c3a"
+# sha256 of trace.csv for each benchmark workload at seed 7: small-topk-dp
+# (the README config's model), wide-topk-dp (fl-top-dp, r = 0.005 on
+# 784 -> 100 -> 10, whose runs cache layer 0) and wide-std-dp (fl-std-dp on
+# the same data and model).
+BENCHMARK_TRACES_SEED_7 = {
+    "small-topk-dp": "6c017a488c12af21dfa903831292a68e1fa9a9539ea2fce8f02e77529417d151",
+    "wide-topk-dp": "63be5ac966737bc76ae434e9810f10399bf20cb51c1556ec9f3287efbf892c3a",
+    "wide-std-dp": "bd9227622526d5bc2398cd0944de6d9534585727d8ff52abf6c0e748546de8ae",
+}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.mark.parametrize("blas_threads", ["1", None])
-def test_wide_topk_trace_is_unchanged(tmp_path, blas_threads):
+@pytest.mark.parametrize("workload, blas_threads", [
+    ("wide-topk-dp", "1"), ("wide-topk-dp", None),
+    ("small-topk-dp", "1"), ("wide-std-dp", "1")])
+def test_benchmark_trace_is_unchanged(tmp_path, workload, blas_threads):
     # perfbench/gen.py writes the workload's IDX files and config. A fresh
     # interpreter, because BLAS reads its thread count at import; None keeps
     # the library's default.
@@ -204,13 +212,13 @@ def test_wide_topk_trace_is_unchanged(tmp_path, blas_threads):
     env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave perfbench/ as it is
     script = ("import sys, gen\n"
               "from fltop import cli\n"
-              "spec = gen.generate('wide-topk-dp', 7, sys.argv[1])\n"
-              "sys.exit(cli.main(['run', spec['config'], '--output-dir', sys.argv[2]]))\n")
-    subprocess.run([sys.executable, "-c", script, str(tmp_path / "in"),
+              "spec = gen.generate(sys.argv[1], 7, sys.argv[2])\n"
+              "sys.exit(cli.main(['run', spec['config'], '--output-dir', sys.argv[3]]))\n")
+    subprocess.run([sys.executable, "-c", script, workload, str(tmp_path / "in"),
                     str(tmp_path / "out")], env=env, timeout=300,
                    capture_output=True, check=True)
     trace = (tmp_path / "out" / "trace.csv").read_bytes()
-    assert hashlib.sha256(trace).hexdigest() == WIDE_TOPK_SEED_7
+    assert hashlib.sha256(trace).hexdigest() == BENCHMARK_TRACES_SEED_7[workload]
 
 
 DROP = object()  # `malformed` deletes the key
@@ -240,6 +248,11 @@ MALFORMED = [
     ("fl-top", "dataset.public_size", 0),
     ("fl-top", "dataset.test_fraction", 0.0),
     ("fl-top", "dataset.test_fraction", 2.0),
+    # Rejected once the data is generated: no test rows, no training rows,
+    # more clients than training rows.
+    ("fl-top", "dataset.test_fraction", 0.0001),
+    ("fl-top", "dataset.test_fraction", 0.9999),
+    ("fl-top", "federation.n_clients", 5000),
     ("fl-top", "dataset.positive_rate", 1.0),
     # Checked before the (absent) files are opened.
     ("fl-top", "dataset", {"type": "fashion_mnist", "public_size": 0,

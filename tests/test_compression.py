@@ -1,28 +1,51 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fltop import nn
-from fltop.compression import IndexSet, select_random, select_topk
+from fltop.compression import select_random, select_topk
+from fltop.data import to_targets
 from fltop.errors import ConfigError
 
 from oracles import finite_difference_gradient
 
 
-class TestIndexSet:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            IndexSet(np.array([0, 0, 1]), 5)
-        with pytest.raises(ConfigError):
-            IndexSet(np.array([3, 1]), 5)
-        with pytest.raises(ConfigError):
-            IndexSet(np.array([5]), 5)
-        with pytest.raises(ConfigError):
-            IndexSet(np.arange(6), 5)
+@st.composite
+def selection_cases(draw):
+    """A small MLP, a public batch for it and a K in [1, n], K = n among
+    them. All-zero inputs give every layer-0 weight a zero gradient, so
+    Top-K must break ties among them."""
+    in_width = draw(st.integers(1, 4))
+    binary = draw(st.booleans())
+    arch = nn.mlp_arch(in_width, [draw(st.integers(1, 4))],
+                       1 if binary else draw(st.integers(2, 3)),
+                       "binary_cross_entropy" if binary else "cross_entropy")
+    n = arch.n_params
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    rows = draw(st.integers(1, 6))
+    x = rng.uniform(0, 1, (rows, in_width)) if draw(st.booleans()) \
+        else np.zeros((rows, in_width))
+    y = to_targets(rng.integers(0, 2 if binary else arch.output_width, rows), arch)
+    return arch, k, x, y, seed
 
-    def test_ratio(self):
-        s = IndexSet(np.array([1, 4]), 8)
-        assert s.k == 2
-        assert s.ratio == 0.25
+
+def assert_index_set(s, arch, k):
+    """`s` is a strictly increasing int64 array of k positions in [0, n)
+    that `nn` accepts as an index set."""
+    assert isinstance(s, np.ndarray) and s.dtype == np.int64 and s.shape == (k,)
+    assert s[0] >= 0 and s[-1] < arch.n_params and np.all(np.diff(s) > 0)
+    assert np.array_equal(nn._index_set(arch, s.tobytes())[0], s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(selection_cases())
+def test_selectors_return_valid_index_sets(case):
+    arch, k, x, y, seed = case
+    w0 = nn.init_model(arch, seed)
+    assert_index_set(select_topk(w0, arch, x, y, 2, k, 0.1), arch, k)
+    assert_index_set(select_random(arch.n_params, k, seed), arch, k)
 
 
 class TestSelectTopk:
@@ -30,7 +53,7 @@ class TestSelectTopk:
         x, y = toy_batch
         w0 = nn.init_model(toy_arch, 0)
         s = select_topk(w0, toy_arch, x, y, 3, toy_arch.n_params, 0.1)
-        assert np.array_equal(s.indices, np.arange(toy_arch.n_params))
+        assert np.array_equal(s, np.arange(toy_arch.n_params))
 
     def test_analytically_dominant_coordinate_selected(self):
         # Binary model on 2 features; only feature 0 is ever nonzero and its
@@ -52,7 +75,7 @@ class TestSelectTopk:
             w = w - eta * nn.gradient(w, arch, x, y)
         assert np.argmax(acc) == 0
         s = select_topk(w0, arch, x, y, t_init, 1, eta)
-        assert s.indices.tolist() == [0]
+        assert s.tolist() == [0]
 
     def test_k_out_of_range(self, toy_arch, toy_batch):
         x, y = toy_batch
@@ -70,16 +93,15 @@ class TestSelectTopk:
 class TestSelectRandom:
     def test_k_equals_n(self):
         s = select_random(10, 10, 0)
-        assert np.array_equal(s.indices, np.arange(10))
+        assert np.array_equal(s, np.arange(10))
 
     def test_deterministic(self):
-        assert np.array_equal(select_random(100, 10, 5).indices,
-                              select_random(100, 10, 5).indices)
+        assert np.array_equal(select_random(100, 10, 5), select_random(100, 10, 5))
 
     def test_uniform_frequency(self):
         counts = np.zeros(100)
         for i in range(10000):
-            counts[select_random(100, 10, i).indices] += 1
+            counts[select_random(100, 10, i)] += 1
         freq = counts / 10000
         assert np.all(np.abs(freq - 0.10) <= 0.01)
 

@@ -24,7 +24,7 @@ class TestCalibrate:
         px = public[0]
         iset = compression.select_topk(w0, fed.arch, px, targets, fed.t_init,
                                        fed.k(len(w0)), fed.learning_rate)
-        expected, = update_norms(px, targets, w0, fed.arch, [iset.indices],
+        expected, = update_norms(px, targets, w0, fed.arch, [iset],
                                  fed.local_steps, fed.learning_rate,
                                  [104, fed.seeds.sampling])
         assert calibrate_clip(fed, public) == expected
@@ -35,7 +35,7 @@ class TestCalibrate:
         fed, public, targets, w0 = calibration_case(separable_task, "fl-basic")
         n = len(w0)
         sets = [compression.select_random(n, fed.k(n), [105, fed.seeds.sampling, i])
-                .indices for i in range(100)]
+                for i in range(100)]
         norms = update_norms(public[0], targets, w0, fed.arch, sets,
                              fed.local_steps, fed.learning_rate,
                              [104, fed.seeds.sampling])

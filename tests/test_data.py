@@ -85,12 +85,12 @@ class TestPartition:
     def test_equal_shards(self):
         d = data.synth_imbalanced(60000, 4, 0.5, seed=0)
         part = data.partition(d, 6000, seed=1)
-        assert all(len(a) == 10 for a in part.assignments)
+        assert part.shape == (6000, 10) and part.dtype == np.int64
 
     def test_disjoint_and_bounded(self):
         d = data.synth_imbalanced(1000, 4, 0.5, seed=0)
         part = data.partition(d, 7, seed=2)
-        allidx = np.concatenate(part.assignments)
+        allidx = part.ravel()
         assert len(np.unique(allidx)) == len(allidx)
         assert allidx.max() < 1000
 

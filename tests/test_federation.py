@@ -194,7 +194,7 @@ class TestRounds:
             for t in range(1, 6):
                 run.run_round()
                 iset = run._round_index_set(t)
-                frozen = np.setdiff1d(np.arange(run.n), iset.indices)
+                frozen = np.setdiff1d(np.arange(run.n), iset)
                 assert np.array_equal(run.w[frozen], run.w0[frozen]), scheme
 
     def test_transmitted_length_k_no_reinit_schemes(self, small_setup):
@@ -204,7 +204,7 @@ class TestRounds:
             run = FederatedRun(cfg, train, part, test=test, public=public)
             iset = run._round_index_set(1)
             upd, = run._local_updates(np.array([0]), 1, iset)
-            assert len(upd) == cfg.k(run.n) == iset.k, scheme
+            assert len(upd) == cfg.k(run.n) == len(iset), scheme
 
     def test_dp_sigma_near_zero_matches_clipped_topk(self, small_setup):
         # With vanishing noise and a generous clip the DP pipeline reduces to
@@ -237,7 +237,7 @@ class TestRounds:
             run.run_round()
             iset = run.index_set
             # eta=0 so every clipped update is 0: the applied average is pure noise
-            diffs.append((run.w[iset.indices] - w_prev[iset.indices]) * m)
+            diffs.append((run.w[iset] - w_prev[iset]) * m)
         diffs = np.concatenate(diffs)
         assert abs(np.std(diffs) - s * sigma) / (s * sigma) < 0.10
 
@@ -289,8 +289,8 @@ class TestRounds:
             assert len(calls) == cfg.cohort_size
             oracle_updates = []
             for cid, t, index_set, upd in calls:
-                shard = part.assignments[cid]
-                idx = index_set.indices
+                shard = part[cid]
+                idx = index_set
                 trained = idx if cfg.spec.reinit_nonselected else np.arange(run.n)
                 local = reference_topk_sgd(
                     train.inputs[shard], to_targets(train.labels[shard], arch),
@@ -301,7 +301,7 @@ class TestRounds:
                 assert np.array_equal(upd, oracle_updates[-1])
             if not cfg.spec.dp:
                 expected = reference_global_update(
-                    cfg.spec, w_prev, run.w0, calls[0][2].indices,
+                    cfg.spec, w_prev, run.w0, calls[0][2],
                     sum(oracle_updates) / cfg.cohort_size)
                 assert np.array_equal(run.w, expected)
 
@@ -309,7 +309,7 @@ class TestRounds:
         train, test, public, part, arch = small_setup
         cfg = make_config(arch, "fl-top", sampling_fraction=0.04)  # 2 clients
         run = FederatedRun(cfg, train, part, test=test, public=public)
-        k = run.index_set.k
+        k = len(run.index_set)
         u = np.arange(1, k + 1, dtype=np.float64)
         updates = iter([u, -u])
         monkeypatch.setattr(run, "_local_updates",
@@ -369,7 +369,7 @@ class TestLayer0Cache:
         run = FederatedRun(cfg, train, part, test=test, public=public)
         for _ in range(3):
             run.run_round()
-        off = np.setdiff1d(np.arange(run.n), run.index_set.indices)
+        off = np.setdiff1d(np.arange(run.n), run.index_set)
         assert np.array_equal(run.w[off], run.w0[off])
         assert not np.array_equal(run.w, run.w0)
 

@@ -473,9 +473,9 @@ class TestTopkSgd:
     def test_out_of_range_index(self, toy_arch, toy_batch):
         x, y = toy_batch
         w0 = nn.init_model(toy_arch, 0)
-        with pytest.raises(IndexError):
-            nn.topk_sgd(x, y, w0, w0, toy_arch, 1,
-                        np.array([toy_arch.n_params]), 0.1, 2, 0)
+        for indices in ([toy_arch.n_params], [-1]):
+            with pytest.raises(IndexError):
+                nn.topk_sgd(x, y, w0, w0, toy_arch, 1, np.array(indices), 0.1, 2, 0)
 
 
 class TestIndexSet:
@@ -518,9 +518,9 @@ class TestLayer0Dispatch:
         y = one_hot(rng.integers(0, 10, 10), 10)
         w0 = nn.init_model(arch, 0)
         iset = compression.select_topk(w0, arch, x, y, 5, 398, 0.1)
-        cols = nn.layer0_columns(arch, iset.indices)
+        cols = nn.layer0_columns(arch, iset)
         assert cols is not None
-        assert np.array_equal(cols, touched_units(arch, iset.indices))
+        assert np.array_equal(cols, touched_units(arch, iset))
         assert nn.layer0_columns(arch, nn.full_indices(arch)) is None
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
