@@ -44,7 +44,10 @@ def cmd_sweep(args):
         part = part.strip()
         if not part:
             continue
-        r = float(part)
+        try:
+            r = float(part)
+        except ValueError:
+            raise ConfigError(f"--ratios: {part!r} is not a number") from None
         if r in ratios:
             print(f"warning: duplicate ratio {r} ignored", file=sys.stderr)
             continue
@@ -53,9 +56,12 @@ def cmd_sweep(args):
         raise ConfigError("no ratios given")
 
     raw = config_mod.load_config(args.config)
+    configs = [{**raw, "federation": {**raw["federation"], "ratio": r}} for r in ratios]
+    for cfg in configs:  # every ratio, before the first run
+        config_mod.read_sections(cfg)
     rows = ["ratio,scheme,best_metric,best_value,round,down_kb,up_kb,epsilon"]
-    for r in ratios:
-        exp = config_mod.resolve({**raw, "federation": {**raw["federation"], "ratio": r}})
+    for r, cfg in zip(ratios, configs):
+        exp = config_mod.resolve(cfg)
         _, summary = run_experiment(exp.fed, exp.train, exp.part, exp.test,
                                     public=exp.public)
         rows.append(f"{r:.10g},{summary['scheme']},{summary['best_metric']},"

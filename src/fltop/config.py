@@ -158,11 +158,11 @@ def load_config(path):
     return raw
 
 
-def resolve(raw):
-    """Build all run objects from a config dict; calibrates S if requested.
-
-    The returned ResolvedExperiment's .raw lists every declared key with its
-    default or calibrated value made explicit. `raw` itself is not changed."""
+def read_sections(raw):
+    """Every section of the config dict `raw`, read and checked before any
+    data is read: (top level, federation, model, dataset, calibrate). The
+    federation's arch is None, since the model's shape comes from the data,
+    and `calibrate` says whether its clip is to be calibrated."""
     top = _section(Config, raw, "")
     kind = top.dataset.get("type")
     if not isinstance(kind, str) or kind not in DATASETS:
@@ -172,14 +172,29 @@ def resolve(raw):
     calibrate = fed_values.get("clip") == "calibrate"
     if calibrate:  # the declared default stands in until the dry run
         fed_values = {k: v for k, v in fed_values.items() if k != "clip"}
-    # Checked before any data file is read; the model's shape comes from the data.
     fed = _section(FederationConfig, fed_values, "federation", arch=None,
                    scheme=top.scheme)
     model = _section(ModelConfig, top.model, "model")
     dataset = _section(DATASETS[kind], {k: v for k, v in top.dataset.items()
                                         if k != "type"}, "dataset")
+    return top, fed, model, dataset, calibrate
 
+
+def resolve(raw):
+    """Build all run objects from a config dict; calibrates S if requested.
+
+    The returned ResolvedExperiment's .raw lists every declared key with its
+    default or calibrated value made explicit. `raw` itself is not changed."""
+    top, fed, model, dataset, calibrate = read_sections(raw)
     train, test, public_src = dataset.load()
+    # The model's shape comes from the training set; the other sets must fit it.
+    for part, d in (("test", test), ("public", public_src)):
+        if (width := d.inputs.shape[1]) != train.inputs.shape[1]:
+            raise ConfigError(f"dataset.{part}_images holds inputs of width {width}; "
+                              f"the training set's are {train.inputs.shape[1]}")
+        if (label := d.labels.max(initial=0)) >= train.n_classes:
+            raise ConfigError(f"dataset.{part}_labels holds label {label}; the "
+                              f"training set has {train.n_classes} classes")
     public = data.public_batch(public_src, dataset.public_size, dataset.public_seed)
     n_out = 1 if model.loss == "binary_cross_entropy" else train.n_classes
     fed = replace(fed, arch=nn.mlp_arch(train.inputs.shape[1], model.hidden, n_out,
@@ -187,7 +202,7 @@ def resolve(raw):
     if calibrate:
         fed = replace(fed, clip=calibrate_clip(fed, public))
 
-    resolved = dict(asdict(top), dataset={"type": kind, **asdict(dataset)},
+    resolved = dict(asdict(top), dataset={"type": top.dataset["type"], **asdict(dataset)},
                     model=asdict(model), federation=asdict(fed))
     del resolved["federation"]["arch"], resolved["federation"]["scheme"]
     part = data.partition(train, fed.n_clients, seed=fed.seeds.sampling)

@@ -145,7 +145,8 @@ def downsample(d, seed):
 def public_batch(source, size, seed):
     """Uniform random batch from a (separate) public dataset."""
     if size > len(source):
-        raise ConfigError(f"public batch size {size} exceeds dataset size {len(source)}")
+        raise ConfigError(f"dataset.public_size {size} exceeds the {len(source)} "
+                          f"public samples")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(source), size=size, replace=False)
     return source.inputs[idx], source.labels[idx]

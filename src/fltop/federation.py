@@ -11,6 +11,7 @@ An index set is a sorted int64 array of coordinate positions, validated by
 `nn`; a partition is one (clients × shard) array of training-row indices.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,9 +93,9 @@ class FederationConfig:
                               f"cohort's sum, which needs at least 2 clients; the "
                               f"cohort is {self.cohort_size}")
         if not 0 < self.ratio <= 1:
-            raise ConfigError("federation.ratio must be in (0, 1]")
+            raise ConfigError(f"federation.ratio must be in (0, 1], got {self.ratio}")
         if self.spec.dp:
-            # Each validator's message starts with its parameter, the key.
+            # Each validator's message begins with its parameter, the key.
             try:
                 if not self.clip > 0:
                     raise ConfigError(f"clip must be positive, got {self.clip}")
@@ -198,22 +199,24 @@ def initial_index_set(cfg, w0, public):
 
 
 def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, seed,
-                 layer0=None):
-    """Local training from the global model `w`; returns the change at the
-    index set's coordinates, in index order. One client's shard gives one
-    K-vector; a (G, rows, width) stack of shards with G batch seeds trains
-    G clients in one stacked `nn.topk_sgd` call and gives (G, K).
+                 layer0=None, rows=None):
+    """Local training from the global model `w` on rows of the training set
+    `x`, `y`; returns the change at the index set's coordinates, in index
+    order. `rows` is None for every row, one client's (shard,) row indices,
+    which give one K-vector, or a group's (G, shard) array with G batch
+    seeds, which trains G clients in one stacked `nn.topk_sgd` call and
+    gives (G, K).
 
     A pinning scheme trains only the index set, with every other coordinate
     held at w0; any other scheme trains every coordinate. A set of size n is
     every coordinate, so it trains, and returns, the full vector directly.
-    `layer0` is an optional `nn.Layer0Cache` of w0 for the rows of x, which
+    `layer0` is an optional `nn.Layer0Cache` of w0 for every row of x, which
     only a pinning scheme can use (see `nn.topk_sgd`).
     """
     full = len(index_set) == arch.n_params
     trained = index_set if spec.reinit_nonselected and not full else nn.full_indices(arch)
     local = nn.topk_sgd(x, y, w, w0, arch, steps, trained, eta, batch_size, seed,
-                        layer0)
+                        layer0, rows)
     if full:
         local -= w
         return local
@@ -265,16 +268,16 @@ class FederatedRun:
     clients hand back MaskedUpdate residues only, and the server sees their
     modular sum.
 
-    A round trains its cohort in groups of `cohort_group_size` clients, one
-    stacked `nn.topk_sgd` call per group. `data.partition` makes equal
-    shards, one row each, so a group's inputs are one fancy index into the
-    training set.
+    A client is its row of the partition: the indices of its training rows.
+    Inputs and targets are kept once, for the whole training set, and a
+    round trains its cohort in groups of `cohort_group_size` clients, one
+    stacked `nn.topk_sgd` call per group on the group's rows.
 
     With a fixed index set that is not the full set, the global model equals
     w0 outside the set after every round. Where `nn.layer0_columns` says it
     pays, the run therefore caches layer 0's pre-activation at w0
-    (`nn.Layer0Cache`): once for the test set, which `evaluate` then uses,
-    and, if the scheme pins, once per client shard on its first training.
+    (`nn.Layer0Cache`) on first use: once for the test set, which `evaluate`
+    then uses, and, if the scheme pins, once for the whole training set.
     """
 
     def __init__(self, config, train, part, test=None, public=None):
@@ -292,49 +295,34 @@ class FederatedRun:
         self.clamp_total = 0
         self.index_set = initial_index_set(config, self.w0, public)
         self._shards = part
-        self._targets = to_targets(train.labels[self._shards].ravel(),
-                                   self.arch).reshape(self._shards.shape + (-1,))
+        self._targets = to_targets(train.labels, self.arch)
         # The layer-0 units that cached forward passes recompute (see
-        # `nn.layer0_columns`); None keeps every pass dense.
+        # `nn.layer0_columns`); None keeps every pass dense. Training reads
+        # the cache only if the scheme pins.
         self._layer0_cols = None
         if self.index_set is not None and self.spec.selection != "all":
             self._layer0_cols = nn.layer0_columns(self.arch, self.index_set)
-        # Per client, layer 0's pre-activation at w0 on its shard, filled on
-        # its first training; kept only when a pinning scheme can use it.
-        self._client_layer0 = None
-        if self.spec.reinit_nonselected and self._layer0_cols is not None:
-            self._client_layer0 = [None] * len(self._shards)
-        self._group = cohort_group_size(
-            self.arch, config.batch_size, self._shards.shape[1],
-            None if self._client_layer0 is None else self._layer0_cols)
-        self._test_layer0 = None
+        self._train_cols = self._layer0_cols if self.spec.reinit_nonselected else None
+        self._group = cohort_group_size(self.arch, config.batch_size,
+                                        part.shape[1], self._train_cols)
+
+    def _layer0(self, inputs, cols):
+        return None if cols is None else nn.layer0_cache(self.w0, self.arch,
+                                                         inputs, cols)
+
+    @functools.cached_property
+    def _train_layer0(self):
+        return self._layer0(self.train.inputs, self._train_cols)
+
+    @functools.cached_property
+    def _test_layer0(self):
+        return self._layer0(self.test.inputs, self._layer0_cols)
 
     def _round_index_set(self, t):
         if self.index_set is not None:
             return self.index_set
         return compression.select_random(
             self.n, self.config.k(self.n), [102, self.config.seeds.sampling, t])
-
-    def _group_batch(self, group, t):
-        """A group's inputs, targets, layer-0 cache (None unless
-        `_client_layer0` is kept) and batch seeds: stacks and one seed per
-        client, or, for a group of one, the client's plain shard and seed.
-        The inputs are gathered per call."""
-        one = len(group) == 1
-        # An int takes one client's rows as views; an array stacks copies.
-        pick = int(group[0]) if one else group
-        x = self.train.inputs[self._shards[pick]]
-        layer0 = None
-        if self._client_layer0 is not None:
-            zs, cols = self._client_layer0, self._layer0_cols
-            for j, cid in enumerate(group):
-                if zs[cid] is None:
-                    zs[cid] = nn.layer0_cache(self.w0, self.arch,
-                                              x if one else x[j], cols).z
-            layer0 = nn.Layer0Cache(
-                zs[pick] if one else np.stack([zs[c] for c in group]), cols)
-        seeds = [[100, self.config.seeds.sampling, t, int(cid)] for cid in group]
-        return x, self._targets[pick], layer0, seeds[0] if one else seeds
 
     def _local_updates(self, cohort, t, index_set):
         """Train the cohort locally in ceil(m / `cohort_group_size`) groups of
@@ -346,11 +334,14 @@ class FederatedRun:
         updates = []
         for i in range(n_groups):
             group = cohort[i * m // n_groups:(i + 1) * m // n_groups]
-            x, y, layer0, seeds = self._group_batch(group, t)
+            rows = self._shards[group]
+            seeds = [[100, cfg.seeds.sampling, t, int(cid)] for cid in group]
+            if len(group) == 1:  # its plain rows and seed: unstacked passes
+                rows, seeds = rows[0], seeds[0]
             updates.extend(local_update(
-                self.spec, x, y, self.w, self.w0, self.arch, index_set,
-                cfg.local_steps, cfg.learning_rate, cfg.batch_size, seeds,
-                layer0).reshape(len(group), -1))
+                self.spec, self.train.inputs, self._targets, self.w, self.w0,
+                self.arch, index_set, cfg.local_steps, cfg.learning_rate,
+                cfg.batch_size, seeds, self._train_layer0, rows).reshape(len(group), -1))
         return updates
 
     def run_round(self):
@@ -392,9 +383,6 @@ class FederatedRun:
         """Metrics of the current global model on the held-out test set."""
         x = self.test.inputs
         y = self.test.labels
-        if self._layer0_cols is not None and self._test_layer0 is None:
-            self._test_layer0 = nn.layer0_cache(self.w0, self.arch, x,
-                                                self._layer0_cols)
         scores = nn.predict(self.w, self.arch, x, self._test_layer0)
         acc = accuracy(scores, y)
         bal = balanced_accuracy(scores, y)

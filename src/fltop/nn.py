@@ -152,9 +152,9 @@ def _forward(layers, arch, x, z0=None, cols=None):
 
 
 def _check_inputs(arch, x):
-    if x.ndim not in (2, 3) or x.shape[-1] != arch.input_width:
+    if x.ndim != 2 or x.shape[1] != arch.input_width:
         raise DimensionError(
-            f"inputs of width {x.shape[-1] if x.ndim in (2, 3) else '?'} do not "
+            f"inputs of width {x.shape[1] if x.ndim == 2 else '?'} do not "
             f"match architecture input width {arch.input_width}")
 
 
@@ -269,7 +269,7 @@ def _index_set(arch, key):
         raise IndexError("index set out of range for this architecture")
     if np.any(np.diff(indices) <= 0):
         raise IndexError("index set must be strictly increasing")
-    # Layer 0's weight block starts at 0, and its bias block follows it.
+    # Layer 0's weight block begins at 0, and its bias block follows it.
     (w_sl, b_sl), first = arch.slices()[0], arch.layers[0]
     n_weights, n_first = np.searchsorted(indices, (w_sl.stop, b_sl.stop))
     rows, units = np.divmod(indices[:n_weights], first.out_width)
@@ -308,8 +308,8 @@ def layer0_columns(arch, indices):
 
 
 def layer0_cache(w0, arch, x, cols):
-    """The `Layer0Cache` of the base model w0 for the rows of x, or for each
-    shard of a (G, rows, width) stack; `cols` comes from `layer0_columns`."""
+    """The `Layer0Cache` of the base model w0 for the rows of x; `cols`
+    comes from `layer0_columns`."""
     x = np.asarray(x, dtype=np.float64)
     _check_inputs(arch, x)
     mat, bias = _layers(w0, arch)[0]
@@ -317,15 +317,16 @@ def layer0_cache(w0, arch, x, cols):
 
 
 def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
-             layer0=None):
+             layer0=None, rows=None):
     """SGD that only moves the coordinates in `indices`; the rest stay at w0.
 
-    Trains one client, or a group of G clients at once: `x` and `y` are one
-    shard, (rows, width), or a stack of G equal shards, (G, rows, width),
-    and `seed` is then a sequence of G batch seeds. Every client starts from
-    the same `w` and shares `w0`, the index set and `layer0`'s columns; a
-    stack returns (G, n), one model per shard, each equal bit for bit to the
-    model its own single-shard call returns. Each step is one stacked
+    Trains one client, or a group of G clients at once, on rows of the
+    training set `x`, `y`. `rows` is None for every row, one client's
+    (shard,) array of row indices, or a group's (G, shard) array, and
+    `seed` is then a sequence of G batch seeds. Every client begins from
+    the same `w` and shares `w0`, the index set and `layer0`; a group
+    returns (G, n), one model per client, each equal bit for bit to the
+    model its own one-client call returns. Each step is one stacked
     forward and backward pass over every client's batch.
 
     `indices` must be strictly increasing. Each step runs the backward pass
@@ -336,22 +337,23 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     `gradient(...)[indices]` bit for bit, and agrees with w0 outside the
     index set exactly. Only `w[indices]` is read.
 
-    `layer0` is an optional `Layer0Cache` of w0 for the rows of x (stacked
-    like x), built for exactly the layer-0 units the set touches (as
-    `layer0_columns` returns them where the cache pays). Each step then takes
-    layer 0's pre-activation from its rows and recomputes only those units,
-    and computes layer 0's weight gradient only there. The model still agrees
+    `layer0` is an optional `Layer0Cache` of w0 for every row of x, built
+    for exactly the layer-0 units the set touches (as `layer0_columns`
+    returns them where the cache pays). Each step then takes layer 0's
+    pre-activation from its rows and recomputes only those units, and
+    computes layer 0's weight gradient only there. The model still agrees
     with w0 outside the set exactly; inside it, the result matches the dense
     one up to rounding, not bit for bit.
     """
     if t_gd < 1:
         raise ConfigError(f"t_gd must be >= 1, got {t_gd}")
     x, y = np.asarray(x), np.asarray(y)
-    # Every batch is a row subset of the shards, so one check covers them all.
+    # Every batch is a row subset of x, so one check covers them all.
     _check_batch(arch, x, y)
-    if x.shape[-2] == 0:
+    rows = np.arange(len(x)) if rows is None else np.asarray(rows)
+    if rows.shape[-1] == 0:
         raise DataError("empty training set")
-    lead = x.shape[:-2]  # (G,) for a stack, () for one shard
+    lead = rows.shape[:-1]  # (G,) for a group, () for one client
     seeds = list(seed) if lead else [seed]
     if len(seeds) != math.prod(lead):
         raise DimensionError(
@@ -369,9 +371,9 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
             arch, np.asarray(indices, dtype=np.int64).tobytes())
         if layer0 is not None:
             cols, z = touched, layer0.z
-            if not np.array_equal(cols, layer0.cols) or z.shape[:-1] != x.shape[:-1]:
+            if not np.array_equal(cols, layer0.cols) or len(z) != len(x):
                 raise ValueError("layer-0 cache does not match the index set "
-                                 "and shard")
+                                 "and training set")
         group_axes = (slice(None),) * len(lead)
         in_set = group_axes + (indices,)
         in_g = group_axes + (indices if cols is None else packed,)
@@ -381,22 +383,14 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     layers = _layers(cur, arch)
     g = np.empty(lead + (arch.n_params,))
     grads = _layers(g, arch, cols)
-    rows = x.shape[-2]
-    batch_size = min(batch_size, rows)
-    streams = [_batch_stream(rows, batch_size, s) for s in seeds]
-    if lead:
-        # A stack's batches index its shards flattened, where client c's
-        # shard starts at row c * rows.
-        starts = rows * np.arange(len(streams))[:, None]
-        x, y = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
-        if z is not None:
-            z = z.reshape(-1, z.shape[-1])
+    shard = rows.shape[-1]
+    streams = [_batch_stream(shard, min(batch_size, shard), s) for s in seeds]
     for _ in range(t_gd):
-        # Each client's batch for this step; every batch is full.
+        # Each client's batch for this step, as rows of x; every batch is full.
         if lead:
-            at = np.stack([next(stream) for stream in streams]) + starts
+            at = np.take_along_axis(rows, np.stack([next(s) for s in streams]), -1)
         else:
-            at = next(streams[0])
+            at = rows[next(streams[0])]
         _backward(layers, arch, np.asarray(x[at], dtype=np.float64),
                   np.asarray(y[at], dtype=np.float64), grads,
                   None if z is None else z[at], cols)

@@ -47,10 +47,14 @@ class FixedPointCodec:
 def encode(v, codec):
     """Fixed-point encode; returns (residues, clamp_count).
 
-    Values beyond codec.clamp_range are clamped and counted rather than
-    wrapped; a run reporting nonzero clamps is suspect and flagged upstream.
+    Values beyond codec.clamp_range, ±inf included, are clamped and counted
+    rather than wrapped; a run reporting nonzero clamps is suspect and
+    flagged upstream. A NaN has no fixed-point value, so any NaN raises
+    EncodingOverflowError.
     """
     v = np.asarray(v, dtype=np.float64)
+    if nans := int(np.count_nonzero(np.isnan(v))):
+        raise EncodingOverflowError(f"{nans} NaN entries of {v.size} cannot be encoded")
     clamp = codec.clamp_range
     clamped = int(np.count_nonzero(np.abs(v) > clamp))
     q = np.rint(np.clip(v, -clamp, clamp) * codec.scale).astype(np.int64)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -37,14 +39,15 @@ def separable_task():
 
 @pytest.fixture
 def topk_sgd_calls(monkeypatch):
-    """The rank of `x` in every `nn.topk_sgd` call the test makes: 3 for a
-    stacked group of clients, 2 for one client."""
+    """The rank of `rows` in every `nn.topk_sgd` call the test makes: 2 for
+    a stacked group of clients, 1 for one client, 0 for every row."""
     calls = []
     topk_sgd = nn.topk_sgd
+    signature = inspect.signature(topk_sgd)
 
-    def spy(x, *args, **kwargs):
-        calls.append(np.ndim(x))
-        return topk_sgd(x, *args, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append(np.ndim(signature.bind(*args, **kwargs).arguments.get("rows")))
+        return topk_sgd(*args, **kwargs)
 
     monkeypatch.setattr(nn, "topk_sgd", spy)
     return calls

@@ -7,13 +7,15 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fltop
-from fltop import cli, config, federation
+from fltop import cli, config, data, federation, nn
 from fltop.federation import SCHEMES
 
 # The example config from README.md.
@@ -181,7 +183,22 @@ def test_readme_round_is_one_stacked_call(topk_sgd_calls):
     topk_sgd_calls.clear()
     for _ in range(3):
         run.run_round()
-    assert topk_sgd_calls == [3] * (3 * math.ceil(m / run._group))
+    assert topk_sgd_calls == [2] * (3 * math.ceil(m / run._group))
+
+
+def test_group_sizes_of_the_benchmark_models():
+    # A call reads its clients' shard rows, so its footprint counts them: the
+    # README config's model trains a cohort of 10 in one call, fixed set or
+    # full, and 784 -> 100 -> 10 on 60-row shards one client a call, with a
+    # 3-unit layer-0 cache or without one.
+    for scheme in ("fl-top-dp", "fl-std-dp"):
+        exp = config.resolve({**README_CONFIG, "scheme": scheme})
+        run = federation.FederatedRun(exp.fed, exp.train, exp.part, exp.test,
+                                      exp.public)
+        assert run._group >= 10, scheme
+    wide = nn.mlp_arch(784, [100], 10, "cross_entropy")
+    for cols in (np.arange(3), None):
+        assert federation.cohort_group_size(wide, 10, 60, cols) == 1
 
 
 # sha256 of trace.csv for each benchmark workload at seed 7: small-topk-dp
@@ -223,6 +240,30 @@ def test_benchmark_trace_is_unchanged(tmp_path, workload, blas_threads):
 
 DROP = object()  # `malformed` deletes the key
 
+
+@dataclass(frozen=True)
+class IdxFiles:
+    """A `fashion_mnist` dataset section over small IDX files: 60 training
+    images of 4x4 pixels in 3 classes, 20 test and 20 public images. The
+    fields give the test and public sets' image sides and class counts, and
+    the public set's size, which `base_config`'s public_size 16 may exceed."""
+    test_side: int = 4
+    test_classes: int = 3
+    public_side: int = 4
+    public_classes: int = 3
+    public_count: int = 20
+
+    def write(self, out_dir):
+        section = {"type": "fashion_mnist", "public_size": 16}
+        for part, side, classes, count in (
+                ("", 4, 3, 60), ("test_", self.test_side, self.test_classes, 20),
+                ("public_", self.public_side, self.public_classes, self.public_count)):
+            images, labels = out_dir / f"{part}images", out_dir / f"{part}labels"
+            data.write_idx(np.arange(count * side * side).reshape(count, side, side) % 256,
+                           np.arange(count) % classes, images, labels)
+            section[f"{part}images"], section[f"{part}labels"] = str(images), str(labels)
+        return section
+
 # (scheme, key path, value): one malformed config each, made from
 # `base_config`. The error must name the key path.
 MALFORMED = [
@@ -259,6 +300,13 @@ MALFORMED = [
                            **dict.fromkeys(("images", "labels", "test_images",
                                             "test_labels", "public_images",
                                             "public_labels"), "absent")}),
+    # IDX files read, but the test or public set does not fit the training
+    # set's width or classes, or holds fewer samples than public_size.
+    ("fl-top", "dataset.test_images", IdxFiles(test_side=5)),
+    ("fl-top", "dataset.test_labels", IdxFiles(test_classes=4)),
+    ("fl-top", "dataset.public_images", IdxFiles(public_side=3)),
+    ("fl-top", "dataset.public_labels", IdxFiles(public_classes=13)),
+    ("fl-top", "dataset.public_size", IdxFiles(public_count=12)),
     ("fl-top", "federation.clip", "calibrat"),
     ("fl-top", "federation", []),
     ("fl-top", "federation.rounds", -1),
@@ -337,12 +385,15 @@ def mutated_readme_configs(draw):
 
 
 class TestErrors:
-    @pytest.mark.parametrize("scheme, key_path, value", MALFORMED,
-                             ids=[f"{s}-{k}={'drop' if v is DROP else json.dumps(v)}"
-                                  for s, k, v in MALFORMED])
+    @pytest.mark.parametrize("scheme, key_path, value", MALFORMED, ids=[
+        f"{s}-{k}={'drop' if v is DROP else v if isinstance(v, IdxFiles) else json.dumps(v)}"
+        for s, k, v in MALFORMED])
     def test_malformed_config_exit_2(self, tmp_path, scheme, key_path, value):
         path, cfg = base_config(tmp_path, scheme=scheme)
-        malformed(cfg, key_path, value)
+        if isinstance(value, IdxFiles):
+            cfg["dataset"] = value.write(tmp_path)
+        else:
+            malformed(cfg, key_path, value)
         path.write_text(json.dumps(cfg))
         assert_usage_error(path, tmp_path / "out", key_path)
 
@@ -462,4 +513,14 @@ class TestSweep:
     def test_empty_ratio_list_exit_2(self, tmp_path):
         path, _ = base_config(tmp_path)
         assert cli.main(["sweep", str(path), "--ratios", " , "]) == 2
+
+    @pytest.mark.parametrize("ratios, named", [("abc", "--ratios"),
+                                               ("0.05,2", "federation.ratio")])
+    def test_bad_ratio_exit_2_before_any_run(self, tmp_path, capsys, ratios, named):
+        path, _ = base_config(tmp_path)
+        assert cli.main(["sweep", str(path), "--ratios", ratios]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 

@@ -329,7 +329,7 @@ class TestLayer0Cache:
             run.evaluate()
             assert run._layer0_cols is None, scheme
             assert run._test_layer0 is None, scheme
-            assert run._client_layer0 is None, scheme
+            assert run._train_layer0 is None, scheme
 
     @pytest.mark.parametrize("scheme,trains_cached", [
         ("fl-top", True), ("fl-top-dp", True), ("fl-top-bis", False)])
@@ -355,9 +355,30 @@ class TestLayer0Cache:
             # Accuracy and balanced accuracy; AUROC is nan for 10 classes.
             assert scores[0][:2] == scores[1][:2]
         assert cached._test_layer0 is not None
-        assert (cached._client_layer0 is not None) == trains_cached
-        if trains_cached:
-            assert any(z is not None for z in cached._client_layer0)
+        assert (cached._train_layer0 is not None) == trains_cached
+
+    def test_each_dataset_is_cached_once(self, wide_setup, monkeypatch):
+        # fl-top-dp at r = 0.005 caches layer 0 once for the training set,
+        # on the first round, and once for the test set, on the first
+        # evaluation, whichever clients the rounds draw; not at set-up.
+        train, test, public, part, arch = wide_setup
+        cfg = make_config(arch, "fl-top-dp", n_clients=20, sampling_fraction=0.25,
+                          ratio=0.005)
+        calls = []
+        layer0_cache = nn.layer0_cache
+
+        def spy(w0, arch, x, cols):
+            calls.append(x)
+            return layer0_cache(w0, arch, x, cols)
+
+        monkeypatch.setattr(nn, "layer0_cache", spy)
+        run = FederatedRun(cfg, train, part, test=test, public=public)
+        assert calls == []
+        for _ in range(3):
+            run.run_round()
+            run.evaluate()
+        assert len(calls) == 2
+        assert calls[0] is train.inputs and calls[1] is test.inputs
 
     @pytest.mark.parametrize("scheme", FIXED_SET_SCHEMES)
     def test_model_stays_at_w0_off_the_set(self, wide_setup, scheme):
@@ -406,7 +427,7 @@ class TestCohortGroups:
         for budget in self.BUDGETS:
             monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
             run = FederatedRun(cfg, train, part, test=test, public=public)
-            assert run._client_layer0 is not None
+            assert run._train_layer0 is not None
             for _ in range(3):
                 run.run_round()
             finals.append((run.w, run.evaluate()[:2]))

@@ -129,10 +129,12 @@ def topk_inputs(arch, shard, data_seed):
     return x, y, w, w0
 
 
-def stacked_inputs(arch, group, shard, data_seed):
-    """`topk_inputs` for `group` equal shards, stacked as (group, shard, width)."""
-    x, y, w, w0 = topk_inputs(arch, group * shard, data_seed)
-    return x.reshape(group, shard, -1), y.reshape(group, shard, -1), w, w0
+def group_inputs(arch, group, shard, data_seed):
+    """`topk_inputs` for a training set of group × shard + 3 rows, and a
+    (group, shard) array of disjoint, unsorted client rows drawn from it."""
+    x, y, w, w0 = topk_inputs(arch, group * shard + 3, data_seed)
+    rows = np.random.default_rng(data_seed).permutation(len(x))[:group * shard]
+    return x, y, w, w0, rows.reshape(group, shard)
 
 
 class TestArchSpec:
@@ -428,35 +430,44 @@ class TestTopkSgd:
         frozen = np.setdiff1d(np.arange(arch.n_params), indices)
         assert np.array_equal(out[frozen], w0[frozen])
 
-    # A stack of G shards trains like G single-shard calls, bit for bit:
+    # A group of G clients' rows trains like G one-client calls, and each of
+    # those like a call on its gathered shard and cache rows, bit for bit:
     # both losses, relu/sigmoid, 1-3 hidden layers, every kind of set (empty,
     # sparse, whole blocks, full), batches above and below the shard size,
-    # and wide archs whose set is trained through a stacked layer-0 cache.
+    # and wide archs whose set is trained through the layer-0 cache of every
+    # training row.
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(topk_cases().map(lambda case: case + (False,)),
                      layer0_cases().map(lambda case: case[:2] + case[3:] + (True,))),
            st.integers(1, 4))
     def test_stack_matches_single_shard_calls_bitwise(self, case, group):
         arch, indices, shard, batch_size, t_gd, eta, data_seed, cached = case
-        x, y, w, w0 = stacked_inputs(arch, group, shard, data_seed)
+        x, y, w, w0, rows = group_inputs(arch, group, shard, data_seed)
         cols = touched_units(arch, indices) if cached else None
         seeds = [[data_seed, c] for c in range(group)]
         args = (arch, t_gd, indices, eta, batch_size)
-        stacked = nn.topk_sgd(
-            x, y, w, w0, *args, seeds,
-            layer0=nn.layer0_cache(w0, arch, x, cols) if cached else None)
+        layer0 = nn.layer0_cache(w0, arch, x, cols) if cached else None
+        stacked = nn.topk_sgd(x, y, w, w0, *args, seeds, layer0, rows)
         assert stacked.shape == (group, arch.n_params)
         for c in range(group):
-            single = nn.topk_sgd(
-                x[c], y[c], w, w0, *args, seeds[c],
-                layer0=nn.layer0_cache(w0, arch, x[c], cols) if cached else None)
+            single = nn.topk_sgd(x, y, w, w0, *args, seeds[c], layer0, rows[c])
             assert np.array_equal(stacked[c], single)
+            at = rows[c]
+            gathered = nn.topk_sgd(
+                x[at], y[at], w, w0, *args, seeds[c],
+                layer0=nn.Layer0Cache(layer0.z[at], cols) if cached else None)
+            assert np.array_equal(single, gathered)
 
     def test_stack_needs_one_seed_per_shard(self, toy_arch):
-        x, y, w, w0 = stacked_inputs(toy_arch, 3, 4, 0)
+        x, y, w, w0, rows = group_inputs(toy_arch, 3, 4, 0)
+        full = nn.full_indices(toy_arch)
         with pytest.raises(DimensionError):
-            nn.topk_sgd(x, y, w, w0, toy_arch, 1, nn.full_indices(toy_arch), 0.1,
-                        2, [[0, 0], [0, 1]])
+            nn.topk_sgd(x, y, w, w0, toy_arch, 1, full, 0.1, 2, [[0, 0], [0, 1]],
+                        rows=rows)
+        # Inputs are the training set's rows, never a stack of shards.
+        with pytest.raises(DimensionError):
+            nn.topk_sgd(x[rows], y[rows], w, w0, toy_arch, 1, full, 0.1, 2,
+                        [[0, 0], [0, 1], [0, 2]])
 
     def test_layer0_cache_for_another_set_rejected(self):
         arch = nn.mlp_arch(784, [100], 10, "cross_entropy")

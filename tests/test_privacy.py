@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
 from oracles import quadrature_log_moments
 from fltop.privacy import AccountantQuery, add_client_noise, clip, epsilon, log_moment
+from fltop.secure_agg import (FixedPointCodec, aggregate_decode, encode, encrypt,
+                              make_masks)
 from fltop.errors import ConfigError
 
 
@@ -151,3 +154,58 @@ class TestEpsilon:
         with pytest.raises(ConfigError):
             AccountantQuery(1.54, 0.0, 10)
 
+
+
+class TestEmpiricalAudit:
+    """A distinguishing game in the style of Jagielski, Ullman & Oprea (2020),
+    "Auditing Differentially Private Machine Learning", run through the
+    functions a DP round calls. A canary client is present, with update S on
+    every coordinate, or absent, with update 0; the other m - 1 clients send
+    0. The mechanism noises, encodes and masks each coordinate on its own,
+    so each coordinate of one vector is one trial."""
+
+    M, S, SIGMA, DELTA, TRIALS = 10, 1.0, 1.54, 1e-5, 20_000
+
+    def release(self, canary, seed):
+        """The secure sum over one cohort, one trial a coordinate."""
+        codec = FixedPointCodec(32, cohort_size=self.M)
+        masks = make_masks(self.M, self.TRIALS, [seed, 0])
+        masked = []
+        for j in range(self.M):
+            update = np.full(self.TRIALS, self.S if canary and j == 0 else 0.0)
+            noised = add_client_noise(update, self.S, self.SIGMA, self.M, [seed, 1, j])
+            residues, clamps = encode(noised, codec)
+            assert clamps == 0
+            masked.append(encrypt(residues, masks[j]))
+        return aggregate_decode(masked, codec, self.M)
+
+    def epsilon_lower_bound(self, absent, present, alpha=0.05):
+        """The largest ε that a threshold test refutes for (ε, δ)-DP, with
+        one-sided Clopper–Pearson bounds on its error rates at confidence
+        1 - alpha over a fixed grid of thresholds (Bonferroni)."""
+        thresholds = self.S * np.linspace(0.5, 4.0, 8)
+        level = 1 - alpha / len(thresholds)
+        n = len(absent)
+
+        def upper(errors):
+            return 1.0 if errors == n else beta.ppf(level, errors + 1, n - errors)
+
+        best = 0.0
+        for tau in thresholds:
+            fpr = upper(np.count_nonzero(absent > tau))
+            fnr = upper(np.count_nonzero(present <= tau))
+            for a, b in ((fpr, fnr), (fnr, fpr)):
+                if 1 - self.DELTA - b > 0:
+                    best = max(best, math.log((1 - self.DELTA - b) / a))
+        return best
+
+    def test_lower_bound_stays_below_the_accountant(self):
+        present, absent = self.release(True, 1), self.release(False, 2)
+        # The summed noise has std S·σ whether or not the canary is in.
+        for out, mean in ((present, self.S), (absent, 0.0)):
+            assert np.std(out - mean) == pytest.approx(self.S * self.SIGMA, rel=0.03)
+        reported, _ = epsilon(AccountantQuery(self.SIGMA, 1.0, 1, self.DELTA))
+        bound = self.epsilon_lower_bound(absent, present)
+        # The game has power (noise a factor √m too small reads about 4.4)
+        # and finds no more leakage than the accountant reports (3.33).
+        assert 1.0 < bound <= reported

@@ -60,6 +60,27 @@ class TestCodec:
         _, clamped = encode(v, codec)
         assert clamped == 2
 
+    def test_infinities_clamp_and_count(self):
+        codec = FixedPointCodec(frac_bits=32)
+        res, clamped = encode(np.array([np.inf, -np.inf, 1.0]), codec)
+        assert clamped == 2
+        assert np.array_equal(decode(res, codec),
+                              [codec.clamp_range, -codec.clamp_range, 1.0])
+
+    def test_nan_is_refused_not_wrapped(self):
+        # Cast to int64, a NaN became -2^63; two of them sum to 0 mod 2^64,
+        # so a cohort of 8 clients at 1.0 and 2 NaN clients decoded to 8.0.
+        codec = FixedPointCodec(frac_bits=32, cohort_size=10)
+        with pytest.raises(EncodingOverflowError, match="^2 NaN entries"):
+            encode(np.array([np.nan, 1.0, np.nan]), codec)
+        masks = make_masks(10, 1, 0)
+        masked = []
+        with pytest.raises(EncodingOverflowError, match="^1 NaN entries"):
+            for j, value in enumerate([1.0] * 8 + [np.nan] * 2):
+                masked.append(encrypt(encode(np.array([value]), codec)[0], masks[j]))
+            aggregate_decode(masked, codec, 10)
+        assert len(masked) == 8
+
     def test_sum_error_bound(self):
         # 16 random vectors in [-1, 1] at f=32: summed quantization error per
         # coordinate is at most 16 * 2^-33 (each rounding off by <= 2^-33).
