@@ -195,6 +195,9 @@ def resolve(raw):
         if (label := d.labels.max(initial=0)) >= train.n_classes:
             raise ConfigError(f"dataset.{part}_labels holds label {label}; the "
                               f"training set has {train.n_classes} classes")
+    if model.loss == "binary_cross_entropy" and train.n_classes > 2:
+        raise ConfigError(f"model.loss binary_cross_entropy needs labels 0 and 1; "
+                          f"the training set has {train.n_classes} classes")
     public = data.public_batch(public_src, dataset.public_size, dataset.public_seed)
     n_out = 1 if model.loss == "binary_cross_entropy" else train.n_classes
     fed = replace(fed, arch=nn.mlp_arch(train.inputs.shape[1], model.hidden, n_out,

@@ -65,6 +65,8 @@ def _read_idx(path, expected_magic):
 def load_idx(images_path, labels_path):
     """Load an MNIST-style IDX image/label pair; pixels rescaled to [0, 1]."""
     images = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    if not len(images):
+        raise FormatError(f"{images_path}: holds no images")
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
     if len(images) != len(labels):
         raise FormatError("image and label files disagree on sample count")

@@ -204,8 +204,8 @@ def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, see
     `x`, `y`; returns the change at the index set's coordinates, in index
     order. `rows` is None for every row, one client's (shard,) row indices,
     which give one K-vector, or a group's (G, shard) array with G batch
-    seeds, which trains G clients in one stacked `nn.topk_sgd` call and
-    gives (G, K).
+    seeds, which trains G clients in one `nn.topk_sgd` call and gives
+    (G, K), for G = 1 too.
 
     A pinning scheme trains only the index set, with every other coordinate
     held at w0; any other scheme trains every coordinate. A set of size n is
@@ -226,38 +226,30 @@ def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, see
 # The footprint, in bytes, that one stacked local-SGD call may span: the L2
 # cache of one core (2 MiB) of the 2-vCPU Xeon VM the timings below ran on.
 # Stacking saves per-client Python and numpy dispatch work: on 20→64→2 with
-# a Top-K set (58 KB a client), a round ran 2.1× faster at G = 10 than at
-# G = 1 (median of 300 interleaved rounds). On 784→100→10 with a 3-unit
-# layer-0 cache, a group of 10 holds about 12 MB. It ran a round faster in
-# one process, but over 10 fresh-process benchmark runs its round rate
-# spread 2.4 times as widely as one client a call: its time follows the
-# load on the shared cache and memory, which moves from run to run. A
-# client's footprint therefore counts all the call holds for it, and that
-# model (1.2 MB a client) gets G = 1.
+# a Top-K set, a round ran 2.1× faster at G = 10 than at G = 1 (median of
+# 300 interleaved rounds). On 784→100→10 with a 3-unit layer-0 cache, a
+# group of 10 holds about 12 MB. It ran a round faster in one process, but
+# over 10 fresh-process benchmark runs its round rate spread 2.4 times as
+# widely as one client a call: its time follows the load on the shared
+# cache and memory, which moves from run to run. A client's footprint
+# therefore counts its whole model row and gradient buffer, cache or not,
+# so that model (1.35 MB a client) gets G = 1 and 20→64→2 (35 KB a client)
+# gets G = 58.
 COHORT_GROUP_BYTES = 2 << 20
 
 
-def cohort_group_size(arch, batch_size, rows, layer0_cols=None):
-    """How many clients one stacked `nn.topk_sgd` call trains:
-    max(1, COHORT_GROUP_BYTES // a client's footprint in the call).
+def cohort_group_size(arch, batch_size):
+    """How many clients one `nn.topk_sgd` call trains:
+    max(1, COHORT_GROUP_BYTES // what the call holds for a client).
 
-    A client's footprint is its model row, which the call writes in full at
-    its start and reads at its end, its shard's `rows` of inputs and
-    targets and, with a `nn.Layer0Cache`, of layer-0 pre-activations, plus
-    what one step reads and writes for it: each weight matrix twice (the
-    passes read it, its gradient is written), in full or, with a cache,
-    only layer 0's `layer0_cols`, and its batch's activations and deltas.
-    Stacking removes per-client Python and numpy dispatch work but, once the
-    group outgrows the cache, costs more in memory traffic than it saves.
+    The call holds a client's model row and gradient buffer, n float64
+    values each, and per step its batch's activations and deltas,
+    `batch_size` × (in + out) values a layer. Stacking removes per-client
+    Python and numpy dispatch work but, once the group outgrows the cache,
+    costs more in memory traffic than it saves.
     """
-    first = arch.layers[0]
-    values = arch.n_params + rows * (first.in_width + arch.output_width)
-    if layer0_cols is not None:
-        values += rows * first.out_width
-    for i, layer in enumerate(arch.layers):
-        units = layer.out_width if i or layer0_cols is None else len(layer0_cols)
-        values += (2 * layer.in_width * units
-                   + batch_size * (layer.in_width + layer.out_width))
+    values = 2 * arch.n_params + batch_size * sum(
+        layer.in_width + layer.out_width for layer in arch.layers)
     return max(1, COHORT_GROUP_BYTES // (8 * values))
 
 
@@ -303,8 +295,7 @@ class FederatedRun:
         if self.index_set is not None and self.spec.selection != "all":
             self._layer0_cols = nn.layer0_columns(self.arch, self.index_set)
         self._train_cols = self._layer0_cols if self.spec.reinit_nonselected else None
-        self._group = cohort_group_size(self.arch, config.batch_size,
-                                        part.shape[1], self._train_cols)
+        self._group = cohort_group_size(self.arch, config.batch_size)
 
     def _layer0(self, inputs, cols):
         return None if cols is None else nn.layer0_cache(self.w0, self.arch,
@@ -334,14 +325,11 @@ class FederatedRun:
         updates = []
         for i in range(n_groups):
             group = cohort[i * m // n_groups:(i + 1) * m // n_groups]
-            rows = self._shards[group]
             seeds = [[100, cfg.seeds.sampling, t, int(cid)] for cid in group]
-            if len(group) == 1:  # its plain rows and seed: unstacked passes
-                rows, seeds = rows[0], seeds[0]
             updates.extend(local_update(
                 self.spec, self.train.inputs, self._targets, self.w, self.w0,
                 self.arch, index_set, cfg.local_steps, cfg.learning_rate,
-                cfg.batch_size, seeds, self._train_layer0, rows).reshape(len(group), -1))
+                cfg.batch_size, seeds, self._train_layer0, self._shards[group]))
         return updates
 
     def run_round(self):

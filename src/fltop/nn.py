@@ -230,15 +230,15 @@ def gradient(w, arch, x, targets):
     return g
 
 
-def _batch_stream(n_samples, batch_size, seed):
-    """Yield index arrays: uniform without replacement, reshuffled per epoch."""
+def _batches(n_rows, batch_size, steps, seed):
+    """(steps, batch) positions in range(n_rows): uniform without replacement,
+    reshuffled per epoch; each batch is full, and at most all n_rows."""
     rng = np.random.default_rng(seed)
-    while True:
-        order = rng.permutation(n_samples)
-        for start in range(0, n_samples, batch_size):
-            chunk = order[start:start + batch_size]
-            if len(chunk) == batch_size or start == 0:
-                yield chunk
+    size = min(batch_size, n_rows)
+    usable = n_rows - n_rows % size  # an epoch's positions in full batches
+    order = np.concatenate([rng.permutation(n_rows)[:usable]
+                            for _ in range(-(-steps * size // usable))])
+    return order[:steps * size].reshape(steps, size)
 
 
 @functools.lru_cache(maxsize=8)
@@ -324,10 +324,10 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     training set `x`, `y`. `rows` is None for every row, one client's
     (shard,) array of row indices, or a group's (G, shard) array, and
     `seed` is then a sequence of G batch seeds. Every client begins from
-    the same `w` and shares `w0`, the index set and `layer0`; a group
-    returns (G, n), one model per client, each equal bit for bit to the
-    model its own one-client call returns. Each step is one stacked
-    forward and backward pass over every client's batch.
+    the same `w` and shares `w0`, the index set and `layer0`; a group (of
+    one too) returns (G, n), each row equal bit for bit to its client's own
+    call. A call draws every client's batches from its seed as it begins,
+    and each step is one forward and backward pass over all of them.
 
     `indices` must be strictly increasing. Each step runs the backward pass
     `gradient` runs into one model-shaped buffer, gathers the set's entries
@@ -353,11 +353,16 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     rows = np.arange(len(x)) if rows is None else np.asarray(rows)
     if rows.shape[-1] == 0:
         raise DataError("empty training set")
-    lead = rows.shape[:-1]  # (G,) for a group, () for one client
-    seeds = list(seed) if lead else [seed]
-    if len(seeds) != math.prod(lead):
-        raise DimensionError(
-            f"{len(seeds)} batch seeds for {math.prod(lead)} shards")
+    group = rows.shape[:-1]  # (G,) for a group, () for one client
+    seeds = list(seed) if group else [seed]
+    if len(seeds) != math.prod(group):
+        raise DimensionError(f"{len(seeds)} batch seeds for {math.prod(group)} shards")
+    # Every step's batch as rows of x: (steps, batch) for one client and
+    # (steps, G, batch) for G > 1; numpy runs a group of one faster in 2-D.
+    plans = [r[_batches(len(r), batch_size, t_gd, s)]
+             for r, s in zip(rows.reshape(len(seeds), -1), seeds)]
+    at = plans[0] if len(plans) == 1 else np.stack(plans, axis=1)
+    lead = at.shape[1:-1]
     # One model row per client. in_set picks each row's entries in the set,
     # in_g the same entries of the gradient buffer (numpy indexes a flat
     # model faster without a leading slice).
@@ -383,18 +388,11 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     layers = _layers(cur, arch)
     g = np.empty(lead + (arch.n_params,))
     grads = _layers(g, arch, cols)
-    shard = rows.shape[-1]
-    streams = [_batch_stream(shard, min(batch_size, shard), s) for s in seeds]
-    for _ in range(t_gd):
-        # Each client's batch for this step, as rows of x; every batch is full.
-        if lead:
-            at = np.take_along_axis(rows, np.stack([next(s) for s in streams]), -1)
-        else:
-            at = rows[next(streams[0])]
-        _backward(layers, arch, np.asarray(x[at], dtype=np.float64),
-                  np.asarray(y[at], dtype=np.float64), grads,
-                  None if z is None else z[at], cols)
+    for batch in at:
+        _backward(layers, arch, np.asarray(x[batch], dtype=np.float64),
+                  np.asarray(y[batch], dtype=np.float64), grads,
+                  None if z is None else z[batch], cols)
         step = g[in_g]
         step *= -eta
         cur[in_set] += step
-    return cur
+    return cur.reshape(group + (arch.n_params,))

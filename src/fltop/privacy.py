@@ -27,7 +27,7 @@ def clip(delta_w, s):
 def add_client_noise(delta_w, s, sigma, num_selected, rng_seed):
     """Add i.i.d. Gaussian noise with per-coordinate std s*sigma/sqrt(num_selected).
 
-    Summing the noises of num_selected clients yields total std s*sigma,
+    Summing the noises of num_selected clients gives total std s*sigma,
     which is what the accountant assumes for the aggregate.
     """
     if s <= 0 or sigma <= 0:

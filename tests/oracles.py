@@ -68,6 +68,18 @@ def dense_gradient(w, arch, x, targets):
     return grad
 
 
+def batch_stream(n_samples, batch_size, seed):
+    """Yield index arrays: uniform without replacement, reshuffled per epoch.
+    The batches `nn.topk_sgd` draws are the first of these."""
+    rng = np.random.default_rng(seed)
+    while True:
+        order = rng.permutation(n_samples)
+        for start in range(0, n_samples, batch_size):
+            chunk = order[start:start + batch_size]
+            if len(chunk) == batch_size or start == 0:
+                yield chunk
+
+
 def reference_topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
     """Restricted-coordinate SGD from the dense gradient: each step computes
     all n entries with `dense_gradient` and applies the retained ones."""
@@ -75,7 +87,7 @@ def reference_topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed):
     cur = np.array(w0, dtype=np.float64)
     cur[indices] = np.asarray(w, dtype=np.float64)[indices]
     batch_size = min(batch_size, len(x))
-    stream = nn._batch_stream(len(x), batch_size, seed)
+    stream = batch_stream(len(x), batch_size, seed)
     for _ in range(t_gd):
         idx = next(stream)
         u = (-eta) * dense_gradient(cur, arch, x[idx], y[idx])

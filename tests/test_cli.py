@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -187,18 +187,16 @@ def test_readme_round_is_one_stacked_call(topk_sgd_calls):
 
 
 def test_group_sizes_of_the_benchmark_models():
-    # A call reads its clients' shard rows, so its footprint counts them: the
-    # README config's model trains a cohort of 10 in one call, fixed set or
-    # full, and 784 -> 100 -> 10 on 60-row shards one client a call, with a
-    # 3-unit layer-0 cache or without one.
+    # A call holds each client's model row and gradient buffer, with a
+    # layer-0 cache too: the README config's model trains a cohort of 10 in
+    # one call, fixed set or full, and 784 -> 100 -> 10 one client a call.
     for scheme in ("fl-top-dp", "fl-std-dp"):
         exp = config.resolve({**README_CONFIG, "scheme": scheme})
         run = federation.FederatedRun(exp.fed, exp.train, exp.part, exp.test,
                                       exp.public)
         assert run._group >= 10, scheme
     wide = nn.mlp_arch(784, [100], 10, "cross_entropy")
-    for cols in (np.arange(3), None):
-        assert federation.cohort_group_size(wide, 10, 60, cols) == 1
+    assert federation.cohort_group_size(wide, 10) == 1
 
 
 # sha256 of trace.csv for each benchmark workload at seed 7: small-topk-dp
@@ -213,13 +211,11 @@ BENCHMARK_TRACES_SEED_7 = {
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.mark.parametrize("workload, blas_threads", [
-    ("wide-topk-dp", "1"), ("wide-topk-dp", None),
-    ("small-topk-dp", "1"), ("wide-std-dp", "1")])
-def test_benchmark_trace_is_unchanged(tmp_path, workload, blas_threads):
-    # perfbench/gen.py writes the workload's IDX files and config. A fresh
-    # interpreter, because BLAS reads its thread count at import; None keeps
-    # the library's default.
+def run_with_perfbench(script, args, blas_threads):
+    """Run `script` in a fresh interpreter that imports fltop and
+    perfbench/gen.py, which writes a workload's IDX files and config; BLAS
+    reads its thread count at import. None keeps the library's default.
+    Returns the script's stdout."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     if blas_threads is not None:
         env.update(dict.fromkeys(BLAS_THREAD_VARS, blas_threads))
@@ -227,15 +223,47 @@ def test_benchmark_trace_is_unchanged(tmp_path, workload, blas_threads):
     src = str(Path(fltop.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src, str(root / "perfbench")])
     env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave perfbench/ as it is
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          timeout=300, capture_output=True, check=True,
+                          text=True).stdout
+
+
+@pytest.mark.parametrize("workload, blas_threads", [
+    ("wide-topk-dp", "1"), ("wide-topk-dp", None),
+    ("small-topk-dp", "1"), ("wide-std-dp", "1")])
+def test_benchmark_trace_is_unchanged(tmp_path, workload, blas_threads):
     script = ("import sys, gen\n"
               "from fltop import cli\n"
               "spec = gen.generate(sys.argv[1], 7, sys.argv[2])\n"
               "sys.exit(cli.main(['run', spec['config'], '--output-dir', sys.argv[3]]))\n")
-    subprocess.run([sys.executable, "-c", script, workload, str(tmp_path / "in"),
-                    str(tmp_path / "out")], env=env, timeout=300,
-                   capture_output=True, check=True)
+    run_with_perfbench(script, [workload, str(tmp_path / "in"), str(tmp_path / "out")],
+                       blas_threads)
     trace = (tmp_path / "out" / "trace.csv").read_bytes()
     assert hashlib.sha256(trace).hexdigest() == BENCHMARK_TRACES_SEED_7[workload]
+
+
+# sha256 of the final model's bytes after non-DP fl-top on wide-topk-dp's
+# seed-7 data at 1 BLAS thread, through the layer-0 cache. DP's 2^-32 grid
+# and the trace's accuracy columns can hide a change in the last bits of
+# the model; this cannot.
+WIDE_FL_TOP_FINAL_MODEL_SEED_7 = (
+    "7e312f6b2c7ba4218b2081439dbbf487561e35322027a44832ff4bb913675f50")
+
+
+def test_wide_fl_top_final_model_is_unchanged(tmp_path):
+    script = ("import hashlib, json, sys, gen\n"
+              "from fltop import config, federation\n"
+              "spec = gen.generate('wide-topk-dp', 7, sys.argv[1])\n"
+              "with open(spec['config']) as f:\n"
+              "    raw = json.load(f)\n"
+              "exp = config.resolve({**raw, 'scheme': 'fl-top'})\n"
+              "run = federation.FederatedRun(exp.fed, exp.train, exp.part, exp.test,\n"
+              "                              exp.public)\n"
+              "for _ in range(exp.fed.rounds):\n"
+              "    run.run_round()\n"
+              "print(hashlib.sha256(run.w.tobytes()).hexdigest())\n")
+    out = run_with_perfbench(script, [str(tmp_path / "in")], "1")
+    assert out.strip() == WIDE_FL_TOP_FINAL_MODEL_SEED_7
 
 
 DROP = object()  # `malformed` deletes the key
@@ -245,18 +273,24 @@ DROP = object()  # `malformed` deletes the key
 class IdxFiles:
     """A `fashion_mnist` dataset section over small IDX files: 60 training
     images of 4x4 pixels in 3 classes, 20 test and 20 public images. The
-    fields give the test and public sets' image sides and class counts, and
-    the public set's size, which `base_config`'s public_size 16 may exceed."""
+    fields give the test and public sets' image sides and class counts, the
+    public set's size, which `base_config`'s public_size 16 may exceed, the
+    training and test sets' sizes and the model's loss. Test ids show the
+    first five."""
     test_side: int = 4
     test_classes: int = 3
     public_side: int = 4
     public_classes: int = 3
     public_count: int = 20
+    train_count: int = field(default=60, repr=False)
+    test_count: int = field(default=20, repr=False)
+    loss: str = field(default="cross_entropy", repr=False)
 
     def write(self, out_dir):
         section = {"type": "fashion_mnist", "public_size": 16}
         for part, side, classes, count in (
-                ("", 4, 3, 60), ("test_", self.test_side, self.test_classes, 20),
+                ("", 4, 3, self.train_count),
+                ("test_", self.test_side, self.test_classes, self.test_count),
                 ("public_", self.public_side, self.public_classes, self.public_count)):
             images, labels = out_dir / f"{part}images", out_dir / f"{part}labels"
             data.write_idx(np.arange(count * side * side).reshape(count, side, side) % 256,
@@ -307,6 +341,8 @@ MALFORMED = [
     ("fl-top", "dataset.public_images", IdxFiles(public_side=3)),
     ("fl-top", "dataset.public_labels", IdxFiles(public_classes=13)),
     ("fl-top", "dataset.public_size", IdxFiles(public_count=12)),
+    # Binary cross-entropy on 3 classes.
+    ("fl-top", "model.loss", IdxFiles(loss="binary_cross_entropy")),
     ("fl-top", "federation.clip", "calibrat"),
     ("fl-top", "federation", []),
     ("fl-top", "federation.rounds", -1),
@@ -392,10 +428,21 @@ class TestErrors:
         path, cfg = base_config(tmp_path, scheme=scheme)
         if isinstance(value, IdxFiles):
             cfg["dataset"] = value.write(tmp_path)
+            cfg["model"]["loss"] = value.loss
         else:
             malformed(cfg, key_path, value)
         path.write_text(json.dumps(cfg))
         assert_usage_error(path, tmp_path / "out", key_path)
+
+    @pytest.mark.parametrize("key, count", [("images", "train_count"),
+                                            ("test_images", "test_count")],
+                             ids=["images", "test_images"])
+    def test_empty_idx_file_exit_2(self, tmp_path, key, count):
+        # An image file of 0 images is refused, its path named.
+        path, cfg = base_config(tmp_path)
+        cfg["dataset"] = IdxFiles(**{count: 0}).write(tmp_path)
+        path.write_text(json.dumps(cfg))
+        assert_usage_error(path, tmp_path / "out", cfg["dataset"][key])
 
     @pytest.mark.parametrize("key, value", [("sigma", 0), ("lambda_max", 0),
                                             ("delta", 2), ("frac_bits", 60),

@@ -37,6 +37,12 @@ class TestIdx:
         with pytest.raises(FormatError, match="magic"):
             data.load_idx(p, p)
 
+    def test_empty_image_file(self, tmp_path):
+        ip, lp = self._write_pair(tmp_path, np.zeros((0, 4, 4)), np.zeros(0))
+        with pytest.raises(FormatError) as error:
+            data.load_idx(ip, lp)
+        assert str(ip) in str(error.value)
+
     def test_truncated_file(self, tmp_path):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, (4, 3, 3), dtype=np.uint8)

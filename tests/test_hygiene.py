@@ -44,10 +44,12 @@ def test_no_unused_imports():
     assert {name: unused for name, unused in found.items() if unused} == {}
 
 
-def public_functions(source):
-    """Names of a module's public top-level functions."""
+def top_level_functions(source, private=False):
+    """Names of a module's public top-level functions, or with `private`
+    its private ones."""
     return {node.name for node in ast.parse(source).body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") == private}
 
 
 def referenced_names(source):
@@ -63,21 +65,50 @@ def referenced_names(source):
     return names
 
 
+def uncalled_functions(sources, callers, private=False):
+    """`module.name` for each public (or private) top-level function of the
+    `sources` (module name -> text) that no text in `callers` references."""
+    used = set().union(*(referenced_names(text) for text in callers))
+    return {f"{module}.{name}" for module, text in sources.items()
+            for name in top_level_functions(text, private) if name not in used}
+
+
 def test_reference_detection():
     source = ("from .nn import gradient\nimport numpy as np\n"
               "def used():\n    return np.mean(gradient)\n"
               "def unused():\n    return used()\ndef _private():\n    pass\n")
-    assert public_functions(source) == {"used", "unused"}
+    assert top_level_functions(source) == {"used", "unused"}
+    assert top_level_functions(source, private=True) == {"_private"}
     assert {"gradient", "np", "numpy", "mean", "used"} <= referenced_names(source)
     assert "unused" not in referenced_names(source)
 
 
+def test_private_helper_detection():
+    # `_old` is called by no caller; only the tests, which are not callers,
+    # would reach it.
+    nn = ("def _step(x):\n    return x\ndef _old(n):\n    pass\n"
+          "def train(x):\n    return _step(x)\n")
+    other = "from . import nn\nnn.train(1)\n"
+    assert uncalled_functions({"nn": nn}, [nn, other], private=True) == {"nn._old"}
+    assert uncalled_functions({"nn": nn}, [nn, other]) == set()
+    assert uncalled_functions({"nn": nn}, [nn, other + "nn._old(2)\n"],
+                              private=True) == set()
+
+
+def sources_and_callers():
+    return ({p.stem: p.read_text() for p in SOURCES},
+            [p.read_text() for p in CALLERS])
+
+
 def test_every_public_function_has_a_caller_outside_the_tests():
     # A function only tests call belongs in tests/oracles.py, not in src/.
-    used = set().union(*(referenced_names(p.read_text()) for p in CALLERS))
-    found = {f"{p.stem}.{name}" for p in SOURCES
-             for name in public_functions(p.read_text()) if name not in used}
-    assert found == set()
+    assert uncalled_functions(*sources_and_callers()) == set()
+
+
+def test_every_private_function_has_a_caller_outside_the_tests():
+    # The same for private helpers: one left behind for the tests alone is
+    # dead code in src/.
+    assert uncalled_functions(*sources_and_callers(), private=True) == set()
 
 
 def is_transpose(node):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fltop import compression, nn
 from fltop.errors import ConfigError, DataError, DimensionError
 
-from oracles import (dense_gradient, finite_difference_gradient, forward_loss,
-                     reference_topk_sgd, touched_units)
+from oracles import (batch_stream, dense_gradient, finite_difference_gradient,
+                     forward_loss, reference_topk_sgd, touched_units)
 
 
 def full_sgd(x, y, w, arch, t_gd, eta, batch_size, seed):
@@ -309,7 +309,7 @@ class TestSgd:
         w = nn.init_model(toy_arch, 0)
         out = full_sgd(x, y, w, toy_arch, 1, 0.1, len(x), 0)
         # batch_size = full set, so the step uses all samples in some order
-        idx = next(nn._batch_stream(len(x), len(x), 0))
+        idx = next(batch_stream(len(x), len(x), 0))
         expected = w + (-0.1) * nn.gradient(w, toy_arch, x[idx], y[idx])
         assert np.array_equal(out, expected)
 
@@ -458,6 +458,14 @@ class TestTopkSgd:
                 layer0=nn.Layer0Cache(layer0.z[at], cols) if cached else None)
             assert np.array_equal(single, gathered)
 
+    def test_group_of_one_returns_one_row(self, toy_arch):
+        x, y, w, w0, rows = group_inputs(toy_arch, 1, 4, 0)
+        args = (toy_arch, 3, nn.full_indices(toy_arch), 0.1, 2)
+        out = nn.topk_sgd(x, y, w, w0, *args, [[0, 0]], rows=rows)
+        assert out.shape == (1, toy_arch.n_params)
+        assert np.array_equal(out[0], nn.topk_sgd(x, y, w, w0, *args, [0, 0],
+                                                  rows=rows[0]))
+
     def test_stack_needs_one_seed_per_shard(self, toy_arch):
         x, y, w, w0, rows = group_inputs(toy_arch, 3, 4, 0)
         full = nn.full_indices(toy_arch)
@@ -487,6 +495,21 @@ class TestTopkSgd:
         for indices in ([toy_arch.n_params], [-1]):
             with pytest.raises(IndexError):
                 nn.topk_sgd(x, y, w0, w0, toy_arch, 1, np.array(indices), 0.1, 2, 0)
+
+
+class TestBatches:
+    # A call's batch schedule is the reference generator's first `steps`
+    # batches: shards of 1-70 rows, batches of 1-80 (larger than the shard
+    # too), 1-25 steps (several epochs) and seeds of 1-4 words.
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 80), st.integers(1, 25),
+           st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    def test_matches_reference_generator(self, n_rows, batch_size, steps, seed):
+        stream = batch_stream(n_rows, batch_size, seed)
+        expected = np.stack([next(stream) for _ in range(steps)])
+        got = nn._batches(n_rows, batch_size, steps, seed)
+        assert got.shape == (steps, min(batch_size, n_rows))
+        assert np.array_equal(got, expected)
 
 
 class TestIndexSet:
