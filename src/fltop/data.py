@@ -69,7 +69,8 @@ def load_idx(images_path, labels_path):
         raise FormatError(f"{images_path}: holds no images")
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
     if len(images) != len(labels):
-        raise FormatError("image and label files disagree on sample count")
+        raise FormatError(f"{images_path} holds {len(images)} images but "
+                          f"{labels_path} holds {len(labels)} labels")
     flat = images.reshape(len(images), -1).astype(np.float64) / 255.0
     return Dataset(flat, labels.astype(np.int64))
 

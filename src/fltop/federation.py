@@ -217,38 +217,35 @@ def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, see
     trained = index_set if spec.reinit_nonselected and not full else nn.full_indices(arch)
     local = nn.topk_sgd(x, y, w, w0, arch, steps, trained, eta, batch_size, seed,
                         layer0, rows)
-    if full:
-        local -= w
-        return local
-    return local.take(index_set, axis=-1) - w[index_set]
+    if not (full or spec.reinit_nonselected):
+        local = local.take(index_set, axis=-1)
+    local -= w if full else w[index_set]
+    return local
 
 
 # The footprint, in bytes, that one stacked local-SGD call may span: the L2
-# cache of one core (2 MiB) of the 2-vCPU Xeon VM the timings below ran on.
-# Stacking saves per-client Python and numpy dispatch work: on 20→64→2 with
-# a Top-K set, a round ran 2.1× faster at G = 10 than at G = 1 (median of
-# 300 interleaved rounds). On 784→100→10 with a 3-unit layer-0 cache, a
-# group of 10 holds about 12 MB. It ran a round faster in one process, but
-# over 10 fresh-process benchmark runs its round rate spread 2.4 times as
-# widely as one client a call: its time follows the load on the shared
-# cache and memory, which moves from run to run. A client's footprint
-# therefore counts its whole model row and gradient buffer, cache or not,
-# so that model (1.35 MB a client) gets G = 1 and 20→64→2 (35 KB a client)
-# gets G = 58.
+# cache of one core (2 MiB) of the 2-vCPU Xeon VM where, on 20→64→2 with a
+# Top-K set, a round ran 2.1× faster at G = 10 than at G = 1 (median of 300
+# interleaved rounds). A client takes 35 KB there (G = 58), and on
+# 784→100→10 1.35 MB with full model rows (G = 1) but 184 KB with the
+# compact sub-model of a Top-K set that touches 7 layer-0 units (G = 11).
 COHORT_GROUP_BYTES = 2 << 20
 
 
-def cohort_group_size(arch, batch_size):
+def cohort_group_size(arch, batch_size, layer0_cols=None):
     """How many clients one `nn.topk_sgd` call trains:
     max(1, COHORT_GROUP_BYTES // what the call holds for a client).
 
     The call holds a client's model row and gradient buffer, n float64
-    values each, and per step its batch's activations and deltas,
-    `batch_size` × (in + out) values a layer. Stacking removes per-client
-    Python and numpy dispatch work but, once the group outgrows the cache,
-    costs more in memory traffic than it saves.
+    values each, or under a layer-0 cache over the units `layer0_cols` the
+    compact sub-model's (see `nn._index_set`), and per step its batch's
+    activations and deltas, `batch_size` × (in + out) values a layer.
+    Stacking removes per-client Python and numpy dispatch work but, once the
+    group outgrows the cache, costs more in memory traffic than it saves.
     """
-    values = 2 * arch.n_params + batch_size * sum(
+    first = arch.layers[0]
+    clean = 0 if layer0_cols is None else first.out_width - len(layer0_cols)
+    values = 2 * (arch.n_params - clean * (first.in_width + 1)) + batch_size * sum(
         layer.in_width + layer.out_width for layer in arch.layers)
     return max(1, COHORT_GROUP_BYTES // (8 * values))
 
@@ -295,7 +292,8 @@ class FederatedRun:
         if self.index_set is not None and self.spec.selection != "all":
             self._layer0_cols = nn.layer0_columns(self.arch, self.index_set)
         self._train_cols = self._layer0_cols if self.spec.reinit_nonselected else None
-        self._group = cohort_group_size(self.arch, config.batch_size)
+        self._group = cohort_group_size(self.arch, config.batch_size,
+                                        self._train_cols)
 
     def _layer0(self, inputs, cols):
         return None if cols is None else nn.layer0_cache(self.w0, self.arch,

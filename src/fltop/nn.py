@@ -118,15 +118,21 @@ def _activate(z, kind):
 def _layers(w, arch, cols=None):
     """Each layer's weight matrix and bias row as views of `w`: (in, out) and
     (1, out) for a flat model, with a leading group axis for a (G, n) stack.
-    The views follow in-place updates of `w`, so SGD takes them once. With
-    `cols`, layer 0's matrix is only those columns, (in, len(cols)), packed
-    at the front of its block: a gradient buffer for a `Layer0Cache`."""
-    lead = w.shape[:-1]
-    out = []
-    for i, (layer, (w_sl, b_sl)) in enumerate(zip(arch.layers, arch.slices())):
+    The views follow in-place updates of `w`, so SGD takes them once. A
+    layer is one (in + 1, out) block, its bias the last row. With `cols`,
+    `w` is a compact sub-model (see `_index_set`) whose layer-0 block is
+    stored transposed, as one row of weights and bias per unit in `cols`."""
+    lead, out, pos = w.shape[:-1], [], 0
+    for i, layer in enumerate(arch.layers):
         width = layer.out_width if i or cols is None else len(cols)
-        mat = w[..., w_sl.start:w_sl.start + layer.in_width * width]
-        out.append((mat.reshape(lead + (layer.in_width, width)), w[..., None, b_sl]))
+        end = pos + (layer.in_width + 1) * width
+        if i or cols is None:
+            block = w[..., pos:end].reshape(lead + (layer.in_width + 1, width))
+        else:
+            block = w[..., pos:end].reshape(
+                lead + (width, layer.in_width + 1)).swapaxes(-1, -2)
+        out.append((block[..., :-1, :], block[..., -1:, :]))
+        pos = end
     return out
 
 
@@ -135,32 +141,27 @@ def _forward(layers, arch, x, z0=None, cols=None):
 
     `layers` comes from `_layers(w, arch)`. Rank-polymorphic: a flat model
     `w` with (rows, width) inputs, or a (G, n) stack of models with a
-    (G, rows, width) stack of inputs, one per model. With `z0`, layer 0's
-    pre-activation is `z0` (which this overwrites) with only the columns
-    `cols` recomputed from `w`; see `Layer0Cache`.
+    (G, rows, width) stack of inputs, one per model. With `z0`, `layers[0]`
+    holds only layer 0's units `cols`, and layer 0's pre-activation is `z0`
+    (which this overwrites) with those columns recomputed; see `Layer0Cache`.
     """
     acts = [x]
     for i, layer in enumerate(arch.layers):
         mat, bias = layers[i]
+        z = acts[-1] @ mat + bias
         if i == 0 and z0 is not None:
-            z0[..., cols] = x @ mat[..., cols] + bias.take(cols, axis=-1)
+            z0[..., cols] = z
             z = z0
-        else:
-            z = acts[-1] @ mat + bias
         acts.append(_activate(z, layer.activation))
     return acts
 
 
-def _check_inputs(arch, x):
+def _check_batch(arch, x, y=None):
     if x.ndim != 2 or x.shape[1] != arch.input_width:
         raise DimensionError(
             f"inputs of width {x.shape[1] if x.ndim == 2 else '?'} do not "
             f"match architecture input width {arch.input_width}")
-
-
-def _check_batch(arch, x, y):
-    _check_inputs(arch, x)
-    if y.shape != x.shape[:-1] + (arch.output_width,):
+    if y is not None and y.shape != x.shape[:-1] + (arch.output_width,):
         raise DimensionError(
             f"targets {y.shape} do not match (batch, {arch.output_width})")
 
@@ -169,8 +170,9 @@ class Layer0Cache(NamedTuple):
     """Layer 0's pre-activation `z = x @ W0 + b0` at a base model w0, one row
     per input row, and the sorted layer-0 output units `cols` whose weights
     or bias a model may hold away from w0. `predict` and `topk_sgd` take one
-    and recompute only those columns of layer 0; build it with
-    `layer0_cache`, and only where `layer0_columns` says it pays."""
+    and recompute only those units, and `topk_sgd` then trains the compact
+    sub-model that holds only them in layer 0. Build it with `layer0_cache`,
+    and only where `layer0_columns` says it pays."""
     z: np.ndarray
     cols: np.ndarray
 
@@ -184,10 +186,12 @@ def predict(w, arch, x, layer0=None):
     columns.
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_inputs(arch, x)
-    if layer0 is None:
-        return _forward(_layers(w, arch), arch, x)[-1]
-    return _forward(_layers(w, arch), arch, x, layer0.z.copy(), layer0.cols)[-1]
+    _check_batch(arch, x)
+    layers, z0, cols = _layers(w, arch), None, None
+    if layer0 is not None:
+        z0, cols = layer0.z.copy(), layer0.cols
+        layers[0] = tuple(a[:, cols] for a in layers[0])
+    return _forward(layers, arch, x, z0, cols)[-1]
 
 
 def _backward(layers, arch, x, targets, grads, z0=None, cols=None):
@@ -195,20 +199,22 @@ def _backward(layers, arch, x, targets, grads, z0=None, cols=None):
     whose `_layers` are `layers`. Writes each layer's weight and bias
     gradient into `grads`, the `_layers` of a buffer shaped like the model.
     A (G, n) stack of models runs on (G, batch, width) stacks and fills a
-    (G, n) buffer, each row as its own flat pass would. With `z0`, layer 0
-    runs on the cached pre-activation (see `_forward`) and its weight
-    gradient covers only the columns `cols`, as `_layers(g, arch, cols)`
-    lays them out."""
+    (G, n) buffer, each row as its own flat pass would. With `z0`, both are
+    compact sub-models, `_layers(w, arch, cols)`, and layer 0 runs on the
+    cached pre-activation; see `_forward`."""
     acts = _forward(layers, arch, x, z0, cols)
     # Softmax+CE and sigmoid+BCE share the same output delta.
     delta = (acts[-1] - targets) / x.shape[-2]
     for i in range(len(arch.layers) - 1, -1, -1):
         g_mat, g_bias = grads[i]
-        np.matmul(acts[i].swapaxes(-1, -2),
-                  delta if i or z0 is None else delta.take(cols, axis=-1),
-                  out=g_mat)
-        # `ndarray.sum`, not `np.sum`, whose Python wrapper costs µs a call.
-        delta.sum(axis=-2, keepdims=True, out=g_bias)
+        if i or z0 is None:
+            np.matmul(acts[i].swapaxes(-1, -2), delta, out=g_mat)
+            # `ndarray.sum`, not `np.sum`, whose Python wrapper costs µs a call.
+            delta.sum(axis=-2, keepdims=True, out=g_bias)
+        else:  # into the (units, in) rows; a lone column would sum pairwise
+            np.matmul(delta.take(cols, axis=-1).swapaxes(-1, -2), x,
+                      out=g_mat.swapaxes(-1, -2))
+            delta.sum(axis=-2, keepdims=True).take(cols, axis=-1, out=g_bias)
         if i > 0:
             delta = delta @ layers[i][0].swapaxes(-1, -2)
             prev = acts[i]
@@ -258,26 +264,28 @@ def _index_set(arch, key):
     """The index set whose int64 bytes are `key`, validated; equal sets
     share one cache entry whatever array they come in.
 
-    Returns read-only `(indices, cols, packed)`: `cols` are the layer-0
-    output units that hold a weight or bias of the set, sorted; `packed`
-    are the set's positions in a gradient buffer laid out by
-    `_layers(g, arch, cols)`, where layer 0's weight gradient is only those
-    columns, packed at the front of its block.
+    Returns read-only `(indices, cols, pos, src)`. `cols` are the layer-0
+    output units that hold a weight or bias of the set, sorted. The set's
+    compact sub-model, which `_layers(sub, arch, cols)` reads, holds those
+    units' layer-0 weights and bias, as one row each, and every later layer:
+    `w[src]` is the sub-model of `w`, and `pos` the set's positions in it.
     """
     indices = np.frombuffer(key, dtype=np.int64)
     if indices.size and (indices.min() < 0 or indices.max() >= arch.n_params):
         raise IndexError("index set out of range for this architecture")
     if np.any(np.diff(indices) <= 0):
         raise IndexError("index set must be strictly increasing")
-    # Layer 0's weight block begins at 0, and its bias block follows it.
-    (w_sl, b_sl), first = arch.slices()[0], arch.layers[0]
-    n_weights, n_first = np.searchsorted(indices, (w_sl.stop, b_sl.stop))
-    rows, units = np.divmod(indices[:n_weights], first.out_width)
-    cols = np.union1d(units, indices[n_weights:n_first] - b_sl.start)
-    packed = indices.copy()
-    packed[:n_weights] = rows * cols.size + np.searchsorted(cols, units)
-    cols.flags.writeable = packed.flags.writeable = False
-    return indices, cols, packed
+    # Layer 0's weights and bias are the rows of one (in + 1, out) block.
+    first, stop = arch.layers[0], arch.slices()[0][1].stop
+    n_first = np.searchsorted(indices, stop)
+    rows, units = np.divmod(indices[:n_first], first.out_width)
+    cols = np.unique(units)
+    pos = indices - (first.in_width + 1) * (first.out_width - cols.size)
+    pos[:n_first] = np.searchsorted(cols, units) * (first.in_width + 1) + rows
+    src = np.concatenate([(cols[:, None] + first.out_width * np.arange(
+        first.in_width + 1)).ravel(), np.arange(stop, arch.n_params)])
+    cols.flags.writeable = pos.flags.writeable = src.flags.writeable = False
+    return indices, cols, pos, src
 
 
 # The floor of `layer0_columns`' predicate, in layer-0 multiply-adds per
@@ -292,12 +300,10 @@ def layer0_columns(arch, indices):
     None when a `Layer0Cache` for it would not pay.
 
     Per input row, the cached path skips `in_width` multiply-adds for every
-    unit the set leaves clean, and gathers about as many per touched unit
-    (their weight columns, delta columns and pre-activation rows). So it is
-    taken only when in_width × (clean − touched units) reaches
-    LAYER0_CACHE_MIN_SAVED. A Top-K set on 784→100 touching 3 units passes
-    (784 × 94); the README config's set (20 × 48), a set that touches at
-    least half the units and the full set do not.
+    unit the set leaves clean, and gathers about as many per touched unit.
+    So it is taken only when in_width × (clean − touched units) reaches
+    LAYER0_CACHE_MIN_SAVED: a Top-K set on 784→100 touching 3 units passes
+    (784 × 94); the README config's set (20 × 48) and the full set do not.
     """
     cols = _index_set(arch, np.asarray(indices, dtype=np.int64).tobytes())[1]
     first = arch.layers[0]
@@ -311,39 +317,37 @@ def layer0_cache(w0, arch, x, cols):
     """The `Layer0Cache` of the base model w0 for the rows of x; `cols`
     comes from `layer0_columns`."""
     x = np.asarray(x, dtype=np.float64)
-    _check_inputs(arch, x)
+    _check_batch(arch, x)
     mat, bias = _layers(w0, arch)[0]
     return Layer0Cache(x @ mat + bias, cols)
 
 
 def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
              layer0=None, rows=None):
-    """SGD that only moves the coordinates in `indices`; the rest stay at w0.
+    """SGD that only moves the coordinates in `indices`, with the rest held
+    at w0; returns the trained values at `indices`, in index order.
 
     Trains one client, or a group of G clients at once, on rows of the
     training set `x`, `y`. `rows` is None for every row, one client's
-    (shard,) array of row indices, or a group's (G, shard) array, and
-    `seed` is then a sequence of G batch seeds. Every client begins from
-    the same `w` and shares `w0`, the index set and `layer0`; a group (of
-    one too) returns (G, n), each row equal bit for bit to its client's own
-    call. A call draws every client's batches from its seed as it begins,
-    and each step is one forward and backward pass over all of them.
+    (shard,) array of row indices, which gives a K-vector, or a group's
+    (G, shard) array with a sequence of G batch `seed`s, which gives (G, K)
+    for G = 1 too, each row equal bit for bit to its client's own call.
+    Every client begins from the same `w`, of which only `w[indices]` is
+    read. A call draws every client's batches as it begins, and each step
+    is one forward and backward pass over all of them.
 
-    `indices` must be strictly increasing. Each step runs the backward pass
-    `gradient` runs into one model-shaped buffer, gathers the set's entries
-    from it and adds them, scaled by -eta, into the model.
-    `full_indices(arch)` is recognised by identity and gathers nothing; any
-    other array is validated and cached by content. The result equals SGD on
-    `gradient(...)[indices]` bit for bit, and agrees with w0 outside the
-    index set exactly. Only `w[indices]` is read.
+    `indices` must be strictly increasing; `full_indices(arch)` is
+    recognised by identity and gathers nothing, and any other array is
+    validated and cached by content. Each step backpropagates into one
+    buffer shaped like the model, gathers the set's entries and adds them,
+    scaled by -eta, into the model: SGD on `gradient(...)[indices]`, bit for
+    bit.
 
-    `layer0` is an optional `Layer0Cache` of w0 for every row of x, built
-    for exactly the layer-0 units the set touches (as `layer0_columns`
-    returns them where the cache pays). Each step then takes layer 0's
-    pre-activation from its rows and recomputes only those units, and
-    computes layer 0's weight gradient only there. The model still agrees
-    with w0 outside the set exactly; inside it, the result matches the dense
-    one up to rounding, not bit for bit.
+    `layer0` is an optional `Layer0Cache` of w0 for every row of x, for
+    exactly the layer-0 units the set touches (`layer0_columns` says where
+    it pays). A client's model and gradient buffer then hold only the set's
+    compact sub-model (see `_index_set`), and each step recomputes only
+    those units. This matches the dense result up to rounding.
     """
     if t_gd < 1:
         raise ConfigError(f"t_gd must be >= 1, got {t_gd}")
@@ -363,36 +367,33 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
              for r, s in zip(rows.reshape(len(seeds), -1), seeds)]
     at = plans[0] if len(plans) == 1 else np.stack(plans, axis=1)
     lead = at.shape[1:-1]
-    # One model row per client. in_set picks each row's entries in the set,
-    # in_g the same entries of the gradient buffer (numpy indexes a flat
-    # model faster without a leading slice).
-    cur = np.empty(lead + (arch.n_params,))
+    # One model row per client, holding the set at `pos`: w for the shared
+    # full set, else w0 or its sub-model `w0[src]` with w's values at the set.
     cols = z = None
     if indices is full_indices(arch) and layer0 is None:
-        cur[...] = w
-        in_set = in_g = ...
+        start, pos = w, slice(None)
     else:
-        indices, touched, packed = _index_set(
+        indices, touched, pos, src = _index_set(
             arch, np.asarray(indices, dtype=np.int64).tobytes())
         if layer0 is not None:
             cols, z = touched, layer0.z
             if not np.array_equal(cols, layer0.cols) or len(z) != len(x):
                 raise ValueError("layer-0 cache does not match the index set "
                                  "and training set")
-        group_axes = (slice(None),) * len(lead)
-        in_set = group_axes + (indices,)
-        in_g = group_axes + (indices if cols is None else packed,)
-        # Start from w0 outside the set, caller-provided values inside it.
-        cur[...] = w0
+        start, pos = (w0, indices) if z is None else (w0[src], pos)
+    # numpy indexes a flat model faster without a leading slice.
+    in_set = (slice(None),) * len(lead) + (pos,)
+    cur = np.tile(start, lead + (1,))
+    if start is not w:
         cur[in_set] = np.asarray(w, dtype=np.float64)[indices]
-    layers = _layers(cur, arch)
-    g = np.empty(lead + (arch.n_params,))
+    layers = _layers(cur, arch, cols)
+    g = np.empty_like(cur)
     grads = _layers(g, arch, cols)
     for batch in at:
         _backward(layers, arch, np.asarray(x[batch], dtype=np.float64),
                   np.asarray(y[batch], dtype=np.float64), grads,
                   None if z is None else z[batch], cols)
-        step = g[in_g]
+        step = g[in_set]
         step *= -eta
         cur[in_set] += step
-    return cur.reshape(group + (arch.n_params,))
+    return cur[in_set].reshape(group + (-1,))

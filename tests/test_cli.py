@@ -187,9 +187,11 @@ def test_readme_round_is_one_stacked_call(topk_sgd_calls):
 
 
 def test_group_sizes_of_the_benchmark_models():
-    # A call holds each client's model row and gradient buffer, with a
-    # layer-0 cache too: the README config's model trains a cohort of 10 in
-    # one call, fixed set or full, and 784 -> 100 -> 10 one client a call.
+    # A call holds each client's model row and gradient buffer: n values
+    # each, or the compact sub-model's under a layer-0 cache. The README
+    # config's model trains a cohort of 10 in one call, fixed set or full.
+    # On 784 -> 100 -> 10, a pinned set that touches 7 layer-0 units (as
+    # wide-topk-dp's does at seed 7) does too; full rows go one a call.
     for scheme in ("fl-top-dp", "fl-std-dp"):
         exp = config.resolve({**README_CONFIG, "scheme": scheme})
         run = federation.FederatedRun(exp.fed, exp.train, exp.part, exp.test,
@@ -197,6 +199,7 @@ def test_group_sizes_of_the_benchmark_models():
         assert run._group >= 10, scheme
     wide = nn.mlp_arch(784, [100], 10, "cross_entropy")
     assert federation.cohort_group_size(wide, 10) == 1
+    assert federation.cohort_group_size(wide, 10, np.arange(7)) >= 10
 
 
 # sha256 of trace.csv for each benchmark workload at seed 7: small-topk-dp
@@ -264,6 +267,23 @@ def test_wide_fl_top_final_model_is_unchanged(tmp_path):
               "print(hashlib.sha256(run.w.tobytes()).hexdigest())\n")
     out = run_with_perfbench(script, [str(tmp_path / "in")], "1")
     assert out.strip() == WIDE_FL_TOP_FINAL_MODEL_SEED_7
+
+
+def test_wide_rounds_stack_only_the_pinned_cohort(tmp_path, topk_sgd_calls):
+    # On wide-topk-dp's seed-7 data, fl-top-dp's cohort of 10 holds only
+    # the compact sub-model and trains in one `nn.topk_sgd` call; fl-top-bis
+    # and fl-std-dp hold full model rows and train one client a call.
+    script = "import sys, gen\nprint(gen.generate('wide-topk-dp', 7, sys.argv[1])['config'])\n"
+    path = run_with_perfbench(script, [str(tmp_path)], "1").strip()
+    raw = json.loads(Path(path).read_text())
+    for scheme, calls in (("fl-top-dp", 1), ("fl-top-bis", 10), ("fl-std-dp", 10)):
+        exp = config.resolve({**raw, "scheme": scheme})
+        run = federation.FederatedRun(exp.fed, exp.train, exp.part, exp.test,
+                                      exp.public)
+        assert exp.fed.cohort_size == 10
+        topk_sgd_calls.clear()
+        run.run_round()
+        assert topk_sgd_calls == [2] * calls, scheme
 
 
 DROP = object()  # `malformed` deletes the key

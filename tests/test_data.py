@@ -43,6 +43,15 @@ class TestIdx:
             data.load_idx(ip, lp)
         assert str(ip) in str(error.value)
 
+    def test_image_and_label_counts_disagree(self, tmp_path):
+        # Both files and both counts, since a config names three such pairs.
+        ip, _ = self._write_pair(tmp_path, np.zeros((3, 4, 4)), np.zeros(3))
+        (tmp_path / "two").mkdir()
+        _, lp = self._write_pair(tmp_path / "two", np.zeros((2, 4, 4)), np.zeros(2))
+        with pytest.raises(FormatError) as error:
+            data.load_idx(ip, lp)
+        assert str(error.value) == f"{ip} holds 3 images but {lp} holds 2 labels"
+
     def test_truncated_file(self, tmp_path):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, (4, 3, 3), dtype=np.uint8)

@@ -77,8 +77,8 @@ def topk_cases(draw):
 @st.composite
 def layer0_cases(draw):
     """A network whose layer 0 is wide enough for the layer-0 cache to pay,
-    a shard, and an index set that touches a few of layer 0's units or every
-    one of them, plus some deeper coordinates."""
+    a shard, and an index set that touches one of layer 0's units, a few,
+    up to half of them or every one, plus some deeper coordinates."""
     in_width = draw(st.integers(512, 784))
     widths = [in_width] + draw(st.lists(st.integers(96, 128), min_size=1,
                                         max_size=1))
@@ -92,11 +92,12 @@ def layer0_cases(draw):
     layers.append(nn.LayerSpec(widths[-1], 1 if binary else 10,
                                "sigmoid" if binary else "softmax"))
     arch = nn.ArchSpec(tuple(layers), loss)
-    every = draw(st.booleans())
+    touched = draw(st.sampled_from(("one", "few", "half", "every")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     hidden = widths[1]
-    units = np.arange(hidden) if every else rng.choice(
-        hidden, draw(st.integers(1, 8)), replace=False)
+    low, high = {"one": (1, 1), "few": (2, 8), "half": (9, hidden // 2),
+                 "every": (hidden, hidden)}[touched]
+    units = rng.choice(hidden, draw(st.integers(low, high)), replace=False)
     w_sl, b_sl = arch.slices()[0]
     chosen = set()
     for u in units:
@@ -113,7 +114,7 @@ def layer0_cases(draw):
     t_gd = draw(st.integers(1, 4))
     eta = draw(st.sampled_from((0.05, 0.3, 1.0)))
     data_seed = draw(st.integers(0, 2**32 - 1))
-    return arch, indices, every, shard, batch_size, t_gd, eta, data_seed
+    return arch, indices, touched, shard, batch_size, t_gd, eta, data_seed
 
 
 def topk_inputs(arch, shard, data_seed):
@@ -345,7 +346,7 @@ class TestTopkSgd:
         x, y, w, w0 = topk_inputs(arch, shard, data_seed)
         args = (arch, t_gd, indices, eta, batch_size, data_seed)
         out = nn.topk_sgd(x, y, w, w0, *args)
-        assert np.array_equal(out, reference_topk_sgd(x, y, w, w0, *args))
+        assert np.array_equal(out, reference_topk_sgd(x, y, w, w0, *args)[indices])
 
     def test_layout_follows_index_set_content(self, toy_arch, toy_batch):
         # Same size, same array object, different content: each run must see
@@ -359,7 +360,7 @@ class TestTopkSgd:
             indices[:] = content
             args = (toy_arch, 4, indices, 0.3, 2, 11)
             assert np.array_equal(nn.topk_sgd(x, y, w, w0, *args),
-                                  reference_topk_sgd(x, y, w, w0, *args))
+                                  reference_topk_sgd(x, y, w, w0, *args)[content])
 
     @pytest.mark.parametrize("indices", [[3, 1], [2, 2], [0, 5, 5, 6]])
     def test_non_increasing_indices(self, toy_arch, toy_batch, indices):
@@ -392,21 +393,28 @@ class TestTopkSgd:
         with pytest.raises(IndexError):
             nn.topk_sgd(x, y, w0, w0, toy_arch, 1, indices, 0.1, 2, 0)
 
-    def test_empty_set_returns_w0(self, toy_arch, toy_batch):
+    def test_empty_set_returns_no_values(self, toy_arch, toy_batch):
         x, y = toy_batch
         w0 = nn.init_model(toy_arch, 0)
-        out = nn.topk_sgd(x, y, w0, w0, toy_arch, 3, np.array([], dtype=np.int64),
-                          0.1, 2, 0)
-        assert np.array_equal(out, w0)
+        empty = np.array([], dtype=np.int64)
+        assert nn.topk_sgd(x, y, w0, w0, toy_arch, 3, empty, 0.1, 2, 0).shape == (0,)
+        rows = np.arange(6).reshape(2, 3)
+        assert nn.topk_sgd(x, y, w0, w0, toy_arch, 3, empty, 0.1, 2, [0, 1],
+                           rows=rows).shape == (2, 0)
 
     def test_frozen_coordinates_exact(self, toy_arch, toy_batch):
+        # Training reads w only at the set and holds the rest at w0 exactly:
+        # a w that differs from w0 off the set trains the same values.
         x, y = toy_batch
         w0 = nn.init_model(toy_arch, 0)
         idx = np.array([0, 3, 8], dtype=np.int64)
-        out = nn.topk_sgd(x, y, w0, w0, toy_arch, 5, idx, 0.1, 2, 0)
-        frozen = np.setdiff1d(np.arange(toy_arch.n_params), idx)
-        assert np.max(np.abs(out[frozen] - w0[frozen])) == 0.0
-        assert not np.array_equal(out[idx], w0[idx])
+        w = w0 + 0.5
+        w[idx] = w0[idx]
+        out = nn.topk_sgd(x, y, w, w0, toy_arch, 5, idx, 0.1, 2, 0)
+        assert out.shape == idx.shape
+        assert np.array_equal(out, nn.topk_sgd(x, y, w0, w0, toy_arch, 5, idx,
+                                               0.1, 2, 0))
+        assert not np.array_equal(out, w0[idx])
 
     # The cached path sums layer 0 in other shapes than the dense one, so
     # it agrees with the dense reference up to rounding: within an absolute
@@ -414,28 +422,29 @@ class TestTopkSgd:
     @settings(max_examples=100, deadline=None)
     @given(layer0_cases())
     def test_layer0_cache_matches_dense_reference(self, case):
-        arch, indices, every, shard, batch_size, t_gd, eta, data_seed = case
+        arch, indices, touched, shard, batch_size, t_gd, eta, data_seed = case
         x, y, w, w0 = topk_inputs(arch, shard, data_seed)
         cols = touched_units(arch, indices)
-        # A few touched units clear the predicate's floor; every unit never.
-        if every:
-            assert nn.layer0_columns(arch, indices) is None
-        else:
-            assert np.array_equal(nn.layer0_columns(arch, indices), cols)
+        # Up to 8 touched units clear the predicate's floor; every unit never.
+        got = nn.layer0_columns(arch, indices)
+        if touched == "every":
+            assert got is None
+        elif touched != "half":
+            assert np.array_equal(got, cols)
         args = (arch, t_gd, indices, eta, batch_size, data_seed)
         out = nn.topk_sgd(x, y, w, w0, *args,
                           layer0=nn.layer0_cache(w0, arch, x, cols))
-        ref = reference_topk_sgd(x, y, w, w0, *args)
+        ref = reference_topk_sgd(x, y, w, w0, *args)[..., indices]
+        assert out.shape == indices.shape
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10)
-        frozen = np.setdiff1d(np.arange(arch.n_params), indices)
-        assert np.array_equal(out[frozen], w0[frozen])
 
     # A group of G clients' rows trains like G one-client calls, and each of
     # those like a call on its gathered shard and cache rows, bit for bit:
     # both losses, relu/sigmoid, 1-3 hidden layers, every kind of set (empty,
     # sparse, whole blocks, full), batches above and below the shard size,
     # and wide archs whose set is trained through the layer-0 cache of every
-    # training row.
+    # training row: on one touched unit, whose products are vector-shaped
+    # (numpy may hand them to gemv), a few, up to half or every one.
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(topk_cases().map(lambda case: case + (False,)),
                      layer0_cases().map(lambda case: case[:2] + case[3:] + (True,))),
@@ -448,7 +457,7 @@ class TestTopkSgd:
         args = (arch, t_gd, indices, eta, batch_size)
         layer0 = nn.layer0_cache(w0, arch, x, cols) if cached else None
         stacked = nn.topk_sgd(x, y, w, w0, *args, seeds, layer0, rows)
-        assert stacked.shape == (group, arch.n_params)
+        assert stacked.shape == (group, len(indices))
         for c in range(group):
             single = nn.topk_sgd(x, y, w, w0, *args, seeds[c], layer0, rows[c])
             assert np.array_equal(stacked[c], single)
@@ -462,7 +471,7 @@ class TestTopkSgd:
         x, y, w, w0, rows = group_inputs(toy_arch, 1, 4, 0)
         args = (toy_arch, 3, nn.full_indices(toy_arch), 0.1, 2)
         out = nn.topk_sgd(x, y, w, w0, *args, [[0, 0]], rows=rows)
-        assert out.shape == (1, toy_arch.n_params)
+        assert out.shape == (1, toy_arch.n_params)  # the full set's whole model
         assert np.array_equal(out[0], nn.topk_sgd(x, y, w, w0, *args, [0, 0],
                                                   rows=rows[0]))
 
@@ -515,23 +524,30 @@ class TestBatches:
 class TestIndexSet:
     # Over every kind of set, wide archs included: `cols` is exactly the
     # touched units (a superset would still train correctly, only slower),
-    # and the packed positions read the set's entries out of a buffer laid
-    # out by `_layers(g, arch, cols)`.
+    # `src` gathers the compact sub-model that `_layers(sub, arch, cols)`
+    # reads, `pos` finds the set in it, and a cached forward pass over the
+    # sub-model is `predict`'s, bit for bit.
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(topk_cases(), layer0_cases()).map(lambda case: case[:2]))
-    def test_packed_positions_read_the_packed_layer0_block(self, case):
+    def test_positions_read_the_compact_sub_model(self, case):
         arch, indices = case
-        got, cols, packed = nn._index_set(arch, indices.tobytes())
+        got, cols, pos, src = nn._index_set(arch, indices.tobytes())
         assert np.array_equal(got, indices)
         assert np.array_equal(cols, touched_units(arch, indices))
-        first = arch.layers[0]
-        mat = np.random.default_rng(indices.size).standard_normal(
-            (first.in_width, first.out_width))
-        buf = np.full(arch.n_params, np.nan)
-        buf[:first.in_width * cols.size] = mat[:, cols].ravel()
-        k0 = np.searchsorted(indices, arch.slices()[0][0].stop)
-        assert np.array_equal(buf[packed[:k0]], mat.ravel()[indices[:k0]])
-        assert np.array_equal(packed[k0:], indices[k0:])
+        rng = np.random.default_rng(indices.size)
+        w = rng.standard_normal(arch.n_params)
+        sub = w[src]
+        assert np.array_equal(sub[pos], w[indices])
+        (mat, bias), *rest = nn._layers(w, arch)
+        (sub_mat, sub_bias), *sub_rest = nn._layers(sub, arch, cols)
+        assert np.array_equal(sub_mat, mat[:, cols])
+        assert np.array_equal(sub_bias, bias[:, cols])
+        for dense, compact in zip(rest, sub_rest):
+            assert all(map(np.array_equal, dense, compact))
+        x = rng.uniform(-1, 1, (5, arch.input_width))
+        cache = nn.layer0_cache(w, arch, x, cols)
+        acts = nn._forward(nn._layers(sub, arch, cols), arch, x, cache.z.copy(), cols)
+        assert np.array_equal(acts[-1], nn.predict(w, arch, x, cache))
 
 
 class TestLayer0Dispatch:

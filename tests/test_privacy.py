@@ -5,6 +5,8 @@ import pytest
 from scipy.stats import beta
 
 from oracles import quadrature_log_moments
+from fltop import data, nn
+from fltop.federation import FederatedRun, FederationConfig, Seeds
 from fltop.privacy import AccountantQuery, add_client_noise, clip, epsilon, log_moment
 from fltop.secure_agg import (FixedPointCodec, aggregate_decode, encode, encrypt,
                               make_masks)
@@ -209,3 +211,37 @@ class TestEmpiricalAudit:
         # The game has power (noise a factor √m too small reads about 4.4)
         # and finds no more leakage than the accountant reports (3.33).
         assert 1.0 < bound <= reported
+
+    def round_release(self, canary, seed, monkeypatch):
+        """The secure sum of one fl-std-dp round over all of M clients (q = 1)
+        on a model of 20,302 coordinates, one trial a coordinate, read off
+        the global model as M·(w_after − w_before). Local training is stubbed:
+        the canary client sends S on every coordinate, the others 0; the
+        round's own clip, noise, codec and masks do the rest."""
+        arch = nn.mlp_arch(200, [100], 2, "cross_entropy")
+        train = data.Dataset(np.zeros((self.M, 200)), np.arange(self.M) % 2)
+        cfg = FederationConfig(arch, "fl-std-dp", n_clients=self.M,
+                               sampling_fraction=1.0, rounds=1, sigma=self.SIGMA,
+                               delta=self.DELTA, clip=self.S,
+                               seeds=Seeds(noise=seed, masks=seed))
+        run = FederatedRun(cfg, train, np.arange(self.M).reshape(self.M, 1))
+        n = arch.n_params
+        monkeypatch.setattr(run, "_local_updates", lambda cohort, t, index_set: [
+            np.full(n, self.S if canary and j == 0 else 0.0)
+            for j in range(len(cohort))])
+        before = run.w.copy()
+        run.run_round()
+        return self.M * (run.w - before), run.epsilon_so_far()
+
+    def test_round_release_stays_below_the_accountant(self, monkeypatch):
+        present, reported = self.round_release(True, 1, monkeypatch)
+        absent, _ = self.round_release(False, 2, monkeypatch)
+        # The round clips the canary to norm S, so each coordinate carries
+        # S/√n. Around that mean (0 when absent) the summed noise has RMS
+        # S·σ: a skipped clip reads about S·√(σ² + 1) here.
+        shift = self.S / math.sqrt(len(present))
+        for out, mean in ((present, shift), (absent, 0.0)):
+            rms = math.sqrt(np.mean((out - mean) ** 2))
+            assert rms == pytest.approx(self.S * self.SIGMA, rel=0.03)
+        assert reported == epsilon(AccountantQuery(self.SIGMA, 1.0, 1, self.DELTA))[0]
+        assert self.epsilon_lower_bound(absent, present) <= reported
