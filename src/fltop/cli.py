@@ -35,6 +35,8 @@ def cmd_run(args):
     print(f"{exp.fed.scheme}: best {summary['best_metric']}="
           f"{summary['best_value']:.4f} at round {summary['round']}; "
           f"outputs in {out_dir}")
+    if clamps := trace[-1].clamps:
+        print(f"warning: the secure sum clamped {clamps} values", file=sys.stderr)
     return 0
 
 

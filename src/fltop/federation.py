@@ -229,6 +229,11 @@ def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, see
 # interleaved rounds). A client takes 35 KB there (G = 58), and on
 # 784→100→10 1.35 MB with full model rows (G = 1) but 184 KB with the
 # compact sub-model of a Top-K set that touches 7 layer-0 units (G = 11).
+# The group also sizes the DP pass: a DP round clips, noises, encodes and
+# masks each group's (G, K) stack while it is still in cache. On the same
+# VM, a pass per client ran 2.7% slower on the 20→64→2 and Top-K 784→100→10
+# benchmark workloads, for its extra numpy calls, and a pass over the whole
+# cohort's (m, K) stack ran slower on full 784→100→10 rows.
 COHORT_GROUP_BYTES = 2 << 20
 
 
@@ -254,8 +259,8 @@ class FederatedRun:
     """One federated training run; advances round by round.
 
     The DP path never exposes an individual client's unmasked noised update:
-    clients hand back MaskedUpdate residues only, and the server sees their
-    modular sum.
+    each client's residues are masked before they reach the round's
+    `secure_agg.SecureSum`, and the server sees only their modular sum.
 
     A client is its row of the partition: the indices of its training rows.
     Inputs and targets are kept once, for the whole training set, and a
@@ -315,23 +320,27 @@ class FederatedRun:
 
     def _local_updates(self, cohort, t, index_set):
         """Train the cohort locally in ceil(m / `cohort_group_size`) groups of
-        near-equal size, one `local_update` call each; returns one K-vector
-        update per client, in cohort order."""
+        near-equal size, one `local_update` call each; yields, group by
+        group in cohort order, the group's client ids and its (G, K) stack
+        of updates, one row a client."""
         cfg = self.config
         m = len(cohort)
         n_groups = -(-m // self._group)
-        updates = []
         for i in range(n_groups):
             group = cohort[i * m // n_groups:(i + 1) * m // n_groups]
             seeds = [[100, cfg.seeds.sampling, t, int(cid)] for cid in group]
-            updates.extend(local_update(
+            yield group, local_update(
                 self.spec, self.train.inputs, self._targets, self.w, self.w0,
                 self.arch, index_set, cfg.local_steps, cfg.learning_rate,
-                cfg.batch_size, seeds, self._train_layer0, self._shards[group]))
-        return updates
+                cfg.batch_size, seeds, self._train_layer0, self._shards[group])
 
     def run_round(self):
-        """Advance the global model by one round; returns this round's cohort."""
+        """Advance the global model by one round; returns this round's cohort.
+
+        Under DP each group's stack, while it is fresh from training, is
+        clipped, noised, encoded and masked in place, row by row as its
+        clients would, and added to the round's `secure_agg.SecureSum`.
+        """
         cfg = self.config
         t = self.round_index + 1
         index_set = self._round_index_set(t)
@@ -339,22 +348,20 @@ class FederatedRun:
         rng = np.random.default_rng([103, cfg.seeds.sampling, t])
         cohort = np.sort(rng.choice(cfg.n_clients, size=m, replace=False))
 
-        updates = self._local_updates(cohort, t, index_set)
-
+        groups = self._local_updates(cohort, t, index_set)
         if self.spec.dp:
-            masks = secure_agg.make_masks(m, len(index_set), [cfg.seeds.masks, t])
-            masked = []
-            for j, (cid, delta) in enumerate(zip(cohort, updates)):
-                clipped = privacy.clip(delta, cfg.clip)
+            secure_sum = secure_agg.SecureSum(self.codec, m, len(index_set),
+                                              [cfg.seeds.masks, t])
+            for group, stack in groups:
                 noised = privacy.add_client_noise(
-                    clipped, cfg.clip, cfg.sigma, m,
-                    [cfg.seeds.noise, t, int(cid)])
+                    privacy.clip(stack, cfg.clip), cfg.clip, cfg.sigma, m,
+                    [[cfg.seeds.noise, t, int(cid)] for cid in group])
                 residues, clamps = secure_agg.encode(noised, self.codec)
                 self.clamp_total += clamps
-                masked.append(secure_agg.encrypt(residues, masks[j]))
-            avg = secure_agg.aggregate_decode(masked, self.codec, m) / m
+                secure_sum.add(residues)
+            avg = secure_sum.decode() / m
         else:
-            avg = sum(updates) / m
+            avg = sum(update for _, stack in groups for update in stack) / m
 
         if len(index_set) == self.n:
             self.w = self.w + avg

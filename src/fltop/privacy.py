@@ -7,20 +7,28 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 
 
 def clip(delta_w, s):
-    """Scale delta_w down to L2 norm at most s; no-op if already within."""
+    """Scale each row of delta_w (its last axis: one client's K-vector, or a
+    (G, K) stack of G clients) down to L2 norm at most s; a row already
+    within s is left as it is.
+
+    Works in place on a C-contiguous float64 array and returns it; any other
+    input is first copied to one. Each row's result equals, bit for bit, the
+    clip of that row alone.
+    """
     if s <= 0:
         raise ConfigError(f"clipping threshold must be positive, got {s}")
-    out = np.asarray(delta_w, dtype=np.float64)
-    norm = np.linalg.norm(out)
+    out = np.ascontiguousarray(delta_w, dtype=np.float64)
+    norms = np.sqrt(np.vecdot(out, out))
     # Rescaling can land an ulp above s; iterate so clip(clip(x)) == clip(x)
-    # exactly. Converges in one or two passes.
-    while norm > s:
-        out = out * (s / norm)
-        norm = np.linalg.norm(out)
+    # exactly. Converges in one or two passes. A row within s is scaled by
+    # s / s = 1, which keeps its bits; fmax keeps a NaN row's for encode.
+    while np.any(norms > s):
+        out *= (s / np.fmax(norms, s))[..., None]
+        norms = np.sqrt(np.vecdot(out, out))
     return out
 
 
@@ -29,15 +37,31 @@ def add_client_noise(delta_w, s, sigma, num_selected, rng_seed):
 
     Summing the noises of num_selected clients gives total std s*sigma,
     which is what the accountant assumes for the aggregate.
+
+    `delta_w` is one client's K-vector with one `rng_seed`, or a (G, K)
+    stack with a sequence of G seeds, one a row, as in `nn.topk_sgd`. Each
+    row draws its noise from `np.random.default_rng` of its own seed, so it
+    equals that client's own call bit for bit. Works in place on a
+    C-contiguous float64 array and returns it; any other input is first
+    copied to one.
     """
     if s <= 0 or sigma <= 0:
         raise ConfigError("s and sigma must be positive")
     if num_selected < 1:
         raise ConfigError("num_selected must be >= 1")
-    delta_w = np.asarray(delta_w, dtype=np.float64)
-    rng = np.random.default_rng(rng_seed)
+    out = np.ascontiguousarray(delta_w, dtype=np.float64)
+    rows = out.reshape(-1, out.shape[-1])  # a view: out is C-contiguous
+    seeds = [rng_seed] if out.ndim == 1 else list(rng_seed)
+    if out.ndim > 2 or len(seeds) != len(rows):
+        raise DimensionError(f"{len(seeds)} noise seeds for an update of shape "
+                             f"{out.shape}")
     std = s * sigma / math.sqrt(num_selected)
-    return delta_w + rng.normal(0.0, std, size=delta_w.shape)
+    noise = np.empty(rows.shape[1])
+    for row, seed in zip(rows, seeds):
+        np.random.default_rng(seed).standard_normal(out=noise)
+        noise *= std
+        row += noise
+    return out
 
 
 def log_moment(lam, sigma, c):

@@ -3,7 +3,11 @@
 Clients encode real vectors as two's-complement fixed-point residues, add a
 random mask, and ship only the masked residues; the per-cohort masks sum to
 zero so the server's modular sum reveals exactly the sum of the inputs (up to
-quantization). A trusted dealer generates the masks in-simulator.
+quantization). The server keeps that sum as a running total (`SecureSum`),
+adding each client's masked residues, or a group's at once, as they
+arrive. A trusted dealer in the simulator deals the masks in cohort order
+from one seeded generator, so no cohort-sized matrix of masks or updates
+is ever held.
 """
 
 import math
@@ -48,17 +52,33 @@ def encode(v, codec):
     """Fixed-point encode; returns (residues, clamp_count).
 
     Values beyond codec.clamp_range, ±inf included, are clamped and counted
-    rather than wrapped; a run reporting nonzero clamps is suspect and
-    flagged upstream. A NaN has no fixed-point value, so any NaN raises
-    EncodingOverflowError.
+    rather than wrapped; `fltop run` warns when a run clamped any. A NaN has
+    no fixed-point value, so any NaN raises EncodingOverflowError.
+
+    Works in place on a C-contiguous float64 array, of any shape, and
+    returns its buffer reinterpreted as uint64 residues; any other input is
+    first copied to one.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if nans := int(np.count_nonzero(np.isnan(v))):
-        raise EncodingOverflowError(f"{nans} NaN entries of {v.size} cannot be encoded")
+    v = np.ascontiguousarray(v, dtype=np.float64)
     clamp = codec.clamp_range
-    clamped = int(np.count_nonzero(np.abs(v) > clamp))
-    q = np.rint(np.clip(v, -clamp, clamp) * codec.scale).astype(np.int64)
-    return q.view(_U64), clamped
+    clamped = 0
+    # A NaN makes min and max NaN, which fails the test as a value out of
+    # range does; only then is anything counted.
+    if v.size and not -clamp <= v.min() <= v.max() <= clamp:
+        if nans := int(np.count_nonzero(np.isnan(v))):
+            raise EncodingOverflowError(
+                f"{nans} NaN entries of {v.size} cannot be encoded")
+        clamped = int(np.count_nonzero(np.abs(v) > clamp))
+        np.clip(v, -clamp, clamp, out=v)
+    v *= codec.scale  # a power of two: exact
+    np.rint(v, out=v)
+    # A 1-D cast onto the same buffer runs element by element in order;
+    # numpy would copy an n-D source first.
+    flat = v.reshape(-1)
+    residues = flat.view(np.int64)
+    residues[...] = flat
+    return residues.view(_U64).reshape(v.shape), clamped
+
 
 def decode(residues, codec):
     """Signed reinterpretation of residues back to reals."""
@@ -66,42 +86,76 @@ def decode(residues, codec):
     return residues.view(np.int64).astype(np.float64) / codec.scale
 
 
-def make_masks(num_clients, dim, seed):
-    """num_clients mask vectors whose element-wise sum is 0 mod 2^64."""
-    if num_clients < 2:
-        raise ConfigError("masking needs at least 2 clients")
-    rng = np.random.default_rng(seed)
-    masks = np.empty((num_clients, dim), dtype=_U64)
-    masks[:-1] = rng.integers(0, 2 ** 64, size=(num_clients - 1, dim), dtype=_U64)
-    masks[-1] = _U64(0) - masks[:-1].sum(axis=0, dtype=_U64)
-    return masks
-
-
 def encrypt(encoded, mask):
-    """One-time-pad addition in the ring."""
+    """One-time-pad addition in the ring, in place: adds `mask` into
+    `encoded`, a uint64 array (any other input is first copied to one), and
+    returns it."""
     encoded = np.asarray(encoded, dtype=_U64)
     mask = np.asarray(mask, dtype=_U64)
     if encoded.shape != mask.shape:
         raise DimensionError(f"shapes differ: {encoded.shape} vs {mask.shape}")
-    return encoded + mask
+    encoded += mask
+    return encoded
 
 
-def aggregate_decode(masked_updates, codec, num_clients):
-    """Modular sum of one full cohort's masked updates, decoded to reals.
+class SecureSum:
+    """The server's running modular sum of one cohort's masked updates.
 
-    The list must cover exactly the cohort the masks were dealt for; with any
-    client missing the masks do not cancel and the result is garbage. A
-    cohort larger than the codec's `cohort_size` could wrap the sum, so it
-    raises EncodingOverflowError.
+    The dealer hands each of the cohort's `num_clients` clients a mask of
+    `dim` words, in cohort order, from one generator seeded with `seed`:
+    every mask but the last is uniform on the ring, and the last is minus
+    the sum of the others, so the masks cancel in the full sum. `add`
+    masks each client's residues and adds them to the total as they
+    arrive, and `decode` returns the real-valued sum of the inputs.
     """
-    if len(masked_updates) != num_clients:
-        raise ProtocolError(
-            f"expected {num_clients} masked updates, got {len(masked_updates)}")
-    if num_clients > codec.cohort_size:
-        raise EncodingOverflowError(
-            f"a codec sized for {codec.cohort_size} clients cannot sum "
-            f"{num_clients} without risk of wrapping")
-    total = np.zeros_like(np.asarray(masked_updates[0], dtype=_U64))
-    for m in masked_updates:
-        np.add(total, np.asarray(m, dtype=_U64), out=total)
-    return decode(total, codec)
+
+    def __init__(self, codec, num_clients, dim, seed):
+        if num_clients < 2:
+            raise ConfigError("masking needs at least 2 clients")
+        self.codec = codec
+        self.num_clients = num_clients
+        self.count = 0  # masks dealt so far
+        self._rng = np.random.default_rng(seed)
+        self._dealt = np.zeros(dim, dtype=_U64)  # their sum
+        self._total = np.zeros(dim, dtype=_U64)
+
+    def masks(self, count):
+        """The next `count` clients' masks, as a (count, dim) array."""
+        if self.count + count > self.num_clients:
+            raise ProtocolError(f"a cohort of {self.num_clients} clients has no "
+                                f"mask for client {self.count + count}")
+        fresh = min(count, self.num_clients - 1 - self.count)
+        out = self._rng.integers(0, 2 ** 64, size=(fresh, len(self._dealt)),
+                                 dtype=_U64)
+        for mask in out:
+            self._dealt += mask
+        if fresh < count:  # the cohort's last client
+            out = np.concatenate([out, (_U64(0) - self._dealt)[None]])
+        self.count += count
+        return out
+
+    def add(self, residues):
+        """Mask one client's residues, or a (G, dim) stack of G clients', and
+        add them to the sum. Masks a C-contiguous uint64 array in place; any
+        other input is first copied to one."""
+        residues = np.ascontiguousarray(residues, dtype=_U64)
+        rows = residues.reshape(-1, residues.shape[-1])
+        encrypt(rows, self.masks(len(rows)))
+        for row in rows:
+            self._total += row
+
+    def decode(self):
+        """The decoded sum of the whole cohort's inputs.
+
+        With any client missing the masks do not cancel, so that raises
+        ProtocolError. A cohort larger than the codec's `cohort_size` could
+        wrap the sum, so it raises EncodingOverflowError.
+        """
+        if self.count != self.num_clients:
+            raise ProtocolError(
+                f"expected {self.num_clients} masked updates, got {self.count}")
+        if self.num_clients > self.codec.cohort_size:
+            raise EncodingOverflowError(
+                f"a codec sized for {self.codec.cohort_size} clients cannot sum "
+                f"{self.num_clients} without risk of wrapping")
+        return decode(self._total, self.codec)

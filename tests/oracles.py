@@ -7,6 +7,7 @@ from scipy import integrate
 from scipy.stats import rankdata
 
 from fltop import nn
+from fltop.errors import EncodingOverflowError
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -133,6 +134,63 @@ def reference_global_update(spec, w, w0, indices, avg):
     new_w = w.copy()
     new_w[indices] += avg
     return new_w
+
+
+def reference_clip(delta_w, s):
+    """One vector scaled down to L2 norm at most s by `np.linalg.norm`,
+    rescaling again while the norm lands above s."""
+    out = np.asarray(delta_w, dtype=np.float64)
+    norm = np.linalg.norm(out)
+    while norm > s:
+        out = out * (s / norm)
+        norm = np.linalg.norm(out)
+    return out
+
+
+def reference_noise(delta_w, s, sigma, m, seed):
+    """One vector plus Gaussian noise of std s·σ/√m drawn by `rng.normal`."""
+    std = s * sigma / math.sqrt(m)
+    return delta_w + np.random.default_rng(seed).normal(0.0, std, size=delta_w.shape)
+
+
+def reference_encode(v, codec):
+    """Fixed-point residues and clamp count of one vector, in separate
+    passes: refuse NaN, count, clip, scale, round, cast."""
+    v = np.asarray(v, dtype=np.float64)
+    if nans := int(np.count_nonzero(np.isnan(v))):
+        raise EncodingOverflowError(f"{nans} NaN entries of {v.size} cannot be encoded")
+    clamp = codec.clamp_range
+    clamped = int(np.count_nonzero(np.abs(v) > clamp))
+    q = np.rint(np.clip(v, -clamp, clamp) * codec.scale).astype(np.int64)
+    return q.view(np.uint64), clamped
+
+
+def make_masks(num_clients, dim, seed):
+    """A cohort's masks as one (num_clients, dim) matrix: the first m - 1
+    rows drawn in one call, the last minus their sum mod 2^64."""
+    rng = np.random.default_rng(seed)
+    masks = np.empty((num_clients, dim), dtype=np.uint64)
+    masks[:-1] = rng.integers(0, 2 ** 64, size=(num_clients - 1, dim), dtype=np.uint64)
+    masks[-1] = np.uint64(0) - masks[:-1].sum(axis=0, dtype=np.uint64)
+    return masks
+
+
+def reference_dp_sum(cfg, codec, t, cohort, updates):
+    """One DP round's decoded secure sum and clamp count, client by client:
+    clip, noise, encode, mask with a row of `make_masks`, and sum the
+    masked vectors mod 2^64, with the seeds `FederatedRun.run_round` uses."""
+    m = len(cohort)
+    masks = make_masks(m, len(updates[0]), [cfg.seeds.masks, t])
+    total = np.zeros(len(updates[0]), dtype=np.uint64)
+    clamps = 0
+    for j, (cid, delta) in enumerate(zip(cohort, updates, strict=True)):
+        clipped = reference_clip(delta, cfg.clip)
+        noised = reference_noise(clipped, cfg.clip, cfg.sigma, m,
+                                 [cfg.seeds.noise, t, int(cid)])
+        residues, clamped = reference_encode(noised, codec)
+        clamps += clamped
+        total += residues + masks[j]
+    return total.view(np.int64).astype(np.float64) / codec.scale, clamps
 
 
 def _log_mix_densities(x, sigma, c):

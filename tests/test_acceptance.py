@@ -103,13 +103,15 @@ def test_criterion_5_secure_aggregation():
     rng = np.random.default_rng(42)
     updates = rng.normal(0, 0.05, size=(m, k))
     codec = secure_agg.FixedPointCodec(frac_bits=32, cohort_size=m)
-    masks = secure_agg.make_masks(m, k, [9, 0])
+    masks = secure_agg.SecureSum(codec, m, k, [9, 0]).masks(m)
+    secure_sum = secure_agg.SecureSum(codec, m, k, [9, 0])
     masked = []
     for i in range(m):
-        enc, clamps = secure_agg.encode(updates[i], codec)
+        enc, clamps = secure_agg.encode(updates[i].copy(), codec)
         assert clamps == 0
-        masked.append(secure_agg.encrypt(enc, masks[i]))
-    total = secure_agg.aggregate_decode(masked, codec, m)
+        secure_sum.add(enc)  # masks enc in place
+        masked.append(enc)
+    total = secure_sum.decode()
     err = np.max(np.abs(total - updates.sum(axis=0)))
     ok = err <= m * 2.0 ** -33 + 1e-9
 
@@ -134,16 +136,13 @@ def test_criterion_6_noise_calibration():
     diffs = []
     for t in range(200):
         true = rng.normal(0, 0.02, size=(m, dim))
-        masks = secure_agg.make_masks(m, dim, [3, t])
-        masked = []
-        for i in range(m):
-            clipped = privacy.clip(true[i], s)
-            true[i] = clipped
-            noised = privacy.add_client_noise(clipped, s, sigma, m, [2, t, i])
-            enc, _ = secure_agg.encode(noised, codec)
-            masked.append(secure_agg.encrypt(enc, masks[i]))
-        decoded = secure_agg.aggregate_decode(masked, codec, m)
-        diffs.append(decoded - true.sum(axis=0))
+        total = secure_agg.SecureSum(codec, m, dim, [3, t])
+        privacy.clip(true, s)  # every client's row, in place
+        noised = privacy.add_client_noise(true.copy(), s, sigma, m,
+                                          [[2, t, i] for i in range(m)])
+        enc, _ = secure_agg.encode(noised, codec)
+        total.add(enc)
+        diffs.append(total.decode() - true.sum(axis=0))
     std = np.std(np.concatenate(diffs))
     ok = abs(std - s * sigma) / (s * sigma) < 0.10
     check(6, "aggregate noise std equals S*sigma", ok)
@@ -165,7 +164,7 @@ def test_criterion_7_coordinate_freeze():
                            test=test, public=public)
         for t in range(1, 21):
             iset = run._round_index_set(t)
-            upd, = run._local_updates(np.array([0]), t, iset)
+            (_, (upd,)), = run._local_updates(np.array([0]), t, iset)
             ok = ok and len(upd) == run.config.k(run.n)
             run.run_round()
     check(7, "coordinate freeze and transmission length", ok)

@@ -123,6 +123,21 @@ class TestRun:
         eps = [float(r.split(",")[eps_col]) for r in trace[1:]]
         assert eps == sorted(eps) and eps[0] > 0
 
+    @pytest.mark.parametrize("overrides, clamped", [
+        ({}, False),
+        # A clamp range of 16 against noise of std 49: many values clamp.
+        ({"frac_bits": 55, "clip": 100.0}, True)])
+    def test_clamps_are_flagged(self, tmp_path, capsys, overrides, clamped):
+        path, cfg = base_config(tmp_path, scheme="fl-top-dp")
+        cfg["federation"].update(overrides)
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == 0
+        last = (tmp_path / "out" / "trace.csv").read_text().splitlines()[-1]
+        clamps = int(last.split(",")[-1])
+        assert (clamps > 0) == clamped
+        warning = f"warning: the secure sum clamped {clamps} values\n"
+        assert capsys.readouterr().err == (warning if clamped else "")
+
     def test_calibrated_clip_made_explicit(self, tmp_path):
         path, cfg = base_config(tmp_path)
         cfg["federation"]["clip"] = "calibrate"

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rankdata_auroc, reference_global_update, reference_topk_sgd
-from fltop import data, federation, nn, privacy
+from oracles import (make_masks, rankdata_auroc, reference_dp_sum,
+                     reference_global_update, reference_topk_sgd)
+from fltop import data, federation, nn, privacy, secure_agg
 from fltop.data import to_targets
-from fltop.errors import ConfigError, DataError
+from fltop.errors import ConfigError, DataError, EncodingOverflowError, ProtocolError
 from fltop.federation import (SCHEMES, FederatedRun, FederationConfig,
                               accuracy, auroc, balanced_accuracy,
                               bandwidth_cost, run_experiment, trace_to_csv)
@@ -40,6 +41,7 @@ def wide_setup():
 
 FIXED_SET_SCHEMES = sorted(name for name, spec in SCHEMES.items()
                            if spec.fixed_across_rounds and spec.selection != "all")
+DP_SCHEMES = sorted(name for name, spec in SCHEMES.items() if spec.dp)
 
 
 def make_config(arch, scheme, **kw):
@@ -203,7 +205,7 @@ class TestRounds:
             cfg = make_config(arch, scheme)
             run = FederatedRun(cfg, train, part, test=test, public=public)
             iset = run._round_index_set(1)
-            upd, = run._local_updates(np.array([0]), 1, iset)
+            (_, (upd,)), = run._local_updates(np.array([0]), 1, iset)
             assert len(upd) == cfg.k(run.n) == len(iset), scheme
 
     def test_dp_sigma_near_zero_matches_clipped_topk(self, small_setup):
@@ -276,10 +278,11 @@ class TestRounds:
         calls = []
 
         def spy(cohort, t, index_set):
-            updates = FederatedRun._local_updates(run, cohort, t, index_set)
-            calls.extend((cid, t, index_set, upd)
-                         for cid, upd in zip(cohort, updates, strict=True))
-            return updates
+            for group, stack in FederatedRun._local_updates(run, cohort, t, index_set):
+                # Copies: the DP pass clips and noises the stack in place.
+                calls.extend((cid, t, index_set, upd.copy())
+                             for cid, upd in zip(group, stack, strict=True))
+                yield group, stack
 
         monkeypatch.setattr(run, "_local_updates", spy)
         for _ in range(3):
@@ -312,8 +315,8 @@ class TestRounds:
         k = len(run.index_set)
         u = np.arange(1, k + 1, dtype=np.float64)
         updates = iter([u, -u])
-        monkeypatch.setattr(run, "_local_updates",
-                            lambda cohort, t, s: [next(updates) for _ in cohort])
+        monkeypatch.setattr(run, "_local_updates", lambda cohort, t, s: [
+            (cohort, np.array([next(updates) for _ in cohort]))])
         w_prev = run.w.copy()
         run.run_round()
         assert np.array_equal(run.w, w_prev)
@@ -433,6 +436,112 @@ class TestCohortGroups:
             finals.append((run.w, run.evaluate()[:2]))
         assert np.array_equal(finals[0][0], finals[1][0])
         assert finals[0][1] == finals[1][1]
+
+
+class TestDPRound:
+    """A DP round clips, noises, encodes and masks each training group's
+    stack at once, into a running secure sum; the result must equal the
+    client-by-client loop of `oracles.reference_dp_sum` bit for bit."""
+
+    @pytest.mark.parametrize("budget", TestCohortGroups.BUDGETS)
+    @pytest.mark.parametrize("scheme, overrides", [(s, {}) for s in DP_SCHEMES] + [
+        # A clamp range of 16 against noise of std 49: many values clamp.
+        ("fl-top-dp", {"frac_bits": 55, "clip": 100.0})])
+    def test_round_matches_the_per_client_loop(self, small_setup, monkeypatch,
+                                               scheme, overrides, budget):
+        train, test, public, part, arch = small_setup
+        monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
+        cfg = make_config(arch, scheme, **overrides)
+        run = FederatedRun(cfg, train, part, test=test, public=public)
+        trained = []
+
+        def spy(cohort, t, index_set):
+            trained.append([])
+            for group, stack in FederatedRun._local_updates(run, cohort, t, index_set):
+                trained[-1].extend(stack.copy())
+                yield group, stack
+
+        monkeypatch.setattr(run, "_local_updates", spy)
+        clamps = 0
+        for t in range(1, 4):
+            w_prev = run.w.copy()
+            cohort = run.run_round()
+            total, clamped = reference_dp_sum(cfg, run.codec, t, cohort, trained[-1])
+            clamps += clamped
+            assert np.array_equal(run.w, reference_global_update(
+                cfg.spec, w_prev, run.w0, run._round_index_set(t),
+                total / cfg.cohort_size))
+            assert run.clamp_total == clamps
+        assert (clamps > 0) == bool(overrides)
+
+    def dp_run(self, small_setup, **overrides):
+        train, test, public, part, arch = small_setup
+        return FederatedRun(make_config(arch, "fl-top-dp", **overrides), train, part,
+                            test=test, public=public)
+
+    @staticmethod
+    def stub_updates(monkeypatch, run, fill):
+        """Every client's update zero but where `fill(stack)` sets it."""
+        def updates(cohort, t, index_set):
+            stack = np.zeros((len(cohort), len(index_set)))
+            fill(stack)
+            return [(cohort, stack)]
+
+        monkeypatch.setattr(run, "_local_updates", updates)
+
+    def test_missing_client_raises(self, small_setup, monkeypatch):
+        run = self.dp_run(small_setup)
+        local_updates = run._local_updates
+        monkeypatch.setattr(run, "_local_updates",
+                            lambda cohort, t, s: local_updates(cohort[:-1], t, s))
+        with pytest.raises(ProtocolError):
+            run.run_round()
+
+    def test_cohort_larger_than_codec_raises(self, small_setup):
+        run = self.dp_run(small_setup)
+        run.codec = secure_agg.FixedPointCodec(
+            run.config.frac_bits, cohort_size=run.config.cohort_size - 1)
+        with pytest.raises(EncodingOverflowError):
+            run.run_round()
+
+    def test_nan_update_raises(self, small_setup, monkeypatch):
+        run = self.dp_run(small_setup)
+        self.stub_updates(monkeypatch, run, lambda stack: stack[3, :1].fill(np.nan))
+        with pytest.raises(EncodingOverflowError, match="^1 NaN entries"):
+            run.run_round()
+
+    def test_clamped_values_reach_clamp_total(self, small_setup, monkeypatch):
+        # Within a clip of 2^31 and under noise of std 7e-4, an update of
+        # 2^30 is beyond the clamp range of a cohort of 10 at f = 32, 2^27.
+        run = self.dp_run(small_setup, clip=2.0 ** 31, sigma=1e-12)
+        m = run.config.cohort_size
+        assert run.codec.clamp_range == 2.0 ** 27
+        self.stub_updates(monkeypatch, run, lambda stack: stack[:, 0].fill(2.0 ** 30))
+        w_prev = run.w.copy()
+        run.run_round()
+        assert run.clamp_total == m
+        first = run.index_set[0]
+        assert run.w[first] == w_prev[first] + run.codec.clamp_range
+
+    @pytest.mark.parametrize("budget", TestCohortGroups.BUDGETS)
+    def test_masks_cancel_and_are_make_masks_words(self, small_setup, monkeypatch,
+                                                   budget):
+        monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
+        run = self.dp_run(small_setup)
+        dealt = []
+        masks = secure_agg.SecureSum.masks
+
+        def spy(self, count):
+            dealt.append(masks(self, count).copy())
+            return dealt[-1]
+
+        monkeypatch.setattr(secure_agg.SecureSum, "masks", spy)
+        run.run_round()
+        m, k = run.config.cohort_size, len(run.index_set)
+        assert len(dealt) == (m if budget == 0 else 1)
+        words = np.concatenate(dealt)
+        assert np.all(words.sum(axis=0, dtype=np.uint64) == 0)
+        assert np.array_equal(words, make_masks(m, k, [run.config.seeds.masks, 1]))
 
 
 class TestExperiment:

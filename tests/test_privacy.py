@@ -2,15 +2,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import beta
 
-from oracles import quadrature_log_moments
+from oracles import quadrature_log_moments, reference_clip, reference_noise
 from fltop import data, nn
 from fltop.federation import FederatedRun, FederationConfig, Seeds
 from fltop.privacy import AccountantQuery, add_client_noise, clip, epsilon, log_moment
-from fltop.secure_agg import (FixedPointCodec, aggregate_decode, encode, encrypt,
-                              make_masks)
-from fltop.errors import ConfigError
+from fltop.secure_agg import FixedPointCodec, SecureSum, encode
+from fltop.errors import ConfigError, DimensionError
+
+# Rows of a clipped stack at s = 1: zero, exactly at s, one whose first
+# rescale lands an ulp above s (so it takes a second), within s, and huge.
+EDGE_ROWS = ([0.0, 0.0], [0.6, 0.8], [-4.343335028964478, 4.606706247433619],
+             [0.1, -0.2], [1e150, -1e150])
+
+
+def stacks():
+    """(G, K) float64 stacks of up to 6 columns, edge values mixed in; the
+    squared norm of a row stays finite."""
+    value = st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from(
+        (0.0, -0.0, 1e-300, 1e153, -1e150))
+    return st.integers(1, 6).flatmap(lambda k: st.lists(
+        st.lists(value, min_size=k, max_size=k), min_size=1, max_size=5)).map(
+        lambda rows: np.array(rows, dtype=np.float64))
+
+
+def layouts(stack):
+    """The same stack C-ordered, F-ordered and as a strided view."""
+    wide = np.zeros((stack.shape[0], 2 * stack.shape[1]))
+    wide[:, ::2] = stack
+    return [stack.copy(), stack.copy(order="F"), wide[:, ::2]]
 
 
 class TestClip:
@@ -32,19 +54,51 @@ class TestClip:
             s = rng.uniform(0.1, 5)
             c1 = clip(v, s)
             assert np.linalg.norm(c1) <= s * (1 + 1e-12)
-            assert np.array_equal(clip(c1, s), c1)
+            assert np.array_equal(clip(c1.copy(), s), c1)
 
     def test_nonpositive_s(self):
         with pytest.raises(ConfigError):
             clip(np.ones(3), 0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(stack=stacks(), s=st.sampled_from((1.0, 0.5, 3.7)))
+    @example(stack=np.array(EDGE_ROWS), s=1.0)
+    def test_each_row_of_a_stack_clips_as_one_vector(self, stack, s):
+        expected = [reference_clip(row.copy(), s) for row in stack]
+        for layout in layouts(stack):
+            out = clip(layout, s)
+            assert out.flags.c_contiguous
+            for row, alone, want in zip(out, stack, expected):
+                assert np.array_equal(row, want)
+                assert np.array_equal(row, clip(alone.copy(), s))
+
+    def test_clips_a_c_contiguous_stack_in_place(self):
+        stack = np.array(EDGE_ROWS)
+        assert clip(stack, 1.0) is stack
+        assert np.all(np.linalg.norm(stack, axis=1) <= 1.0)
+        assert np.array_equal(stack[0], [0.0, 0.0])
+
 
 class TestClientNoise:
     def test_deterministic(self):
-        v = np.zeros(8)
-        a = add_client_noise(v, 1.0, 1.5, 4, 7)
-        b = add_client_noise(v, 1.0, 1.5, 4, 7)
+        a = add_client_noise(np.zeros(8), 1.0, 1.5, 4, 7)
+        b = add_client_noise(np.zeros(8), 1.0, 1.5, 4, 7)
         assert np.array_equal(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stack=stacks(), seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 20))
+    def test_each_row_of_a_stack_is_noised_by_its_own_seed(self, stack, seed, m):
+        seeds = [[seed, j] for j in range(len(stack))]
+        for layout in layouts(stack):
+            out = add_client_noise(layout, 0.7, 1.3, m, seeds)
+            for row, alone, row_seed in zip(out, stack, seeds):
+                assert np.array_equal(row, reference_noise(alone, 0.7, 1.3, m, row_seed))
+                assert np.array_equal(
+                    row, add_client_noise(alone.copy(), 0.7, 1.3, m, row_seed))
+
+    def test_one_seed_a_row(self):
+        with pytest.raises(DimensionError):
+            add_client_noise(np.zeros((3, 4)), 1.0, 1.0, 2, [[1], [2]])
 
     def test_per_coordinate_std(self):
         # K=4 selected: per-coordinate std should be S*sigma/2
@@ -171,15 +225,14 @@ class TestEmpiricalAudit:
     def release(self, canary, seed):
         """The secure sum over one cohort, one trial a coordinate."""
         codec = FixedPointCodec(32, cohort_size=self.M)
-        masks = make_masks(self.M, self.TRIALS, [seed, 0])
-        masked = []
+        total = SecureSum(codec, self.M, self.TRIALS, [seed, 0])
         for j in range(self.M):
             update = np.full(self.TRIALS, self.S if canary and j == 0 else 0.0)
             noised = add_client_noise(update, self.S, self.SIGMA, self.M, [seed, 1, j])
             residues, clamps = encode(noised, codec)
             assert clamps == 0
-            masked.append(encrypt(residues, masks[j]))
-        return aggregate_decode(masked, codec, self.M)
+            total.add(residues)
+        return total.decode()
 
     def epsilon_lower_bound(self, absent, present, alpha=0.05):
         """The largest ε that a threshold test refutes for (ε, δ)-DP, with
@@ -227,8 +280,8 @@ class TestEmpiricalAudit:
         run = FederatedRun(cfg, train, np.arange(self.M).reshape(self.M, 1))
         n = arch.n_params
         monkeypatch.setattr(run, "_local_updates", lambda cohort, t, index_set: [
-            np.full(n, self.S if canary and j == 0 else 0.0)
-            for j in range(len(cohort))])
+            (cohort, np.array([np.full(n, self.S if canary and j == 0 else 0.0)
+                               for j in range(len(cohort))]))])
         before = run.w.copy()
         run.run_round()
         return self.M * (run.w - before), run.epsilon_so_far()

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from fltop.secure_agg import (FixedPointCodec, aggregate_decode, decode,
-                              encode, encrypt, make_masks)
+from oracles import make_masks, reference_encode
+from fltop.secure_agg import FixedPointCodec, SecureSum, decode, encode, encrypt
 from fltop.errors import (ConfigError, DimensionError, EncodingOverflowError,
                           ProtocolError)
+
+
+def secure_sum(m, dim, seed, frac_bits=32):
+    """A sum over a cohort of m, with a codec sized for it."""
+    return SecureSum(FixedPointCodec(frac_bits, cohort_size=m), m, dim, seed)
 
 
 def low_bits_uniformity_pvalue(residues, bits=8):
@@ -51,7 +56,7 @@ class TestCodec:
     def test_negative_values_round_trip(self):
         codec = FixedPointCodec(frac_bits=32)
         v = np.array([-2.75, 0.5, -1e-9])
-        res, _ = encode(v, codec)
+        res, _ = encode(v.copy(), codec)
         assert np.allclose(decode(res, codec), v, atol=2.0 ** -33)
 
     def test_clamping_counted(self):
@@ -73,13 +78,13 @@ class TestCodec:
         codec = FixedPointCodec(frac_bits=32, cohort_size=10)
         with pytest.raises(EncodingOverflowError, match="^2 NaN entries"):
             encode(np.array([np.nan, 1.0, np.nan]), codec)
-        masks = make_masks(10, 1, 0)
-        masked = []
+        with pytest.raises(EncodingOverflowError, match="^2 NaN entries"):
+            encode(np.array([[np.nan, 1.0], [np.inf, np.nan]]), codec)
+        total = SecureSum(codec, 10, 1, 0)
         with pytest.raises(EncodingOverflowError, match="^1 NaN entries"):
-            for j, value in enumerate([1.0] * 8 + [np.nan] * 2):
-                masked.append(encrypt(encode(np.array([value]), codec)[0], masks[j]))
-            aggregate_decode(masked, codec, 10)
-        assert len(masked) == 8
+            for value in [1.0] * 8 + [np.nan] * 2:
+                total.add(encode(np.array([value]), codec)[0])
+        assert total.count == 8
 
     def test_sum_error_bound(self):
         # 16 random vectors in [-1, 1] at f=32: summed quantization error per
@@ -89,39 +94,77 @@ class TestCodec:
         vectors = rng.uniform(-1, 1, (16, 100))
         total = np.zeros(100, dtype=np.uint64)
         for v in vectors:
-            res, _ = encode(v, codec)
+            res, _ = encode(v.copy(), codec)
             total = total + res
         direct = vectors.sum(axis=0)
         assert np.max(np.abs(decode(total, codec) - direct)) <= 16 * 2.0 ** -33
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(
+        st.floats(allow_nan=False) | st.sampled_from((2.0 ** 27, -2.0 ** 27, 0.5)),
+        min_size=3, max_size=3), min_size=1, max_size=4),
+        frac_bits=st.sampled_from((1, 32, 55)))
+    def test_stack_encodes_as_each_row_alone(self, rows, frac_bits):
+        # One call encodes the whole stack in place: the residues are the
+        # input's buffer, and each row's, and the clamp count, are the
+        # reference's.
+        codec = FixedPointCodec(frac_bits=frac_bits, cohort_size=10)
+        stack = np.array(rows)
+        expected = [reference_encode(row, codec) for row in stack]
+        residues, clamped = encode(stack, codec)
+        assert np.shares_memory(residues, stack) and residues.dtype == np.uint64
+        assert clamped == sum(c for _, c in expected)
+        for row, (want, _) in zip(residues, expected):
+            assert np.array_equal(row, want)
+
 
 class TestMasks:
     def test_sum_is_zero(self):
-        masks = make_masks(5, 64, 0)
+        masks = secure_sum(5, 64, 0).masks(5)
         assert np.all(masks.sum(axis=0, dtype=np.uint64) == 0)
 
     def test_two_clients_negate(self):
-        masks = make_masks(2, 16, 3)
+        masks = secure_sum(2, 16, 3).masks(2)
         assert np.all(masks[0] + masks[1] == 0)
 
     def test_deterministic(self):
-        assert np.array_equal(make_masks(4, 8, 9), make_masks(4, 8, 9))
+        assert np.array_equal(secure_sum(4, 8, 9).masks(4), secure_sum(4, 8, 9).masks(4))
 
     def test_too_few_clients(self):
         with pytest.raises(ConfigError):
-            make_masks(1, 8, 0)
+            secure_sum(1, 8, 0)
+
+    @pytest.mark.parametrize("groups", [[6], [1] * 6, [2, 4], [3, 1, 2], [5, 1]])
+    def test_dealt_in_groups_as_one_matrix(self, groups):
+        # Whatever groups the cohort arrives in, the masks are the words of
+        # one (m, dim) draw with the last row minus the sum of the others.
+        total = secure_sum(6, 7, [3, 1])
+        masks = np.concatenate([total.masks(g) for g in groups])
+        assert np.array_equal(masks, make_masks(6, 7, [3, 1]))
+
+    def test_no_mask_past_the_cohort(self):
+        total = secure_sum(3, 4, 0)
+        total.masks(2)
+        with pytest.raises(ProtocolError):
+            total.masks(2)
 
 
 class TestEncrypt:
     def test_zero_mask_identity(self):
         enc = np.array([1, 2, 3], dtype=np.uint64)
-        assert np.array_equal(encrypt(enc, np.zeros(3, dtype=np.uint64)), enc)
+        assert np.array_equal(encrypt(enc.copy(), np.zeros(3, dtype=np.uint64)), enc)
 
     def test_subtracting_mask_recovers(self):
         rng = np.random.default_rng(1)
         enc = rng.integers(0, 2 ** 64, 32, dtype=np.uint64)
         mask = rng.integers(0, 2 ** 64, 32, dtype=np.uint64)
-        assert np.array_equal(encrypt(enc, mask) - mask, enc)
+        masked = encrypt(enc.copy(), mask)
+        assert np.array_equal(masked - mask, enc)
+
+    def test_masks_in_place(self):
+        enc = np.array([[1, 2], [3, 4]], dtype=np.uint64)
+        assert encrypt(enc, np.ones((2, 2), dtype=np.uint64)) is enc
+        assert np.array_equal(enc, [[2, 3], [4, 5]])
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -131,39 +174,66 @@ class TestEncrypt:
         # One-time-pad property: a masked constant plaintext looks uniform.
         codec = FixedPointCodec()
         enc, _ = encode(np.full(100000, 0.123), codec)
-        masks = make_masks(2, 100000, 5)
-        assert low_bits_uniformity_pvalue(encrypt(enc, masks[0])) > 0.001
+        mask, = secure_sum(2, 100000, 5).masks(1)
+        assert low_bits_uniformity_pvalue(encrypt(enc, mask)) > 0.001
 
 
 class TestAggregateDecode:
     def test_zero_inputs_any_masks(self):
-        codec = FixedPointCodec(cohort_size=4)
-        masks = make_masks(4, 10, 0)
-        masked = [encrypt(encode(np.zeros(10), codec)[0], m) for m in masks]
-        assert np.all(aggregate_decode(masked, codec, 4) == 0.0)
+        total = secure_sum(4, 10, 0)
+        for _ in range(4):
+            total.add(encode(np.zeros(10), total.codec)[0])
+        assert np.all(total.decode() == 0.0)
 
     def test_matches_plain_sum(self):
-        codec = FixedPointCodec(frac_bits=32, cohort_size=4)
+        total = secure_sum(4, 50, 1)
         rng = np.random.default_rng(2)
         vectors = rng.uniform(-1, 1, (4, 50))
-        masks = make_masks(4, 50, 1)
-        masked = [encrypt(encode(v, codec)[0], m) for v, m in zip(vectors, masks)]
-        out = aggregate_decode(masked, codec, 4)
-        assert np.max(np.abs(out - vectors.sum(axis=0))) <= 4 * 2.0 ** -33 + 1e-12
+        expected = vectors.sum(axis=0)
+        total.add(encode(vectors, total.codec)[0])
+        assert np.max(np.abs(total.decode() - expected)) <= 4 * 2.0 ** -33 + 1e-12
+
+    @pytest.mark.parametrize("groups", [[1, 1, 1, 1, 1], [5], [2, 3], [4, 1]])
+    def test_groups_sum_as_single_clients(self, groups):
+        # The masked rows clients ship, and the decoded sum, do not depend
+        # on how the cohort is grouped.
+        vectors = np.random.default_rng(4).uniform(-1, 1, (5, 30))
+        total = secure_sum(5, 30, [3, 2])
+        masked = []
+        for lo, hi in zip(np.cumsum([0] + groups), np.cumsum(groups)):
+            residues, _ = encode(vectors[lo:hi].copy(), total.codec)
+            total.add(residues)
+            masked.extend(residues)
+        codec = total.codec
+        oracle = make_masks(5, 30, [3, 2])
+        expected = [reference_encode(v, codec)[0] + mk for v, mk in zip(vectors, oracle)]
+        assert np.array_equal(masked, expected)
+        assert np.array_equal(total.decode(), decode(np.sum(expected, axis=0,
+                                                            dtype=np.uint64), codec))
 
     def test_missing_client_rejected(self):
-        codec = FixedPointCodec()
-        masks = make_masks(3, 5, 0)
-        masked = [encrypt(encode(np.zeros(5), codec)[0], m) for m in masks[:2]]
+        total = secure_sum(3, 5, 0)
+        for _ in range(2):
+            total.add(encode(np.zeros(5), total.codec)[0])
         with pytest.raises(ProtocolError):
-            aggregate_decode(masked, codec, 3)
+            total.decode()
+
+    def test_client_past_the_cohort_rejected(self):
+        total = secure_sum(2, 5, 0)
+        total.add(np.zeros((2, 5), dtype=np.uint64))
+        with pytest.raises(ProtocolError):
+            total.add(np.zeros(5, dtype=np.uint64))
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            secure_sum(2, 5, 0).add(np.zeros(4, dtype=np.uint64))
 
     def test_cohort_larger_than_codec_rejected(self):
         codec = FixedPointCodec(cohort_size=2)
-        masks = make_masks(3, 5, 0)
-        masked = [encrypt(encode(np.zeros(5), codec)[0], m) for m in masks]
+        total = SecureSum(codec, 3, 5, 0)
+        total.add(encode(np.zeros((3, 5)), codec)[0])
         with pytest.raises(EncodingOverflowError):
-            aggregate_decode(masked, codec, 3)
+            total.decode()
 
     @settings(max_examples=200, deadline=None)
     @given(frac_bits=st.integers(1, 55), m=st.integers(2, 300),
@@ -171,38 +241,34 @@ class TestAggregateDecode:
     def test_cohort_at_clamp_range_does_not_wrap(self, frac_bits, m, data):
         # m values at +-clamp_range, all one sign included: the decoded sum
         # is the true sum within m * 2^-f, so the ring never wrapped.
-        codec = FixedPointCodec(frac_bits=frac_bits, cohort_size=m)
+        total = secure_sum(m, 1, data.draw(st.integers(0, 2**32 - 1)), frac_bits)
         signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)),
                                    min_size=m, max_size=m))
-        values = [s * codec.clamp_range for s in signs]
-        masks = make_masks(m, 1, data.draw(st.integers(0, 2**32 - 1)))
-        masked = []
-        for v, mk in zip(values, masks):
-            residues, clamps = encode(np.array([v]), codec)
+        values = [s * total.codec.clamp_range for s in signs]
+        for v in values:
+            residues, clamps = encode(np.array([v]), total.codec)
             assert clamps == 0
-            masked.append(encrypt(residues, mk))
-        total = aggregate_decode(masked, codec, m)[0]
-        assert abs(total - math.fsum(values)) <= m * 2.0 ** -frac_bits
+            total.add(residues)
+        assert abs(total.decode()[0] - math.fsum(values)) <= m * 2.0 ** -frac_bits
 
     def test_strict_subset_is_uniform(self):
         # Without the last client the masks don't cancel; the partial sum is
         # indistinguishable from uniform.
-        codec = FixedPointCodec()
+        total = secure_sum(3, 100000, 7)
         rng = np.random.default_rng(3)
-        vectors = rng.uniform(-1, 1, (3, 100000))
-        masks = make_masks(3, 100000, 7)
-        partial = sum(encrypt(encode(v, codec)[0], m)
-                      for v, m in zip(vectors[:2], masks[:2]))
+        residues, _ = encode(rng.uniform(-1, 1, (2, 100000)), total.codec)
+        total.add(residues)  # masks the two clients' rows in place
+        partial = residues.sum(axis=0, dtype=np.uint64)
         assert low_bits_uniformity_pvalue(partial) > 0.001
 
 
 class TestEndToEndBound:
     @pytest.mark.parametrize("m", [2, 10, 100])
     def test_error_bound(self, m):
-        codec = FixedPointCodec(frac_bits=32, cohort_size=m)
+        total = secure_sum(m, 200, m)
         rng = np.random.default_rng(m)
         vectors = rng.uniform(-1, 1, (m, 200))
-        masks = make_masks(m, 200, m)
-        masked = [encrypt(encode(v, codec)[0], mk) for v, mk in zip(vectors, masks)]
-        out = aggregate_decode(masked, codec, m)
+        for v in vectors:
+            total.add(encode(v.copy(), total.codec)[0])
+        out = total.decode()
         assert np.max(np.abs(out - vectors.sum(axis=0))) <= m * 2.0 ** -33 + 1e-9
