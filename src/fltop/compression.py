@@ -28,9 +28,17 @@ def select_topk(w0, arch, public_x, public_y, t_init, k, eta):
         g = gradient(w, arch, public_x, public_y)
         acc += np.abs(g)
         w = w + (-eta) * g
-    # Stable sort on descending magnitude keeps the lowest index first on ties.
-    order = np.argsort(-acc, kind="stable")[:k]
-    return np.sort(order)
+    return _largest(acc, k)
+
+
+def _largest(acc, k):
+    """The first k of a stable argsort of -acc, sorted, for `acc` without
+    negative values (NaN ranks last), from an O(n) partition."""
+    key = np.fmax(acc, -1.0)  # NaN -> -1
+    kth = np.partition(key, len(key) - k)[len(key) - k]
+    chosen = key > kth
+    chosen[np.flatnonzero(key == kth)[:k - np.count_nonzero(chosen)]] = True
+    return np.flatnonzero(chosen)
 
 
 def select_random(n, k, seed):

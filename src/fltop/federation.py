@@ -51,10 +51,36 @@ SCHEMES = {
 
 @dataclass(frozen=True)
 class Seeds:
+    """The `federation.seeds` section: ints >= 0 of any size."""
     model: int = 0
     sampling: int = 1
     noise: int = 2
     masks: int = 3
+
+    def __post_init__(self):
+        for key, value in vars(self).items():
+            if value < 0:
+                raise ConfigError(f"federation.seeds.{key} must be >= 0, got {value}")
+
+
+def seed_words(*parts, ids=None):
+    """The uint32 words that `np.random.SeedSequence` makes of the list seed
+    `[*parts]` of non-negative ints: each part's little-endian 32-bit words,
+    at least one. `np.random.default_rng` takes them faster, to the same
+    generator. With `ids`, (m,) ints below 2**32, row i of the (m, w)
+    result is the words of `[*parts, ids[i]]`."""
+    words = []
+    for part in map(int, parts):
+        if part < 0:
+            raise ValueError(f"expected non-negative integer, got {part}")
+        words.append(part & 0xFFFFFFFF)
+        while part := part >> 32:
+            words.append(part & 0xFFFFFFFF)
+    if ids is None:
+        return np.array(words, dtype=np.uint32)
+    out = np.empty((len(ids), len(words) + 1), dtype=np.uint32)
+    out[:, :-1], out[:, -1] = words, ids
+    return out
 
 
 @dataclass
@@ -145,16 +171,18 @@ def bandwidth_cost(r, n, round_index, c, compressed):
     return bits / 8000.0
 
 
-def accuracy(scores, labels):
-    """Plain accuracy; scores are softmax rows or a sigmoid column."""
-    return float(np.mean(_hard_predictions(scores) == labels))
-
-
-def balanced_accuracy(scores, labels):
-    """Mean per-class recall; (TPR + TNR)/2 in the binary case."""
-    preds = _hard_predictions(scores)
-    recalls = [np.mean(preds[labels == c] == c) for c in np.unique(labels)]
-    return float(np.mean(recalls))
+def accuracies(scores, labels, counts=None):
+    """(accuracy, balanced accuracy) from one hard prediction a row; scores
+    are softmax rows or a sigmoid column. Balanced accuracy is the mean
+    recall over the classes present, (TPR + TNR)/2 in the binary case.
+    `counts` is `np.bincount(labels)`, for labels scored again and again."""
+    scores = np.asarray(scores)
+    hits = labels == (scores.argmax(axis=1) if scores.ndim == 2 and scores.shape[1] > 1
+                      else scores.reshape(-1) >= 0.5)
+    counts = np.bincount(labels) if counts is None else counts
+    present = counts > 0
+    recalls = np.bincount(labels[hits], minlength=len(counts))[present] / counts[present]
+    return float(np.mean(hits)), float(np.mean(recalls))
 
 
 def auroc(scores, labels):
@@ -170,13 +198,6 @@ def auroc(scores, labels):
     ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     u = ranks[labels == 1].sum() - len(pos) * (len(pos) + 1) / 2.0
     return float(u / (len(pos) * len(neg)))
-
-
-def _hard_predictions(scores):
-    scores = np.asarray(scores)
-    if scores.ndim == 2 and scores.shape[1] > 1:
-        return scores.argmax(axis=1)
-    return (scores.reshape(-1) >= 0.5).astype(np.int64)
 
 
 def initial_index_set(cfg, w0, public):
@@ -279,6 +300,7 @@ class FederatedRun:
         self.spec = config.spec
         self.train = train
         self.test = test
+        self._test_counts = None if test is None else np.bincount(test.labels)
         self.arch = config.arch
         self.w0 = nn.init_model(self.arch, config.seeds.model)
         self.w = self.w0.copy()
@@ -316,52 +338,59 @@ class FederatedRun:
         if self.index_set is not None:
             return self.index_set
         return compression.select_random(
-            self.n, self.config.k(self.n), [102, self.config.seeds.sampling, t])
+            self.n, self.config.k(self.n), seed_words(102, self.config.seeds.sampling, t))
 
     def _local_updates(self, cohort, t, index_set):
         """Train the cohort locally in ceil(m / `cohort_group_size`) groups of
         near-equal size, one `local_update` call each; yields, group by
-        group in cohort order, the group's client ids and its (G, K) stack
-        of updates, one row a client."""
+        group in cohort order, the group's slice of the cohort and its
+        (G, K) stack of updates, one row a client."""
         cfg = self.config
         m = len(cohort)
         n_groups = -(-m // self._group)
+        seeds = seed_words(100, cfg.seeds.sampling, t, ids=cohort)
         for i in range(n_groups):
-            group = cohort[i * m // n_groups:(i + 1) * m // n_groups]
-            seeds = [[100, cfg.seeds.sampling, t, int(cid)] for cid in group]
+            group = slice(i * m // n_groups, (i + 1) * m // n_groups)
             yield group, local_update(
                 self.spec, self.train.inputs, self._targets, self.w, self.w0,
                 self.arch, index_set, cfg.local_steps, cfg.learning_rate,
-                cfg.batch_size, seeds, self._train_layer0, self._shards[group])
+                cfg.batch_size, seeds[group], self._train_layer0,
+                self._shards[cohort[group]])
 
     def run_round(self):
         """Advance the global model by one round; returns this round's cohort.
 
-        Under DP each group's stack, while it is fresh from training, is
-        clipped, noised, encoded and masked in place, row by row as its
-        clients would, and added to the round's `secure_agg.SecureSum`.
+        Its generators are seeded by `seed_words`. Under DP each group's
+        stack, while it is fresh from training, is clipped, noised, encoded
+        and masked in place, each row with its own client's seeds, and added
+        to the round's `secure_agg.SecureSum`.
         """
         cfg = self.config
         t = self.round_index + 1
         index_set = self._round_index_set(t)
         m = cfg.cohort_size
-        rng = np.random.default_rng([103, cfg.seeds.sampling, t])
+        rng = np.random.default_rng(seed_words(103, cfg.seeds.sampling, t))
         cohort = np.sort(rng.choice(cfg.n_clients, size=m, replace=False))
 
         groups = self._local_updates(cohort, t, index_set)
         if self.spec.dp:
             secure_sum = secure_agg.SecureSum(self.codec, m, len(index_set),
-                                              [cfg.seeds.masks, t])
+                                              seed_words(cfg.seeds.masks, t))
+            noise_seeds = seed_words(cfg.seeds.noise, t, ids=cohort)
             for group, stack in groups:
                 noised = privacy.add_client_noise(
                     privacy.clip(stack, cfg.clip), cfg.clip, cfg.sigma, m,
-                    [[cfg.seeds.noise, t, int(cid)] for cid in group])
+                    noise_seeds[group])
                 residues, clamps = secure_agg.encode(noised, self.codec)
                 self.clamp_total += clamps
                 secure_sum.add(residues)
             avg = secure_sum.decode() / m
         else:
-            avg = sum(update for _, stack in groups for update in stack) / m
+            avg = 0.0
+            for _, stack in groups:  # a running sum, in cohort order
+                stack[0] += avg
+                avg = np.add.accumulate(stack, out=stack)[-1]
+            avg = avg / m
 
         if len(index_set) == self.n:
             self.w = self.w + avg
@@ -377,8 +406,7 @@ class FederatedRun:
         x = self.test.inputs
         y = self.test.labels
         scores = nn.predict(self.w, self.arch, x, self._test_layer0)
-        acc = accuracy(scores, y)
-        bal = balanced_accuracy(scores, y)
+        acc, bal = accuracies(scores, y, self._test_counts)
         try:
             auc = auroc(scores, y) if self.arch.loss == "binary_cross_entropy" \
                 else float("nan")

@@ -242,9 +242,10 @@ def _batches(n_rows, batch_size, steps, seed):
     rng = np.random.default_rng(seed)
     size = min(batch_size, n_rows)
     usable = n_rows - n_rows % size  # an epoch's positions in full batches
-    order = np.concatenate([rng.permutation(n_rows)[:usable]
-                            for _ in range(-(-steps * size // usable))])
-    return order[:steps * size].reshape(steps, size)
+    need = steps * size
+    order = rng.permutation(n_rows) if need <= usable else np.concatenate(
+        [rng.permutation(n_rows)[:usable] for _ in range(-(-need // usable))])
+    return order[:need].reshape(steps, size)
 
 
 @functools.lru_cache(maxsize=8)
@@ -279,7 +280,7 @@ def _index_set(arch, key):
     first, stop = arch.layers[0], arch.slices()[0][1].stop
     n_first = np.searchsorted(indices, stop)
     rows, units = np.divmod(indices[:n_first], first.out_width)
-    cols = np.unique(units)
+    cols = np.flatnonzero(np.bincount(units))  # np.unique would import numpy.ma
     pos = indices - (first.in_width + 1) * (first.out_width - cols.size)
     pos[:n_first] = np.searchsorted(cols, units) * (first.in_width + 1) + rows
     src = np.concatenate([(cols[:, None] + first.out_width * np.arange(

@@ -17,19 +17,33 @@ def clip(delta_w, s):
 
     Works in place on a C-contiguous float64 array and returns it; any other
     input is first copied to one. Each row's result equals, bit for bit, the
-    clip of that row alone.
+    clip of that row alone. A row whose squared norm overflows still clips
+    to norm s (see `_norms`); one with an infinite entry turns NaN.
     """
     if s <= 0:
         raise ConfigError(f"clipping threshold must be positive, got {s}")
     out = np.ascontiguousarray(delta_w, dtype=np.float64)
-    norms = np.sqrt(np.vecdot(out, out))
+    rows = out.reshape(-1, out.shape[-1])  # a view: out is C-contiguous
     # Rescaling can land an ulp above s; iterate so clip(clip(x)) == clip(x)
     # exactly. Converges in one or two passes. A row within s is scaled by
     # s / s = 1, which keeps its bits; fmax keeps a NaN row's for encode.
-    while np.any(norms > s):
-        out *= (s / np.fmax(norms, s))[..., None]
-        norms = np.sqrt(np.vecdot(out, out))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _norms(rows)
+        while np.any(norms > s):
+            rows *= (s / np.fmax(norms, s))[:, None]
+            norms = _norms(rows)
     return out
+
+
+def _norms(rows):
+    """Each row's L2 norm; where its squared norm overflows, that of the
+    row over its largest |entry|, times that entry (inf if it is inf)."""
+    norms = np.sqrt(np.vecdot(rows, rows))
+    if (huge := norms == np.inf).any():
+        top = np.abs(rows[huge]).max(axis=-1)
+        unit = rows[huge] / top[:, None]
+        norms[huge] = np.fmax(top * np.sqrt(np.vecdot(unit, unit)), top)
+    return norms
 
 
 def add_client_noise(delta_w, s, sigma, num_selected, rng_seed):
@@ -41,26 +55,24 @@ def add_client_noise(delta_w, s, sigma, num_selected, rng_seed):
     `delta_w` is one client's K-vector with one `rng_seed`, or a (G, K)
     stack with a sequence of G seeds, one a row, as in `nn.topk_sgd`. Each
     row draws its noise from `np.random.default_rng` of its own seed, so it
-    equals that client's own call bit for bit. Works in place on a
-    C-contiguous float64 array and returns it; any other input is first
-    copied to one.
+    equals that client's own call bit for bit; the draws fill one buffer,
+    which is scaled and added at once. Works in place on a C-contiguous
+    float64 array and returns it; any other input is first copied to one.
     """
     if s <= 0 or sigma <= 0:
         raise ConfigError("s and sigma must be positive")
     if num_selected < 1:
         raise ConfigError("num_selected must be >= 1")
     out = np.ascontiguousarray(delta_w, dtype=np.float64)
-    rows = out.reshape(-1, out.shape[-1])  # a view: out is C-contiguous
     seeds = [rng_seed] if out.ndim == 1 else list(rng_seed)
-    if out.ndim > 2 or len(seeds) != len(rows):
+    if out.ndim > 2 or len(seeds) != math.prod(out.shape[:-1]):
         raise DimensionError(f"{len(seeds)} noise seeds for an update of shape "
                              f"{out.shape}")
-    std = s * sigma / math.sqrt(num_selected)
-    noise = np.empty(rows.shape[1])
-    for row, seed in zip(rows, seeds):
-        np.random.default_rng(seed).standard_normal(out=noise)
-        noise *= std
-        row += noise
+    noise = np.empty_like(out)
+    for row, seed in zip(noise.reshape(len(seeds), -1), seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    noise *= s * sigma / math.sqrt(num_selected)
+    out += noise
     return out
 
 
@@ -98,7 +110,9 @@ def log_moment(lam, sigma, c):
 
 @lru_cache(maxsize=None)
 def _log_moment_grid(sigma, c, lam_max):
-    return tuple(log_moment(lam, sigma, c) for lam in range(1, lam_max + 1))
+    grid = np.array([log_moment(lam, sigma, c) for lam in range(1, lam_max + 1)])
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -126,16 +140,11 @@ def epsilon(query):
     """(epsilon, best lambda) after query.t rounds of the subsampled Gaussian.
 
     epsilon = min over integer lambda in [1, lam_max] of
-    (t * alpha(lambda|c) - ln delta) / lambda.
+    (t * alpha(lambda|c) - ln delta) / lambda, first attained at lambda*.
     """
     alphas = _log_moment_grid(query.sigma, query.c, query.lam_max)
-    log_delta = math.log(query.delta)
-    best_eps = math.inf
-    best_lam = 1
-    for lam, alpha in enumerate(alphas, start=1):
-        eps = (query.t * alpha - log_delta) / lam
-        if eps < best_eps:
-            best_eps = eps
-            best_lam = lam
-    return best_eps, best_lam
+    eps = (query.t * alphas - math.log(query.delta)) / np.arange(1, len(alphas) + 1)
+    np.fmin(eps, math.inf, out=eps)  # NaN -> inf, which argmin would pick
+    lam = int(eps.argmin())
+    return float(eps[lam]), lam + 1
 

@@ -4,8 +4,8 @@ Clients encode real vectors as two's-complement fixed-point residues, add a
 random mask, and ship only the masked residues; the per-cohort masks sum to
 zero so the server's modular sum reveals exactly the sum of the inputs (up to
 quantization). The server keeps that sum as a running total (`SecureSum`),
-adding each client's masked residues, or a group's at once, as they
-arrive. A trusted dealer in the simulator deals the masks in cohort order
+adding each client's masked residues, or a group's in one reduction, as
+they arrive. A trusted dealer in the simulator deals the masks in cohort order
 from one seeded generator, so no cohort-sized matrix of masks or updates
 is ever held.
 """
@@ -98,6 +98,15 @@ def encrypt(encoded, mask):
     return encoded
 
 
+def _add_rows(total, rows):
+    """Add the rows of a (G, dim) uint64 array into `total` mod 2^64, in
+    any order: by one reduction, or directly for one row, a pass fewer."""
+    if len(rows) > 1:
+        total += rows.sum(axis=0, dtype=_U64)
+    elif len(rows):
+        total += rows[0]
+
+
 class SecureSum:
     """The server's running modular sum of one cohort's masked updates.
 
@@ -127,8 +136,7 @@ class SecureSum:
         fresh = min(count, self.num_clients - 1 - self.count)
         out = self._rng.integers(0, 2 ** 64, size=(fresh, len(self._dealt)),
                                  dtype=_U64)
-        for mask in out:
-            self._dealt += mask
+        _add_rows(self._dealt, out)
         if fresh < count:  # the cohort's last client
             out = np.concatenate([out, (_U64(0) - self._dealt)[None]])
         self.count += count
@@ -141,8 +149,7 @@ class SecureSum:
         residues = np.ascontiguousarray(residues, dtype=_U64)
         rows = residues.reshape(-1, residues.shape[-1])
         encrypt(rows, self.masks(len(rows)))
-        for row in rows:
-            self._total += row
+        _add_rows(self._total, rows)
 
     def decode(self):
         """The decoded sum of the whole cohort's inputs.

@@ -193,6 +193,19 @@ def reference_dp_sum(cfg, codec, t, cohort, updates):
     return total.view(np.int64).astype(np.float64) / codec.scale, clamps
 
 
+def loop_epsilon(alphas, t, delta):
+    """(epsilon, lambda*) from the log moments alpha(1..L), as a loop over
+    lambda: the least (t * alpha - ln delta) / lambda, and the first lambda
+    that attains it by `<`, so a NaN term never wins."""
+    log_delta = math.log(delta)
+    best_eps, best_lam = math.inf, 1
+    for lam, alpha in enumerate(alphas, start=1):
+        eps = (t * alpha - log_delta) / lam
+        if eps < best_eps:
+            best_eps, best_lam = eps, lam
+    return best_eps, best_lam
+
+
 def _log_mix_densities(x, sigma, c):
     """Log pdfs of N(0, sigma^2) and the mixture (1-c)N(0,sigma^2) + cN(1,sigma^2)."""
     log_n0 = -0.5 * (x / sigma) ** 2 - math.log(sigma) - _LOG_SQRT_2PI

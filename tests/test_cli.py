@@ -171,6 +171,49 @@ class TestRun:
         first_row = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1]
         assert (first_row.split(",")[3] == "nan") == (loss == "cross_entropy")
 
+    def test_numpy_ma_is_not_imported_before_round_1(self, tmp_path):
+        # `np.median`, `np.unique` and `np.union1d` import numpy.ma, about
+        # 8 ms; set-up and round 1 of the README config call none of them.
+        # A fresh interpreter, because this test process has it loaded.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(README_CONFIG))
+        script = ("import sys\n"
+                  "from fltop import cli, federation\n"
+                  "seen = []\n"
+                  "run_round = federation.FederatedRun.run_round\n"
+                  "def first(run):\n"
+                  "    seen.append('numpy.ma' in sys.modules)\n"
+                  "    return run_round(run)\n"
+                  "federation.FederatedRun.run_round = first\n"
+                  "rc = cli.main(['run', sys.argv[1], '--output-dir', sys.argv[2]])\n"
+                  "print(rc, seen[:2], len(seen))\n")
+        src = str(Path(fltop.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script, str(path),
+                               str(tmp_path / "out")],
+                              env=dict(os.environ, PYTHONPATH=src), timeout=300,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 [False, False] 50"
+
+    # sha256 of trace.csv on the README config with seeds past 32 bits,
+    # which `federation.seed_words` splits into several words each. The
+    # digests are those of list seeds given to `np.random.default_rng`.
+    BIG_SEED_TRACES = [
+        ({"noise": 2 ** 40 + 5},
+         "056f337383b72cff59ff4bba85236022e80b11d0c4458f54312b36669abb75cc"),
+        ({"noise": 2 ** 40 + 5, "sampling": 2 ** 32, "masks": 2 ** 64 + 3},
+         "91611f346bc440b8de6b9fb75b911f731d2a465f7c4f5033e5b7e4b6fab6199f"),
+    ]
+
+    @pytest.mark.parametrize("seeds, digest", BIG_SEED_TRACES)
+    def test_seeds_of_any_size_keep_their_trace(self, tmp_path, capsys, seeds, digest):
+        cfg = json.loads(json.dumps(README_CONFIG))
+        cfg["federation"]["seeds"] = seeds
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+        trace = (tmp_path / "out" / "trace.csv").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == digest
+
 
 class TestGoldenTraces:
     def test_every_scheme_is_listed(self):
@@ -513,6 +556,20 @@ class TestErrors:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert cli.main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("key_path", [
+        *(f"federation.seeds.{key}" for key in ("model", "sampling", "noise", "masks")),
+        "dataset.seed", "dataset.public_seed"])
+    def test_negative_seed_exit_2_before_output(self, tmp_path, key_path):
+        # A DP scheme, so the noise and mask seeds are read by the run.
+        path, cfg = base_config(tmp_path, scheme="fl-top-dp")
+        section, key = key_path.rsplit(".", 1)
+        if section == "federation.seeds":
+            cfg["federation"]["seeds"] = {key: -1}
+        else:
+            cfg["dataset"][key] = -1
+        path.write_text(json.dumps(cfg))
+        assert_usage_error(path, tmp_path / "out", key_path)
 
     def test_missing_file_exit_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fltop import nn
-from fltop.compression import select_random, select_topk
+from fltop.compression import _largest, select_random, select_topk
 from fltop.data import to_targets
 from fltop.errors import ConfigError
 
@@ -84,10 +84,22 @@ class TestSelectTopk:
             select_topk(w0, toy_arch, x, y, 3, toy_arch.n_params + 1, 0.1)
 
     def test_tie_break_lowest_index(self):
-        # argsort stability: equal accumulated magnitudes keep index order
-        acc = np.array([1.0, 2.0, 2.0, 0.5])
-        order = np.argsort(-acc, kind="stable")[:2]
-        assert sorted(order.tolist()) == [1, 2]
+        # Of equal accumulated magnitudes, the lowest indices are kept.
+        acc = np.array([1.0, 2.0, 2.0, 0.5, 2.0])
+        assert _largest(acc, 2).tolist() == [1, 2]
+        assert _largest(acc, 4).tolist() == [0, 1, 2, 4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, np.inf, np.nan]) |
+                    st.floats(0, 10), min_size=1, max_size=40))
+    def test_partition_matches_stable_argsort(self, values):
+        # For every k, the first k of a stable argsort of -acc: ties to the
+        # lowest index, NaN (sorted last) below every number.
+        acc = np.array(values)
+        for k in range(1, len(acc) + 1):
+            expected = np.sort(np.argsort(-acc, kind="stable")[:k])
+            got = _largest(acc, k)
+            assert got.dtype == np.int64 and np.array_equal(got, expected), k
 
 
 class TestSelectRandom:

@@ -8,8 +8,8 @@ from fltop import data, federation, nn, privacy, secure_agg
 from fltop.data import to_targets
 from fltop.errors import ConfigError, DataError, EncodingOverflowError, ProtocolError
 from fltop.federation import (SCHEMES, FederatedRun, FederationConfig,
-                              accuracy, auroc, balanced_accuracy,
-                              bandwidth_cost, run_experiment, trace_to_csv)
+                              accuracies, auroc, bandwidth_cost, run_experiment,
+                              trace_to_csv)
 
 FASHION_N = 1_663_370
 FASHION_C = 1 / 60
@@ -75,8 +75,7 @@ class TestMetrics:
     def test_perfect_classifier(self):
         scores = np.array([0.9, 0.8, 0.1, 0.2])
         labels = np.array([1, 1, 0, 0])
-        assert accuracy(scores, labels) == 1.0
-        assert balanced_accuracy(scores, labels) == 1.0
+        assert accuracies(scores, labels) == (1.0, 1.0)
         assert auroc(scores, labels) == 1.0
 
     def test_constant_scores_auroc_half(self):
@@ -123,8 +122,41 @@ class TestMetrics:
         # balanced accuracy 0.5.
         scores = np.zeros(100)
         labels = np.array([0] * 90 + [1] * 10)
-        assert accuracy(scores, labels) == 0.9
-        assert balanced_accuracy(scores, labels) == 0.5
+        assert accuracies(scores, labels) == (0.9, 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                    min_size=1, max_size=60))
+    def test_accuracies_match_per_class_means(self, pairs):
+        # One argmax gives both metrics, bit for bit as plain accuracy and
+        # the mean over the classes present of each class's recall.
+        preds, labels = (np.array(col) for col in zip(*pairs))
+        scores = np.eye(5)[preds]
+        recalls = [np.mean(preds[labels == c] == c) for c in np.unique(labels)]
+        expected = (float(np.mean(preds == labels)), float(np.mean(recalls)))
+        assert accuracies(scores, labels) == expected
+        assert accuracies(scores, labels, np.bincount(labels)) == expected
+
+
+class TestSeedWords:
+    @pytest.mark.parametrize("big", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 5, 2 ** 64 + 3])
+    def test_same_draws_as_the_list_seed(self, big):
+        for parts in ([big], [100, big, 7], [big, 3, big]):
+            words = federation.seed_words(*parts)
+            assert words.dtype == np.uint32
+            assert np.array_equal(np.random.default_rng(words).integers(0, 2 ** 63, 8),
+                                  np.random.default_rng(parts).integers(0, 2 ** 63, 8))
+        ids = np.array([0, 5, 2 ** 32 - 1])
+        rows = federation.seed_words(100, big, ids=ids)
+        for cid, row in zip(ids, rows, strict=True):
+            assert np.array_equal(row, federation.seed_words(100, big, int(cid)))
+            assert np.array_equal(np.random.default_rng(row).standard_normal(4),
+                                  np.random.default_rng([100, big, int(cid)])
+                                  .standard_normal(4))
+
+    def test_negative_part_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            federation.seed_words(1, -1)
 
 
 class TestSchemeTable:
@@ -281,7 +313,7 @@ class TestRounds:
             for group, stack in FederatedRun._local_updates(run, cohort, t, index_set):
                 # Copies: the DP pass clips and noises the stack in place.
                 calls.extend((cid, t, index_set, upd.copy())
-                             for cid, upd in zip(group, stack, strict=True))
+                             for cid, upd in zip(cohort[group], stack, strict=True))
                 yield group, stack
 
         monkeypatch.setattr(run, "_local_updates", spy)
@@ -316,7 +348,7 @@ class TestRounds:
         u = np.arange(1, k + 1, dtype=np.float64)
         updates = iter([u, -u])
         monkeypatch.setattr(run, "_local_updates", lambda cohort, t, s: [
-            (cohort, np.array([next(updates) for _ in cohort]))])
+            (slice(None), np.array([next(updates) for _ in cohort]))])
         w_prev = run.w.copy()
         run.run_round()
         assert np.array_equal(run.w, w_prev)
@@ -485,7 +517,7 @@ class TestDPRound:
         def updates(cohort, t, index_set):
             stack = np.zeros((len(cohort), len(index_set)))
             fill(stack)
-            return [(cohort, stack)]
+            return [(slice(None), stack)]
 
         monkeypatch.setattr(run, "_local_updates", updates)
 

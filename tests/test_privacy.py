@@ -1,12 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import beta
 
-from oracles import quadrature_log_moments, reference_clip, reference_noise
-from fltop import data, nn
+from oracles import loop_epsilon, quadrature_log_moments, reference_clip, reference_noise
+from fltop import data, nn, privacy
 from fltop.federation import FederatedRun, FederationConfig, Seeds
 from fltop.privacy import AccountantQuery, add_client_noise, clip, epsilon, log_moment
 from fltop.secure_agg import FixedPointCodec, SecureSum, encode
@@ -77,6 +78,26 @@ class TestClip:
         assert clip(stack, 1.0) is stack
         assert np.all(np.linalg.norm(stack, axis=1) <= 1.0)
         assert np.array_equal(stack[0], [0.0, 0.0])
+
+    def test_row_whose_squared_norm_overflows_clips_to_s(self):
+        # |x|^2 overflows float64 from about 1.3e154. Such a row still
+        # clips to norm s, along its own direction, without a numpy
+        # warning (an error under the test settings); a row that does not
+        # overflow keeps the bits of its own clip, and one within a huge s
+        # is left as it is.
+        stack = np.array([[1e200, -1e200], [3.0, 4.0], [2e154, 1e154]])
+        clip(stack, 1.0)
+        assert np.array_equal(stack[1], reference_clip(np.array([3.0, 4.0]), 1.0))
+        for row, (a, b) in zip(stack[[0, 2]], [(1, -1), (2, 1)]):
+            assert np.linalg.norm(row) == pytest.approx(1.0, rel=1e-15)
+            assert np.linalg.norm(row) <= 1.0
+            assert row[0] * b == pytest.approx(row[1] * a, rel=1e-15)
+        huge = np.array([1e200, -1e200])
+        assert np.array_equal(clip(huge.copy(), 1e300), huge)
+
+    def test_row_with_an_infinite_entry_turns_nan(self):
+        row = clip(np.array([np.inf, 1.0]), 1.0)
+        assert np.isnan(row[0]) and row[1] == 0.0
 
 
 class TestClientNoise:
@@ -203,6 +224,29 @@ class TestEpsilon:
                    for l, a in enumerate(alphas, start=1)]
         assert eps == pytest.approx(min(per_lam), abs=1e-12)
         assert per_lam[lam - 1] == pytest.approx(eps, abs=1e-12)
+
+    @settings(max_examples=180, deadline=None)
+    @given(st.floats(0.3, 8.0), st.floats(1e-4, 1.0), st.integers(1, 5000),
+           st.sampled_from([1e-5, 1e-3, 0.5]), st.integers(1, 80))
+    def test_matches_the_loop_over_lambda(self, sigma, c, t, delta, lam_max):
+        q = AccountantQuery(sigma, c, t, delta, lam_max)
+        alphas = [log_moment(lam, sigma, c) for lam in range(1, lam_max + 1)]
+        assert epsilon(q) == loop_epsilon(alphas, t, delta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["tie", "nan", "inf", 0.0, 0.5, 3.0]),
+                    min_size=1, max_size=64),
+           st.integers(1, 4), st.sampled_from([1e-5, 0.5]))
+    def test_ties_and_nan_keep_the_loops_first_minimum(self, kinds, t, delta):
+        # alpha = lambda * 2^60 makes t * alpha swallow ln delta, so every
+        # such lambda ties at epsilon = t * 2^60; inf terms tie too, and a
+        # NaN term never wins.
+        alphas = [lam * 2.0 ** 60 if kind == "tie" else float(kind)
+                  for lam, kind in enumerate(kinds, start=1)]
+        with mock.patch.object(privacy, "_log_moment_grid",
+                               return_value=np.array(alphas)):
+            got = epsilon(AccountantQuery(1.0, 0.1, t, delta, len(alphas)))
+        assert got == loop_epsilon(alphas, t, delta)
 
     def test_invalid_query(self):
         with pytest.raises(ConfigError):

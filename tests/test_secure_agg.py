@@ -211,6 +211,23 @@ class TestAggregateDecode:
         assert np.array_equal(total.decode(), decode(np.sum(expected, axis=0,
                                                             dtype=np.uint64), codec))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda m: st.lists(
+        st.lists(st.integers(2 ** 64 - 2 ** 20, 2 ** 64 - 1) | st.integers(0, 2 ** 20),
+                 min_size=3, max_size=3), min_size=m, max_size=m)))
+    def test_stacked_add_equals_per_row_adds(self, rows):
+        # Values near 2^64 wrap in every sum; a stacked add, one reduction
+        # for the group, must give the per-row adds' total mod 2^64, and,
+        # the masks cancelling, the inputs' sum mod 2^64.
+        stack = np.array(rows, dtype=np.uint64)
+        stacked, per_row = secure_sum(len(rows), 3, 8), secure_sum(len(rows), 3, 8)
+        stacked.add(stack.copy())
+        for row in stack:
+            per_row.add(row.copy())
+        assert np.array_equal(stacked._total, per_row._total)
+        assert np.array_equal(stacked._dealt, per_row._dealt)
+        assert stacked._total.tolist() == [sum(col) % 2 ** 64 for col in zip(*rows)]
+
     def test_missing_client_rejected(self):
         total = secure_sum(3, 5, 0)
         for _ in range(2):
