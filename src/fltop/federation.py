@@ -69,13 +69,8 @@ def seed_words(*parts, ids=None):
     at least one. `np.random.default_rng` takes them faster, to the same
     generator. With `ids`, (m,) ints below 2**32, row i of the (m, w)
     result is the words of `[*parts, ids[i]]`."""
-    words = []
-    for part in map(int, parts):
-        if part < 0:
-            raise ValueError(f"expected non-negative integer, got {part}")
-        words.append(part & 0xFFFFFFFF)
-        while part := part >> 32:
-            words.append(part & 0xFFFFFFFF)
+    words = [part >> shift & 0xFFFFFFFF for part in map(int, parts)
+             for shift in range(0, max(part.bit_length(), 1), 32)]
     if ids is None:
         return np.array(words, dtype=np.uint32)
     out = np.empty((len(ids), len(words) + 1), dtype=np.uint32)
@@ -386,11 +381,7 @@ class FederatedRun:
                 secure_sum.add(residues)
             avg = secure_sum.decode() / m
         else:
-            avg = 0.0
-            for _, stack in groups:  # a running sum, in cohort order
-                stack[0] += avg
-                avg = np.add.accumulate(stack, out=stack)[-1]
-            avg = avg / m
+            avg = sum(update for _, stack in groups for update in stack) / m
 
         if len(index_set) == self.n:
             self.w = self.w + avg

@@ -242,10 +242,9 @@ def _batches(n_rows, batch_size, steps, seed):
     rng = np.random.default_rng(seed)
     size = min(batch_size, n_rows)
     usable = n_rows - n_rows % size  # an epoch's positions in full batches
-    need = steps * size
-    order = rng.permutation(n_rows) if need <= usable else np.concatenate(
-        [rng.permutation(n_rows)[:usable] for _ in range(-(-need // usable))])
-    return order[:need].reshape(steps, size)
+    order = np.concatenate([rng.permutation(n_rows)[:usable]
+                            for _ in range(-(-steps * size // usable))])
+    return order[:steps * size].reshape(steps, size)
 
 
 @functools.lru_cache(maxsize=8)

@@ -18,7 +18,7 @@ def clip(delta_w, s):
     Works in place on a C-contiguous float64 array and returns it; any other
     input is first copied to one. Each row's result equals, bit for bit, the
     clip of that row alone. A row whose squared norm overflows still clips
-    to norm s (see `_norms`); one with an infinite entry turns NaN.
+    to norm s (see `_factors`); one with an infinite entry turns NaN.
     """
     if s <= 0:
         raise ConfigError(f"clipping threshold must be positive, got {s}")
@@ -28,22 +28,22 @@ def clip(delta_w, s):
     # exactly. Converges in one or two passes. A row within s is scaled by
     # s / s = 1, which keeps its bits; fmax keeps a NaN row's for encode.
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = _norms(rows)
-        while np.any(norms > s):
-            rows *= (s / np.fmax(norms, s))[:, None]
-            norms = _norms(rows)
+        while (factors := _factors(rows, s)).min(initial=1.0) < 1:
+            rows *= factors[:, None]
     return out
 
 
-def _norms(rows):
-    """Each row's L2 norm; where its squared norm overflows, that of the
-    row over its largest |entry|, times that entry (inf if it is inf)."""
+def _factors(rows, s):
+    """Each row's clip factor, s / max(norm, s). Where the squared norm
+    overflows, it is (s / top) / |row / top|, top the largest |entry|, so
+    that no product overflows; 0 where top is inf."""
     norms = np.sqrt(np.vecdot(rows, rows))
+    factors = s / np.fmax(norms, s)
     if (huge := norms == np.inf).any():
         top = np.abs(rows[huge]).max(axis=-1)
         unit = rows[huge] / top[:, None]
-        norms[huge] = np.fmax(top * np.sqrt(np.vecdot(unit, unit)), top)
-    return norms
+        factors[huge] = np.fmin(s / top / np.fmax(np.sqrt(np.vecdot(unit, unit)), 1), 1)
+    return factors
 
 
 def add_client_noise(delta_w, s, sigma, num_selected, rng_seed):

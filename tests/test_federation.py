@@ -154,10 +154,6 @@ class TestSeedWords:
                                   np.random.default_rng([100, big, int(cid)])
                                   .standard_normal(4))
 
-    def test_negative_part_raises(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            federation.seed_words(1, -1)
-
 
 class TestSchemeTable:
     def test_named_mapping(self):

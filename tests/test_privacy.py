@@ -79,19 +79,27 @@ class TestClip:
         assert np.all(np.linalg.norm(stack, axis=1) <= 1.0)
         assert np.array_equal(stack[0], [0.0, 0.0])
 
-    def test_row_whose_squared_norm_overflows_clips_to_s(self):
-        # |x|^2 overflows float64 from about 1.3e154. Such a row still
-        # clips to norm s, along its own direction, without a numpy
-        # warning (an error under the test settings); a row that does not
-        # overflow keeps the bits of its own clip, and one within a huge s
-        # is left as it is.
-        stack = np.array([[1e200, -1e200], [3.0, 4.0], [2e154, 1e154]])
-        clip(stack, 1.0)
-        assert np.array_equal(stack[1], reference_clip(np.array([3.0, 4.0]), 1.0))
-        for row, (a, b) in zip(stack[[0, 2]], [(1, -1), (2, 1)]):
-            assert np.linalg.norm(row) == pytest.approx(1.0, rel=1e-15)
-            assert np.linalg.norm(row) <= 1.0
-            assert row[0] * b == pytest.approx(row[1] * a, rel=1e-15)
+    @pytest.mark.parametrize("s", [1.0, 1e200])
+    def test_row_whose_squared_norm_overflows_clips_to_s(self, s):
+        # |x|^2 overflows float64 from about 1.3e154, and |x| itself from
+        # about 1.8e308. Such a row still clips to norm s, along its own
+        # direction, without a numpy warning (an error under the test
+        # settings); a row that does not overflow keeps the bits of its own
+        # clip, and one within a huge s is left as it is.
+        def norm(row):
+            top = float(np.abs(row).max())  # a Python float: inf, not a warning
+            return top * float(np.linalg.norm(np.divide(row, top)))
+
+        rng = np.random.default_rng(5)
+        wide = rng.uniform(6e305, 8e305, 79_510) * rng.choice([-1, 1], 79_510)
+        rows = [[1e200, -1e200], [2e154, 1e154], [1.5e308, 1.5e308],
+                [-1.7e308, 1e308]]
+        stack = np.array(rows + [[3.0, 4.0]])
+        clip(stack, s)
+        assert np.array_equal(stack[-1], reference_clip(np.array([3.0, 4.0]), s))
+        for row, before in zip([*stack[:-1], clip(wide.copy(), s)], [*rows, wide]):
+            assert norm(row) == pytest.approx(min(s, norm(before)), rel=1e-14)
+            assert np.allclose(row / row[0], np.divide(before, before[0]), rtol=1e-14)
         huge = np.array([1e200, -1e200])
         assert np.array_equal(clip(huge.copy(), 1e300), huge)
 
@@ -324,7 +332,7 @@ class TestEmpiricalAudit:
         run = FederatedRun(cfg, train, np.arange(self.M).reshape(self.M, 1))
         n = arch.n_params
         monkeypatch.setattr(run, "_local_updates", lambda cohort, t, index_set: [
-            (cohort, np.array([np.full(n, self.S if canary and j == 0 else 0.0)
+            (slice(None), np.array([np.full(n, self.S if canary and j == 0 else 0.0)
                                for j in range(len(cohort))]))])
         before = run.w.copy()
         run.run_round()
