@@ -107,7 +107,8 @@ def _activate(z, kind):
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):  # exp(-z) = inf: the limit, 0
+            return 1.0 / (1.0 + np.exp(-z))
     if kind == "softmax":
         shifted = z - z.max(axis=-1, keepdims=True)
         e = np.exp(shifted)

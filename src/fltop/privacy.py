@@ -46,7 +46,7 @@ def _factors(rows, s):
     return factors
 
 
-def add_client_noise(delta_w, s, sigma, num_selected, rng_seed):
+def add_client_noise(delta_w, s, sigma, num_selected, rng_seed, noise=None):
     """Add i.i.d. Gaussian noise with per-coordinate std s*sigma/sqrt(num_selected).
 
     Summing the noises of num_selected clients gives total std s*sigma,
@@ -55,9 +55,10 @@ def add_client_noise(delta_w, s, sigma, num_selected, rng_seed):
     `delta_w` is one client's K-vector with one `rng_seed`, or a (G, K)
     stack with a sequence of G seeds, one a row, as in `nn.topk_sgd`. Each
     row draws its noise from `np.random.default_rng` of its own seed, so it
-    equals that client's own call bit for bit; the draws fill one buffer,
-    which is scaled and added at once. Works in place on a C-contiguous
-    float64 array and returns it; any other input is first copied to one.
+    equals that client's own call bit for bit (see `_noise`). `noise`, if
+    given, is `_noise`'s draw for these seeds and this std, made ahead of
+    time, and is added as it is. Works in place on a C-contiguous float64
+    array and returns it; any other input is first copied to one.
     """
     if s <= 0 or sigma <= 0:
         raise ConfigError("s and sigma must be positive")
@@ -68,12 +69,25 @@ def add_client_noise(delta_w, s, sigma, num_selected, rng_seed):
     if out.ndim > 2 or len(seeds) != math.prod(out.shape[:-1]):
         raise DimensionError(f"{len(seeds)} noise seeds for an update of shape "
                              f"{out.shape}")
-    noise = np.empty_like(out)
-    for row, seed in zip(noise.reshape(len(seeds), -1), seeds):
+    if noise is None:
+        noise = _noise(seeds, out.shape[-1], s, sigma, num_selected)
+    elif noise.shape != (len(seeds), out.shape[-1]):
+        raise DimensionError(f"noise of shape {noise.shape} for an update of "
+                             f"shape {out.shape}")
+    out += noise.reshape(out.shape)
+    return out
+
+
+def _noise(seeds, k, s, sigma, num_selected):
+    """(len(seeds), k) Gaussian noise of std s*sigma/sqrt(num_selected), row
+    i from `np.random.default_rng(seeds[i])`: the draws fill one buffer,
+    which is then scaled at once. It reads no data, so `federation` may
+    draw it ahead of time, on another thread."""
+    noise = np.empty((len(seeds), k))
+    for row, seed in zip(noise, seeds):
         np.random.default_rng(seed).standard_normal(out=row)
     noise *= s * sigma / math.sqrt(num_selected)
-    out += noise
-    return out
+    return noise
 
 
 def log_moment(lam, sigma, c):
@@ -94,15 +108,20 @@ def log_moment(lam, sigma, c):
         raise ConfigError(f"sampling fraction must be in [0, 1], got {c}")
     if c == 0:
         return 0.0
+    two_var = 2.0 * sigma * sigma
+    if two_var == 0:  # sigma^2 underflowed; so would every k >= 2 term
+        return math.inf
     if c == 1:
         # Only the k = lambda+1 term survives; log1p(-1) would raise.
-        return lam * (lam + 1) / (2.0 * sigma * sigma)
+        return lam * (lam + 1) / two_var
     a = int(lam) + 1
     log_keep, log_c = math.log1p(-c), math.log(c)
     terms = [math.lgamma(a + 1) - math.lgamma(k + 1) - math.lgamma(a - k + 1)
-             + (a - k) * log_keep + k * log_c + (k * k - k) / (2.0 * sigma * sigma)
+             + (a - k) * log_keep + k * log_c + (k * k - k) / two_var
              for k in range(a + 1)]
     top = max(terms)
+    if top == math.inf:  # a term overflowed, and inf - inf would be NaN
+        return math.inf
     log_e2 = top + math.log(math.fsum(math.exp(t - top) for t in terms))
     # Rounding can put the sum a hair below 1 when c is tiny.
     return max(log_e2, 0.0)

@@ -116,6 +116,10 @@ class SecureSum:
     the sum of the others, so the masks cancel in the full sum. `add`
     masks each client's residues and adds them to the total as they
     arrive, and `decode` returns the real-valued sum of the inputs.
+
+    The masks read no data, so the dealer may run ahead: `masks` deals the
+    next clients' masks, and `add` takes them in the same order. The two
+    touch disjoint state, so the dealing may run on another thread.
     """
 
     def __init__(self, codec, num_clients, dim, seed):
@@ -123,33 +127,39 @@ class SecureSum:
             raise ConfigError("masking needs at least 2 clients")
         self.codec = codec
         self.num_clients = num_clients
-        self.count = 0  # masks dealt so far
+        self.count = 0  # clients added so far
+        self.dealt = 0  # masks dealt so far
         self._rng = np.random.default_rng(seed)
         self._dealt = np.zeros(dim, dtype=_U64)  # their sum
         self._total = np.zeros(dim, dtype=_U64)
 
     def masks(self, count):
         """The next `count` clients' masks, as a (count, dim) array."""
-        if self.count + count > self.num_clients:
+        if self.dealt + count > self.num_clients:
             raise ProtocolError(f"a cohort of {self.num_clients} clients has no "
-                                f"mask for client {self.count + count}")
-        fresh = min(count, self.num_clients - 1 - self.count)
+                                f"mask for client {self.dealt + count}")
+        fresh = min(count, self.num_clients - 1 - self.dealt)
         out = self._rng.integers(0, 2 ** 64, size=(fresh, len(self._dealt)),
                                  dtype=_U64)
         _add_rows(self._dealt, out)
         if fresh < count:  # the cohort's last client
             out = np.concatenate([out, (_U64(0) - self._dealt)[None]])
-        self.count += count
+        self.dealt += count
         return out
 
-    def add(self, residues):
+    def add(self, residues, masks=None):
         """Mask one client's residues, or a (G, dim) stack of G clients', and
-        add them to the sum. Masks a C-contiguous uint64 array in place; any
-        other input is first copied to one."""
+        add them to the sum. `masks` are the rows' masks if the caller
+        dealt them ahead; by default `add` deals them. Masks a C-contiguous
+        uint64 array in place; any other input is first copied to one."""
         residues = np.ascontiguousarray(residues, dtype=_U64)
         rows = residues.reshape(-1, residues.shape[-1])
-        encrypt(rows, self.masks(len(rows)))
+        if self.count + len(rows) > self.num_clients:
+            raise ProtocolError(f"a cohort of {self.num_clients} clients has no "
+                                f"client {self.count + len(rows)}")
+        encrypt(rows, self.masks(len(rows)) if masks is None else masks)
         _add_rows(self._total, rows)
+        self.count += len(rows)
 
     def decode(self):
         """The decoded sum of the whole cohort's inputs.

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fltop
-from fltop import cli, config, data, federation, nn
+from fltop import cli, config, data, federation, nn, privacy
+from fltop.errors import ConfigError
 from fltop.federation import SCHEMES
 
 # The example config from README.md.
@@ -122,6 +123,32 @@ class TestRun:
         eps_col = trace[0].split(",").index("epsilon")
         eps = [float(r.split(",")[eps_col]) for r in trace[1:]]
         assert eps == sorted(eps) and eps[0] > 0
+
+    def test_dp_run_on_the_draw_thread_exits_cleanly(self, tmp_path):
+        # Every group's noise and masks drawn on the draw thread: the process
+        # still ends, with no thread left to wait for, and writes the trace
+        # of the inline draws.
+        path, _ = base_config(tmp_path, scheme="fl-std-dp")
+        script = ("import sys, threading\n"
+                  "from fltop import cli, federation, privacy\n"
+                  "federation.DRAW_AHEAD_MIN_VALUES = 0\n"
+                  "noise, names = privacy._noise, set()\n"
+                  "def spy(*args):\n"
+                  "    names.add(threading.current_thread().name)\n"
+                  "    return noise(*args)\n"
+                  "privacy._noise = spy\n"
+                  "rc = cli.main(['run', sys.argv[1], '--output-dir', sys.argv[2]])\n"
+                  "print(rc, sorted(names),\n"
+                  "      [t.name for t in threading.enumerate() if not t.daemon])\n")
+        src = str(Path(fltop.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script, str(path),
+                               str(tmp_path / "ahead")],
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 ['fltop-draws'] ['MainThread']"
+        assert cli.main(["run", str(path)]) == 0
+        assert ((tmp_path / "ahead" / "trace.csv").read_bytes()
+                == (tmp_path / "out" / "trace.csv").read_bytes())
 
     @pytest.mark.parametrize("overrides, clamped", [
         ({}, False),
@@ -618,6 +645,20 @@ class TestErrors:
         assert cli.main(["run", str(path)]) == 1
         assert capsys.readouterr().err.startswith("runtime error:")
 
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ConfigError, 2, "error: "), (TypeError, 1, "runtime error: ")])
+    def test_draw_thread_error_keeps_its_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                   error, code, prefix):
+        # An error raised on the draw thread reaches `main` with its type.
+        def broken(*args):
+            raise error("no noise")
+
+        monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", 0)
+        monkeypatch.setattr(privacy, "_noise", broken)
+        path, _ = base_config(tmp_path, scheme="fl-top-dp")
+        assert cli.main(["run", str(path)]) == code
+        assert capsys.readouterr().err == prefix + "no noise\n"
+
 
 class TestAccountant:
     def test_output_format_and_value(self, capsys):
@@ -635,6 +676,12 @@ class TestAccountant:
                          "--rounds", "62"]) == 0
         eps = float(capsys.readouterr().out.split()[2])
         assert eps == pytest.approx(0.91, abs=0.05)
+
+    @pytest.mark.parametrize("sigma", ["1e-160", "1e-170"])
+    def test_vanishing_sigma_prints_inf(self, capsys, sigma):
+        assert cli.main(["accountant", "--sigma", sigma, "--sampling", "0.5",
+                         "--rounds", "10"]) == 0
+        assert capsys.readouterr().out == "epsilon = inf (lambda* = 1)\n"
 
 
 class TestSweep:

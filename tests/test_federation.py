@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -570,6 +573,176 @@ class TestDPRound:
         words = np.concatenate(dealt)
         assert np.all(words.sum(axis=0, dtype=np.uint64) == 0)
         assert np.array_equal(words, make_masks(m, k, [run.config.seeds.masks, 1]))
+
+
+class TestDrawAhead:
+    """A DP round's noise and masks read no data, so a run may draw them on
+    the draw thread, a round ahead. A floor of 0 sends every group there,
+    one of 2^62 keeps every group inline; neither may change a byte."""
+    FLOORS = (0, 1 << 62)
+
+    @staticmethod
+    def draw_threads(monkeypatch):
+        """The name of the thread of every `privacy._noise` call."""
+        names = []
+        noise = privacy._noise
+
+        def spy(*args):
+            names.append(threading.current_thread().name)
+            return noise(*args)
+
+        monkeypatch.setattr(privacy, "_noise", spy)
+        return names
+
+    @pytest.mark.parametrize("scheme", DP_SCHEMES)
+    def test_trace_does_not_depend_on_where_draws_run(self, small_setup,
+                                                      monkeypatch, scheme):
+        train, test, public, part, arch = small_setup
+        cfg = make_config(arch, scheme)
+        names = self.draw_threads(monkeypatch)
+        run_round = FederatedRun.run_round
+
+        def discarding(run):
+            # Each round's queued successor is discarded and drawn again.
+            cohort = run_round(run)
+            if run._ahead is not None:
+                run._ahead.cancelled = True
+            return cohort
+
+        traces = set()
+        for budget in TestCohortGroups.BUDGETS:
+            monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
+            for floor, discard in [(1 << 62, False), (0, False), (0, True)]:
+                monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", floor)
+                monkeypatch.setattr(FederatedRun, "run_round",
+                                    discarding if discard else run_round)
+                names.clear()
+                trace, _ = run_experiment(cfg, train, part, test, public=public)
+                traces.add(trace_to_csv(trace))
+                main = threading.current_thread().name
+                assert len(names) >= cfg.rounds
+                assert all((name == main) == (floor > 0) for name in names)
+        assert len(traces) == 1
+
+    @pytest.mark.parametrize("floor", FLOORS)
+    @pytest.mark.parametrize("budget", TestCohortGroups.BUDGETS)
+    def test_missing_client_raises(self, small_setup, monkeypatch, floor, budget):
+        monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", floor)
+        monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
+        train, test, public, part, arch = small_setup
+        run = FederatedRun(make_config(arch, "fl-top-dp"), train, part, test=test,
+                           public=public)
+        local_updates = run._local_updates
+        monkeypatch.setattr(run, "_local_updates",
+                            lambda cohort, t, s: local_updates(cohort[:-1], t, s))
+        with pytest.raises(ProtocolError):
+            run.run_round()
+
+    @pytest.mark.parametrize("floor", FLOORS)
+    @pytest.mark.parametrize("budget, sizes", [(1 << 62, [3, 7]), (0, [4, 6])])
+    def test_updates_in_other_groups_take_their_own_draws(
+            self, small_setup, monkeypatch, floor, budget, sizes):
+        # The draws come in the run's groups (one of 10, or 10 of 1); updates
+        # that arrive in other groups must still get their own clients'
+        # noise and masks, as in the client-by-client loop.
+        train, test, public, part, arch = small_setup
+        monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", floor)
+        monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
+        cfg = make_config(arch, "fl-top-dp")
+        run = FederatedRun(cfg, train, part, test=test, public=public)
+        trained = []
+
+        def regrouped(cohort, t, index_set):
+            stack = np.concatenate([updates for _, updates in FederatedRun._local_updates(
+                run, cohort, t, index_set)])
+            trained.append(stack.copy())
+            bounds = np.cumsum([0] + sizes)
+            return [(slice(a, b), stack[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+        monkeypatch.setattr(run, "_local_updates", regrouped)
+        for t in (1, 2):
+            w_prev = run.w.copy()
+            cohort = run.run_round()
+            total, _ = reference_dp_sum(cfg, run.codec, t, cohort, trained[-1])
+            assert np.array_equal(run.w, reference_global_update(
+                cfg.spec, w_prev, run.w0, run.index_set, total / cfg.cohort_size))
+
+    class Failed(Exception):
+        pass
+
+    @pytest.mark.parametrize("failing_round", [1, 2])
+    @pytest.mark.parametrize("budget", TestCohortGroups.BUDGETS)
+    def test_draw_thread_error_reaches_the_caller(self, small_setup, monkeypatch,
+                                                  failing_round, budget):
+        # Round 2 is drawn while round 1 runs; its error waits for round 2.
+        train, test, public, part, arch = small_setup
+        monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", 0)
+        monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
+        cfg = make_config(arch, "fl-top-dp", rounds=3)
+        noise = privacy._noise
+        calls = []
+
+        def failing(seeds, *args):  # a row's seed words are [noise, t, client]
+            calls.append(threading.current_thread().name)
+            if seeds[-1][1] == failing_round:
+                raise self.Failed("no noise")
+            return noise(seeds, *args)
+
+        monkeypatch.setattr(privacy, "_noise", failing)
+        run = FederatedRun(cfg, train, part, test=test, public=public)
+        for _ in range(failing_round - 1):
+            run.run_round()
+        with pytest.raises(self.Failed, match="no noise"):
+            run.run_round()
+        assert run.round_index == failing_round - 1
+        assert threading.current_thread().name not in calls
+        monkeypatch.setattr(privacy, "_noise", noise)
+        run.run_round()  # the failed round, drawn again
+        fresh = FederatedRun(cfg, train, part, test=test, public=public)
+        for _ in range(failing_round):
+            fresh.run_round()
+        assert np.array_equal(run.w, fresh.w)
+
+    def test_draw_thread_ends_with_its_run(self, small_setup, monkeypatch):
+        train, test, public, part, arch = small_setup
+        monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", 0)
+        before = set(threading.enumerate())
+        run = FederatedRun(make_config(arch, "fl-std-dp"), train, part, test=test,
+                           public=public)
+        run.run_round()
+        assert run._ahead.t == 2  # queued while round 1 ended
+        started = set(threading.enumerate()) - before
+        assert [thread.name for thread in started] == ["fltop-draws"]
+        assert all(thread.daemon for thread in started)
+        del run
+        for thread in started:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    def test_interleaved_runs_under_fast_switching(self, small_setup, monkeypatch):
+        # Four runs, so four draw threads on fewer cores, each dealing masks
+        # while its run adds into the same secure sums, at a switch
+        # interval of a microsecond: every model must be the inline one.
+        train, test, public, part, arch = small_setup
+        cfg = make_config(arch, "fl-std-dp", rounds=4)
+
+        def models(floor):
+            monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", floor)
+            runs = [FederatedRun(cfg, train, part, test=test, public=public)
+                    for _ in range(4)]
+            for _ in range(cfg.rounds):
+                for run in runs:
+                    run.run_round()
+            return [run.w for run in runs]
+
+        inline = models(1 << 62)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ahead = models(0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(w, inline[0]) for w in inline + ahead)
 
 
 class TestExperiment:

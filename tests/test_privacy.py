@@ -129,6 +129,16 @@ class TestClientNoise:
         with pytest.raises(DimensionError):
             add_client_noise(np.zeros((3, 4)), 1.0, 1.0, 2, [[1], [2]])
 
+    def test_noise_drawn_ahead_is_added_as_drawn(self):
+        # A run may draw the noise first, elsewhere; adding it gives the
+        # bytes of the call that draws its own.
+        seeds = [[5, j] for j in range(3)]
+        ahead = privacy._noise(seeds, 4, 0.7, 1.3, 10)
+        out = add_client_noise(np.ones((3, 4)), 0.7, 1.3, 10, seeds, ahead)
+        assert np.array_equal(out, add_client_noise(np.ones((3, 4)), 0.7, 1.3, 10, seeds))
+        with pytest.raises(DimensionError):
+            add_client_noise(np.ones((2, 4)), 0.7, 1.3, 10, seeds[:2], ahead)
+
     def test_per_coordinate_std(self):
         # K=4 selected: per-coordinate std should be S*sigma/2
         s, sigma = 2.0, 1.5
@@ -186,6 +196,15 @@ class TestLogMoment:
             vals = [log_moment(lam, sigma, c) for lam in (32, 64, 128)]
             assert all(math.isfinite(v) for v in vals)
             assert 0 < vals[0] < vals[1] < vals[2]
+
+    @pytest.mark.parametrize("sigma", [1e-155, 1e-160, 1e-170, 5e-324])
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_vanishing_sigma_is_infinite(self, sigma, c):
+        # (k^2 - k)/(2 sigma^2) overflows from about sigma = 1e-154, and
+        # 2 sigma^2 itself underflows to 0 from about 1e-162; neither may
+        # give NaN or divide by zero.
+        assert log_moment(1, sigma, c) == math.inf
+        assert epsilon(AccountantQuery(sigma, c, 10)) == (math.inf, 1)
 
     def test_invalid_arguments(self):
         with pytest.raises(ConfigError):

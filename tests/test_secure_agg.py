@@ -228,6 +228,28 @@ class TestAggregateDecode:
         assert np.array_equal(stacked._dealt, per_row._dealt)
         assert stacked._total.tolist() == [sum(col) % 2 ** 64 for col in zip(*rows)]
 
+    @pytest.mark.parametrize("groups", [[4], [1] * 4, [3, 1]])
+    def test_masks_dealt_ahead_give_the_same_sum(self, groups):
+        # A dealer that runs ahead deals every mask first; `add` then takes
+        # them in order. Whatever the groups, the sum is the one `add`
+        # reaches dealing its own, and a client still missing is refused.
+        rows = np.random.default_rng(1).integers(0, 2 ** 64, (4, 5), dtype=np.uint64)
+        ahead, own = secure_sum(4, 5, [2, 7]), secure_sum(4, 5, [2, 7])
+        masks = [ahead.masks(g) for g in groups]
+        start = 0
+        for g, dealt in zip(groups, masks):
+            ahead.add(rows[start:start + g].copy(), dealt)
+            own.add(rows[start:start + g].copy())
+            start += g
+        assert ahead.count == own.count == 4
+        assert np.array_equal(ahead._total, own._total)
+        assert np.array_equal(ahead.decode(), own.decode())
+        partial = secure_sum(4, 5, [2, 7])
+        dealt = partial.masks(4)
+        partial.add(rows[:3].copy(), dealt[:3])
+        with pytest.raises(ProtocolError):
+            partial.decode()
+
     def test_missing_client_rejected(self):
         total = secure_sum(3, 5, 0)
         for _ in range(2):
