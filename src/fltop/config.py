@@ -9,6 +9,7 @@ the emitted resolved config reproduces the run exactly.
 """
 
 import json
+import sys
 from dataclasses import (MISSING, asdict, dataclass, field, fields, is_dataclass,
                          replace)
 
@@ -128,7 +129,8 @@ class ResolvedExperiment:
 def _section(cls, values, path, **given):
     """The dataclass `cls` read from `values`, the JSON object at key path
     `path`. Each key must be a field not in `given` and hold that field's
-    JSON type (a bool is no int, an int is a float) or, for a dataclass
+    JSON type (a bool is no int, an int is a float, and a float is finite:
+    `json` reads NaN, Infinity and integers of any size) or, for a dataclass
     field, a nested section. Each field without a default must be present."""
     prefix = f"{path}." if path else ""
     if not isinstance(values, dict):
@@ -142,6 +144,10 @@ def _section(cls, values, path, **given):
             value = _section(kind, value, prefix + key)
         elif type(value) not in ((int, float) if kind is float else (kind,)):
             raise ConfigError(f"{prefix}{key} must be of type {kind.__name__}, "
+                              f"got {json.dumps(value)}")
+        elif kind is float and not abs(value) <= sys.float_info.max:
+            # NaN, an infinity, or an integer that no float can hold
+            raise ConfigError(f"{prefix}{key} must be a finite number, "
                               f"got {json.dumps(value)}")
         given[key] = float(value) if kind is float else value
     for name, f in declared.items():

@@ -12,9 +12,7 @@ An index set is a sorted int64 array of coordinate positions, validated by
 """
 
 import functools
-import queue
-import threading
-import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,88 +279,14 @@ def _group_slices(m, size):
 
 
 # The fewest noise values (G·K) that a DP round's largest training group
-# must draw for the round's draws to run on the draw thread, ahead of
-# training. Below it the same draws run inline, as the round reaches each
-# group. On the 2-vCPU VM, whole runs with every group on the thread, in
+# must draw for the round's draws to run on the run's draw worker, ahead
+# of training. Below it the same draws run inline, as the round reaches each
+# group. On the 2-vCPU VM, whole runs with every group on the worker, in
 # 8 alternating pairs in one process, took 0.81× the inline time with
 # full 784→100→10 rows (G·K = 79,510) but 1.04× on the Python-bound
 # 20→64→2 Top-K benchmark workload (G·K = 740, 1 win of 8) and 1.01× on
 # Top-K 784→100→10 (G·K = 3,980).
 DRAW_AHEAD_MIN_VALUES = 1 << 15
-
-
-class _RoundDraws:
-    """What DP round t draws that reads no data: for each training group,
-    in cohort order, its clients' noise rows (`privacy._noise`), then their
-    masks from the round's `secure_agg.SecureSum` dealer. The draw thread
-    puts them into `results` when it is a queue; otherwise `take` draws
-    each group's as the round reaches it.
-
-    The draw thread calls only private functions and methods: a profiler
-    may wrap every public function with timers that are not thread-safe.
-    """
-
-    def __init__(self, run, t, results=None):
-        cfg = run.config
-        self.t = t
-        self.cohort = run._cohort(t)
-        self.noise_seeds = seed_words(cfg.seeds.noise, t, ids=self.cohort)
-        self.k = cfg.k(run.n)
-        self.secure_sum = secure_agg.SecureSum(run.codec, len(self.cohort), self.k,
-                                               seed_words(cfg.seeds.masks, t))
-        self.groups = run._groups
-        self.results = results
-        self.cancelled = False
-        self._noise_std = (cfg.clip, cfg.sigma, len(self.cohort))
-        self._taken = 0  # groups drawn so far
-        self._rest = None  # the rows of the last one not yet taken
-
-    def _draw(self, group):
-        noise = privacy._noise(self.noise_seeds[group], self.k, *self._noise_std)
-        return noise, self.secure_sum.masks(len(noise))
-
-    def draw_all(self):
-        """Put each group's (noise, masks) into `results` in turn, until
-        cancelled, or what the drawing raised."""
-        try:
-            for group in self.groups:
-                if self.cancelled:
-                    return
-                self.results.put(self._draw(group))
-        except BaseException as e:  # re-raised by `take`, on the round's thread
-            self.results.put(e)
-
-    def take(self, rows):
-        """The next `rows` clients' (noise, masks) in cohort order, whatever
-        groups they come in; raises what the drawing raised."""
-        parts = []
-        while rows:
-            if self._rest is None:
-                if self._taken == len(self.groups):
-                    raise ProtocolError(f"round {self.t} has no draws past its "
-                                        f"{len(self.cohort)} clients")
-                self._rest = self._next()
-            noise, masks = self._rest
-            parts.append((noise[:rows], masks[:rows]))
-            self._rest = (noise[rows:], masks[rows:]) if rows < len(noise) else None
-            rows -= len(parts[-1][0])
-        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-
-    def _next(self):
-        group = self.groups[self._taken]
-        self._taken += 1
-        if self.results is None:
-            return self._draw(group)
-        if isinstance(draw := self.results.get(), BaseException):
-            raise draw
-        return draw
-
-
-def _serve_draws(jobs):
-    """A run's draw thread: draws each queued round in turn, until None.
-    One thread deals each round's masks in cohort order."""
-    while (draws := jobs.get()) is not None:
-        draws.draw_all()
 
 
 class FederatedRun:
@@ -413,11 +337,11 @@ class FederatedRun:
         m = config.cohort_size
         self._groups = _group_slices(m, self._group)
         # Under DP, whether each round's noise and masks are drawn on the
-        # draw thread, and the next round's queued there, ahead of training.
+        # draw worker, and the next round's submitted there, ahead of training.
         self._draw_ahead = self.spec.dp and (
             -(-m // len(self._groups)) * config.k(self.n) >= DRAW_AHEAD_MIN_VALUES)
-        self._ahead = None  # the next round's `_RoundDraws`, if queued
-        self._draw_jobs = None  # the draw thread's queue, once it runs
+        self._ahead = None  # the next round's `_draws`, if submitted
+        self._draw_worker = None  # a one-thread executor, once used
 
     def _layer0(self, inputs, cols):
         return None if cols is None else nn.layer0_cache(self.w0, self.arch,
@@ -456,52 +380,58 @@ class FederatedRun:
         rng = np.random.default_rng(seed_words(103, cfg.seeds.sampling, t))
         return np.sort(rng.choice(cfg.n_clients, size=cfg.cohort_size, replace=False))
 
-    def _round_draws(self, t):
-        """Round t's `_RoundDraws`: the one queued ahead, if it is still
-        round t's, else a fresh one, queued on the draw thread if the run
-        draws ahead. A discarded one is cancelled."""
-        draws, self._ahead = self._ahead, None
-        if draws is not None and draws.t == t and not draws.cancelled:
-            return draws
-        if draws is not None:
-            draws.cancelled = True
-        return self._start_draws(t)
+    def _draws(self, t):
+        """DP round t's cohort, noise seed words and `secure_agg.SecureSum`,
+        and for each group in `self._groups` a call that gives its clients'
+        (noise, masks). Inline the call draws; ahead it is a future's
+        `result` on the run's draw worker, whose one thread deals the masks
+        in cohort order and exits once the run is freed. The thread runs
+        only `draw`, `privacy._noise` and `SecureSum.masks`: a profiler may
+        wrap public functions with timers that are not thread-safe."""
+        cfg = self.config
+        cohort = self._cohort(t)
+        noise_seeds = seed_words(cfg.seeds.noise, t, ids=cohort)
+        k = cfg.k(self.n)
+        secure_sum = secure_agg.SecureSum(self.codec, len(cohort), k,
+                                          seed_words(cfg.seeds.masks, t))
 
-    def _start_draws(self, t):
-        if not self._draw_ahead:
-            return _RoundDraws(self, t)
-        if self._draw_jobs is None:
-            # The draw thread, a daemon, ends once the run is freed.
-            self._draw_jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve_draws, args=(self._draw_jobs,),
-                             name="fltop-draws", daemon=True).start()
-            weakref.finalize(self, self._draw_jobs.put, None)
-        draws = _RoundDraws(self, t, queue.SimpleQueue())
-        self._draw_jobs.put(draws)
-        return draws
+        def draw(group):
+            noise = privacy._noise(noise_seeds[group], k, cfg.clip, cfg.sigma,
+                                   len(cohort))
+            return noise, secure_sum.masks(len(noise))
+
+        if self._draw_ahead and self._draw_worker is None:
+            self._draw_worker = ThreadPoolExecutor(1, thread_name_prefix="fltop-draws")
+        calls = [self._draw_worker.submit(draw, group).result if self._draw_ahead
+                 else functools.partial(draw, group) for group in self._groups]
+        return cohort, noise_seeds, secure_sum, calls
 
     def _secure_mean(self, t, index_set):
         """Round t's cohort and the mean of its clients' updates through the
         secure sum. Each group's stack, while it is fresh from training, is
         clipped, noised, encoded and masked in place, each row with its own
-        client's seeds, and added to the round's `secure_agg.SecureSum`."""
+        client's seeds, and added to the round's `secure_agg.SecureSum`.
+        The stacks must come in the run's groups: each is paired with the
+        next group's draws, which are freed once added."""
         cfg = self.config
-        draws = self._round_draws(t)
-        m = len(draws.cohort)
-        try:
-            for group, stack in self._local_updates(draws.cohort, t, index_set):
-                noise, masks = draws.take(len(stack))
-                noised = privacy.add_client_noise(
-                    privacy.clip(stack, cfg.clip), cfg.clip, cfg.sigma, m,
-                    draws.noise_seeds[group], noise)
-                residues, clamps = secure_agg.encode(noised, self.codec)
-                self.clamp_total += clamps
-                draws.secure_sum.add(residues, masks)
-                del noise, masks  # not held while the next group trains
-        except BaseException:
-            draws.cancelled = True
-            raise
-        return draws.cohort, draws.secure_sum.decode() / m
+        draws, self._ahead = self._ahead or self._draws(t), None
+        cohort, noise_seeds, secure_sum, calls = draws
+        m = len(cohort)
+        for group, stack in self._local_updates(cohort, t, index_set):
+            if not calls:
+                raise ProtocolError(f"round {t} has no draws past its {m} clients")
+            noise, masks = calls.pop(0)()
+            if len(noise) != len(stack):
+                raise ProtocolError(f"round {t}: a group of {len(stack)} updates "
+                                    f"against draws for {len(noise)} clients")
+            noised = privacy.add_client_noise(
+                privacy.clip(stack, cfg.clip), cfg.clip, cfg.sigma, m,
+                noise_seeds[group], noise)
+            residues, clamps = secure_agg.encode(noised, self.codec)
+            self.clamp_total += clamps
+            secure_sum.add(residues, masks)
+            del noise, masks  # not held while the next group trains
+        return cohort, secure_sum.decode() / m
 
     def run_round(self):
         """Advance the global model by one round; returns this round's cohort.
@@ -509,9 +439,9 @@ class FederatedRun:
         Its generators are seeded by `seed_words`. Under DP the cohort mean
         is the decoded secure sum of `_secure_mean`. Its noise and masks read
         no data: with groups of at least `DRAW_AHEAD_MIN_VALUES` noise values
-        they are drawn on the run's draw thread, and once this round is
-        summed the next round's are queued, so they overlap `evaluate` and
-        the next round's training. Every byte is the same as when drawn
+        they are drawn on the run's draw worker, and once this round is
+        summed the next round's are submitted, so they overlap `evaluate`
+        and the next round's training. Every byte is the same as when drawn
         inline.
         """
         cfg = self.config
@@ -521,7 +451,7 @@ class FederatedRun:
         if self.spec.dp:
             cohort, avg = self._secure_mean(t, index_set)
             if self._draw_ahead and t < cfg.rounds:
-                self._ahead = self._start_draws(t + 1)
+                self._ahead = self._draws(t + 1)
         else:
             cohort = self._cohort(t)
             groups = self._local_updates(cohort, t, index_set)

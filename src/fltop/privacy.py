@@ -20,7 +20,7 @@ def clip(delta_w, s):
     clip of that row alone. A row whose squared norm overflows still clips
     to norm s (see `_factors`); one with an infinite entry turns NaN.
     """
-    if s <= 0:
+    if not s > 0:
         raise ConfigError(f"clipping threshold must be positive, got {s}")
     out = np.ascontiguousarray(delta_w, dtype=np.float64)
     rows = out.reshape(-1, out.shape[-1])  # a view: out is C-contiguous
@@ -60,8 +60,8 @@ def add_client_noise(delta_w, s, sigma, num_selected, rng_seed, noise=None):
     time, and is added as it is. Works in place on a C-contiguous float64
     array and returns it; any other input is first copied to one.
     """
-    if s <= 0 or sigma <= 0:
-        raise ConfigError("s and sigma must be positive")
+    if not (s > 0 and sigma > 0):
+        raise ConfigError(f"s and sigma must be positive, got {s} and {sigma}")
     if num_selected < 1:
         raise ConfigError("num_selected must be >= 1")
     out = np.ascontiguousarray(delta_w, dtype=np.float64)
@@ -102,7 +102,7 @@ def log_moment(lam, sigma, c):
     """
     if lam < 1 or int(lam) != lam:
         raise ConfigError(f"lambda must be a positive integer, got {lam}")
-    if sigma <= 0:
+    if not sigma > 0:
         raise ConfigError(f"sigma must be positive, got {sigma}")
     if not 0 <= c <= 1:
         raise ConfigError(f"sampling fraction must be in [0, 1], got {c}")
@@ -143,7 +143,7 @@ class AccountantQuery:
     lam_max: int = 64
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if not 0 < self.c <= 1:
             raise ConfigError(f"sampling fraction must be in (0, 1], got {self.c}")

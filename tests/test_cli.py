@@ -125,9 +125,9 @@ class TestRun:
         assert eps == sorted(eps) and eps[0] > 0
 
     def test_dp_run_on_the_draw_thread_exits_cleanly(self, tmp_path):
-        # Every group's noise and masks drawn on the draw thread: the process
-        # still ends, with no thread left to wait for, and writes the trace
-        # of the inline draws.
+        # Every group's noise and masks drawn on the draw worker: its thread
+        # ends once the run is freed, so the process exits, and the trace
+        # is that of the inline draws.
         path, _ = base_config(tmp_path, scheme="fl-std-dp")
         script = ("import sys, threading\n"
                   "from fltop import cli, federation, privacy\n"
@@ -138,14 +138,17 @@ class TestRun:
                   "    return noise(*args)\n"
                   "privacy._noise = spy\n"
                   "rc = cli.main(['run', sys.argv[1], '--output-dir', sys.argv[2]])\n"
-                  "print(rc, sorted(names),\n"
+                  "for t in threading.enumerate():\n"
+                  "    if t.name.startswith('fltop-draws'):\n"
+                  "        t.join(timeout=10)\n"
+                  "print(rc, [name.startswith('fltop-draws') for name in names],\n"
                   "      [t.name for t in threading.enumerate() if not t.daemon])\n")
         src = str(Path(fltop.__file__).resolve().parents[1])
         done = subprocess.run([sys.executable, "-c", script, str(path),
                                str(tmp_path / "ahead")],
                               env=dict(os.environ, PYTHONPATH=src), timeout=120,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines()[-1] == "0 ['fltop-draws'] ['MainThread']"
+        assert done.stdout.splitlines()[-1] == "0 [True] ['MainThread']"
         assert cli.main(["run", str(path)]) == 0
         assert ((tmp_path / "ahead" / "trace.csv").read_bytes()
                 == (tmp_path / "out" / "trace.csv").read_bytes())
@@ -611,6 +614,28 @@ class TestErrors:
 
     def test_bad_flag_exit_2(self):
         assert cli.main(["accountant", "--sigma", "1.5"]) == 2
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400],
+                             ids=["NaN", "Infinity", "-Infinity", "int-1e400"])
+    @pytest.mark.parametrize("key_path", ["federation.learning_rate",
+                                          "federation.sigma", "dataset.separation"])
+    def test_non_finite_number_exit_2(self, tmp_path, key_path, value):
+        # Python's json reads NaN and Infinity, and an integer of any size;
+        # no float setting may hold one that is not a finite float.
+        path, cfg = base_config(tmp_path, scheme="fl-top-dp")
+        section, key = key_path.split(".")
+        cfg[section][key] = value
+        path.write_text(json.dumps(cfg))
+        assert_usage_error(path, tmp_path / "out", key_path)
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--sampling", "--delta"])
+    def test_accountant_nan_exit_2(self, capsys, flag):
+        args = {"--sigma": "1.54", "--sampling": "0.5", "--rounds": "10",
+                "--delta": "1e-5", flag: "nan"}
+        assert cli.main(["accountant", *(word for item in args.items()
+                                         for word in item)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[2:] in err and "nan" in err
 
     def test_missing_required_key_exit_2(self, tmp_path, capsys):
         path, cfg = base_config(tmp_path)

@@ -605,8 +605,7 @@ class TestDrawAhead:
         def discarding(run):
             # Each round's queued successor is discarded and drawn again.
             cohort = run_round(run)
-            if run._ahead is not None:
-                run._ahead.cancelled = True
+            run._ahead = None
             return cohort
 
         traces = set()
@@ -638,34 +637,39 @@ class TestDrawAhead:
         with pytest.raises(ProtocolError):
             run.run_round()
 
-    @pytest.mark.parametrize("floor", FLOORS)
-    @pytest.mark.parametrize("budget, sizes", [(1 << 62, [3, 7]), (0, [4, 6])])
-    def test_updates_in_other_groups_take_their_own_draws(
-            self, small_setup, monkeypatch, floor, budget, sizes):
-        # The draws come in the run's groups (one of 10, or 10 of 1); updates
-        # that arrive in other groups must still get their own clients'
-        # noise and masks, as in the client-by-client loop.
+    @pytest.mark.parametrize("floor", FLOORS, ids=["ahead", "inline"])
+    @pytest.mark.parametrize("budget, sizes", [(1 << 62, [3, 7]), (0, [4, 6]),
+                                               (1 << 62, [10, 0])],
+                             ids=["10-as-3-7", "1s-as-4-6", "10-as-10-0"])
+    def test_updates_in_other_groups_raise(self, small_setup, monkeypatch, floor,
+                                           budget, sizes):
+        # Each stack takes the draws of the run's next group (one of 10, or
+        # 10 of 1), so stacks in other groups are a protocol error. The
+        # round is not counted, and drawn again it gives a fresh run's model.
         train, test, public, part, arch = small_setup
         monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", floor)
         monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
         cfg = make_config(arch, "fl-top-dp")
         run = FederatedRun(cfg, train, part, test=test, public=public)
-        trained = []
+        local_updates, regroup = run._local_updates, [True]
 
         def regrouped(cohort, t, index_set):
-            stack = np.concatenate([updates for _, updates in FederatedRun._local_updates(
-                run, cohort, t, index_set)])
-            trained.append(stack.copy())
+            groups = list(local_updates(cohort, t, index_set))
+            if not regroup:
+                return groups
+            stack = np.concatenate([updates for _, updates in groups])
             bounds = np.cumsum([0] + sizes)
             return [(slice(a, b), stack[a:b]) for a, b in zip(bounds, bounds[1:])]
 
         monkeypatch.setattr(run, "_local_updates", regrouped)
-        for t in (1, 2):
-            w_prev = run.w.copy()
-            cohort = run.run_round()
-            total, _ = reference_dp_sum(cfg, run.codec, t, cohort, trained[-1])
-            assert np.array_equal(run.w, reference_global_update(
-                cfg.spec, w_prev, run.w0, run.index_set, total / cfg.cohort_size))
+        with pytest.raises(ProtocolError):
+            run.run_round()
+        assert run.round_index == 0
+        regroup.clear()
+        run.run_round()
+        fresh = FederatedRun(cfg, train, part, test=test, public=public)
+        fresh.run_round()
+        assert np.array_equal(run.w, fresh.w)
 
     class Failed(Exception):
         pass
@@ -710,10 +714,11 @@ class TestDrawAhead:
         run = FederatedRun(make_config(arch, "fl-std-dp"), train, part, test=test,
                            public=public)
         run.run_round()
-        assert run._ahead.t == 2  # queued while round 1 ended
+        assert run._ahead is not None  # round 2's, submitted as round 1 ended
         started = set(threading.enumerate()) - before
-        assert [thread.name for thread in started] == ["fltop-draws"]
-        assert all(thread.daemon for thread in started)
+        assert len(started) == 1
+        assert all(thread.name.startswith("fltop-draws") and not thread.daemon
+                   for thread in started)
         del run
         for thread in started:
             thread.join(timeout=10)

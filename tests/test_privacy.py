@@ -282,6 +282,18 @@ class TestEpsilon:
             AccountantQuery(1.54, 0.0, 10)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: clip(np.ones(3), math.nan),
+    lambda: add_client_noise(np.ones(3), math.nan, 1.0, 2, [0]),
+    lambda: add_client_noise(np.ones(3), 1.0, math.nan, 2, [0]),
+    lambda: log_moment(2, math.nan, 0.5),
+    lambda: AccountantQuery(math.nan, 0.5, 10),
+], ids=["clip-s", "noise-s", "noise-sigma", "log_moment-sigma", "query-sigma"])
+def test_nan_is_not_positive(call):
+    # NaN <= 0 is false, so a check written that way lets NaN through.
+    with pytest.raises(ConfigError, match="nan"):
+        call()
+
 
 class TestEmpiricalAudit:
     """A distinguishing game in the style of Jagielski, Ullman & Oprea (2020),
@@ -350,9 +362,10 @@ class TestEmpiricalAudit:
                                seeds=Seeds(noise=seed, masks=seed))
         run = FederatedRun(cfg, train, np.arange(self.M).reshape(self.M, 1))
         n = arch.n_params
-        monkeypatch.setattr(run, "_local_updates", lambda cohort, t, index_set: [
-            (slice(None), np.array([np.full(n, self.S if canary and j == 0 else 0.0)
-                               for j in range(len(cohort))]))])
+        stack = np.array([np.full(n, self.S if canary and j == 0 else 0.0)
+                          for j in range(self.M)])
+        monkeypatch.setattr(run, "_local_updates", lambda cohort, t, index_set: (
+            (group, stack[group]) for group in run._groups))
         before = run.w.copy()
         run.run_round()
         return self.M * (run.w - before), run.epsilon_so_far()
