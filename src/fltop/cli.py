@@ -4,7 +4,8 @@ Subcommands: run (one experiment from a JSON config), sweep (same config over
 several compression ratios), accountant (epsilon for given noise/sampling/
 rounds). A run writes the clipping threshold it calibrated to its
 resolved_config.json. Exit codes: 0 success, 1 runtime failure, 2 usage/config
-error.
+error, which includes a config, IDX file or output directory that cannot be
+read or made; a failed write after the run is a runtime failure.
 """
 
 import argparse
@@ -20,16 +21,25 @@ USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
 
+def _output_dir(args, raw):
+    """The directory `--output-dir` or the resolved config `raw` names, made."""
+    out_dir = Path(args.output_dir or raw["output_dir"])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        key = "--output-dir" if args.output_dir else "output_dir"
+        raise ConfigError(f"{key}: cannot make {out_dir}: {e.strerror}") from None
+    return out_dir
+
+
 def cmd_run(args):
     exp = config_mod.resolve(config_mod.load_config(args.config))
-    out_dir = Path(args.output_dir or exp.raw["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args, exp.raw)
     trace, summary = run_experiment(exp.fed, exp.train, exp.part, exp.test,
                                     public=exp.public)
     (out_dir / "trace.csv").write_text(trace_to_csv(trace))
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    resolved = dict(exp.raw)
-    resolved["output_dir"] = str(out_dir)
+    resolved = {**exp.raw, "output_dir": str(out_dir)}
     (out_dir / "resolved_config.json").write_text(
         json.dumps(resolved, indent=2, sort_keys=True) + "\n")
     print(f"{exp.fed.scheme}: best {summary['best_metric']}="
@@ -42,18 +52,15 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     ratios = []
-    for part in args.ratios.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, map(str.strip, args.ratios.split(","))):
         try:
             r = float(part)
         except ValueError:
             raise ConfigError(f"--ratios: {part!r} is not a number") from None
         if r in ratios:
             print(f"warning: duplicate ratio {r} ignored", file=sys.stderr)
-            continue
-        ratios.append(r)
+        else:
+            ratios.append(r)
     if not ratios:
         raise ConfigError("no ratios given")
 
@@ -62,8 +69,10 @@ def cmd_sweep(args):
     for cfg in configs:  # every ratio, before the first run
         config_mod.read_sections(cfg)
     rows = ["ratio,scheme,best_metric,best_value,round,down_kb,up_kb,epsilon"]
+    out_dir = None
     for r, cfg in zip(ratios, configs):
         exp = config_mod.resolve(cfg)
+        out_dir = out_dir or _output_dir(args, exp.raw)  # before the first run
         _, summary = run_experiment(exp.fed, exp.train, exp.part, exp.test,
                                     public=exp.public)
         rows.append(f"{r:.10g},{summary['scheme']},{summary['best_metric']},"
@@ -71,8 +80,6 @@ def cmd_sweep(args):
                     f"{summary['down_kb']:.10g},{summary['up_kb']:.10g},"
                     f"{summary['epsilon']:.10g}")
         print(rows[-1])
-    out_dir = Path(args.output_dir or exp.raw["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n")
     return 0
 
@@ -121,7 +128,7 @@ def main(argv=None):
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ConfigError, FormatError, DataError, FileNotFoundError) as e:
+    except (ConfigError, FormatError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as e:

@@ -90,9 +90,16 @@ class FashionMnistData:
         _at_least(0, self, "public_seed")
 
     def load(self):
-        return tuple(data.load_idx(getattr(self, f"{part}images"),
-                                   getattr(self, f"{part}labels"))
-                     for part in ("", "test_", "public_"))
+        try:
+            return tuple(data.load_idx(getattr(self, f"{part}images"),
+                                       getattr(self, f"{part}labels"))
+                         for part in ("", "test_", "public_"))
+        except OSError as e:
+            if e.filename is None:  # a failed read, not a path that cannot be opened
+                raise
+            key = next(k for k, v in vars(self).items() if v == e.filename)
+            raise ConfigError(f"dataset.{key}: cannot read {e.filename}: "
+                              f"{e.strerror}") from None
 
 
 # The dataset sections by `type`; `load()` gives (train, test, public source).
@@ -157,11 +164,13 @@ def _section(cls, values, path, **given):
 
 
 def load_config(path):
-    with open(path) as f:
-        try:
+    try:
+        with open(path) as f:
             raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON: {e}") from e
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: invalid JSON: {e}") from e
     _section(Config, raw, "")  # the top level; `resolve` reads the sections
     return raw
 

@@ -227,8 +227,8 @@ def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, see
     A pinning scheme trains only the index set, with every other coordinate
     held at w0; any other scheme trains every coordinate. A set of size n is
     every coordinate, so it trains, and returns, the full vector directly.
-    `layer0` is an optional `nn.Layer0Cache` of w0 for every row of x, which
-    only a pinning scheme can use (see `nn.topk_sgd`).
+    `layer0` is an optional `nn.layer0_cache` of w0 for every row of x,
+    which only a pinning scheme can use (see `nn.topk_sgd`).
     """
     full = len(index_set) == arch.n_params
     trained = index_set if spec.reinit_nonselected and not full else nn.full_indices(arch)
@@ -272,12 +272,6 @@ def cohort_group_size(arch, batch_size, layer0_cols=None):
     return max(1, COHORT_GROUP_BYTES // (8 * values))
 
 
-def _group_slices(m, size):
-    """ceil(m / size) near-equal slices of a cohort of m, in cohort order."""
-    n_groups = -(-m // size)
-    return [slice(i * m // n_groups, (i + 1) * m // n_groups) for i in range(n_groups)]
-
-
 # The fewest noise values (G·K) that a DP round's largest training group
 # must draw for the round's draws to run on the run's draw worker, ahead
 # of training. Below it the same draws run inline, as the round reaches each
@@ -304,7 +298,7 @@ class FederatedRun:
     With a fixed index set that is not the full set, the global model equals
     w0 outside the set after every round. Where `nn.layer0_columns` says it
     pays, the run therefore caches layer 0's pre-activation at w0
-    (`nn.Layer0Cache`) on first use: once for the test set, which `evaluate`
+    (`nn.layer0_cache`) on first use: once for the test set, which `evaluate`
     then uses, and, if the scheme pins, once for the whole training set.
     """
 
@@ -328,32 +322,31 @@ class FederatedRun:
         # The layer-0 units that cached forward passes recompute (see
         # `nn.layer0_columns`); None keeps every pass dense. Training reads
         # the cache only if the scheme pins.
-        self._layer0_cols = None
-        if self.index_set is not None and self.spec.selection != "all":
-            self._layer0_cols = nn.layer0_columns(self.arch, self.index_set)
-        self._train_cols = self._layer0_cols if self.spec.reinit_nonselected else None
-        self._group = cohort_group_size(self.arch, config.batch_size,
-                                        self._train_cols)
-        m = config.cohort_size
-        self._groups = _group_slices(m, self._group)
+        self._cols = None if self.index_set is None else nn.layer0_columns(
+            self.arch, self.index_set)
+        self._group = cohort_group_size(
+            self.arch, config.batch_size,
+            self._cols if self.spec.reinit_nonselected else None)
+        # ceil(m / G) near-equal slices of the cohort, for training and draws.
+        m, n_groups = config.cohort_size, -(-config.cohort_size // self._group)
+        self._groups = [slice(i * m // n_groups, (i + 1) * m // n_groups)
+                        for i in range(n_groups)]
         # Under DP, whether each round's noise and masks are drawn on the
         # draw worker, and the next round's submitted there, ahead of training.
         self._draw_ahead = self.spec.dp and (
-            -(-m // len(self._groups)) * config.k(self.n) >= DRAW_AHEAD_MIN_VALUES)
+            -(-m // n_groups) * config.k(self.n) >= DRAW_AHEAD_MIN_VALUES)
         self._ahead = None  # the next round's `_draws`, if submitted
         self._draw_worker = None  # a one-thread executor, once used
 
-    def _layer0(self, inputs, cols):
-        return None if cols is None else nn.layer0_cache(self.w0, self.arch,
-                                                         inputs, cols)
-
     @functools.cached_property
     def _train_layer0(self):
-        return self._layer0(self.train.inputs, self._train_cols)
+        pins = self._cols is not None and self.spec.reinit_nonselected
+        return nn.layer0_cache(self.w0, self.arch, self.train.inputs) if pins else None
 
     @functools.cached_property
     def _test_layer0(self):
-        return self._layer0(self.test.inputs, self._layer0_cols)
+        return None if self._cols is None else nn.layer0_cache(
+            self.w0, self.arch, self.test.inputs)
 
     def _round_index_set(self, t):
         if self.index_set is not None:
@@ -362,13 +355,13 @@ class FederatedRun:
             self.n, self.config.k(self.n), seed_words(102, self.config.seeds.sampling, t))
 
     def _local_updates(self, cohort, t, index_set):
-        """Train the cohort locally in ceil(m / `cohort_group_size`) groups of
-        near-equal size, one `local_update` call each; yields, group by
-        group in cohort order, the group's slice of the cohort and its
-        (G, K) stack of updates, one row a client."""
+        """Train the cohort locally in the run's groups, `self._groups`, one
+        `local_update` call each; yields, group by group in cohort order,
+        the group's slice of the cohort and its (G, K) stack of updates, one
+        row a client."""
         cfg = self.config
         seeds = seed_words(100, cfg.seeds.sampling, t, ids=cohort)
-        for group in _group_slices(len(cohort), self._group):
+        for group in self._groups:
             yield group, local_update(
                 self.spec, self.train.inputs, self._targets, self.w, self.w0,
                 self.arch, index_set, cfg.local_steps, cfg.learning_rate,
@@ -470,7 +463,7 @@ class FederatedRun:
         """Metrics of the current global model on the held-out test set."""
         x = self.test.inputs
         y = self.test.labels
-        scores = nn.predict(self.w, self.arch, x, self._test_layer0)
+        scores = nn.predict(self.w, self.arch, x, self._test_layer0, self.index_set)
         acc, bal = accuracies(scores, y, self._test_counts)
         try:
             auc = auroc(scores, y) if self.arch.loss == "binary_cross_entropy" \
@@ -481,14 +474,10 @@ class FederatedRun:
 
     def costs(self):
         cfg = self.config
-        r = cfg.k(self.n) / self.n
-        down_compressed = self.spec.selection != "all" and self.spec.fixed_across_rounds
-        up_compressed = self.spec.selection != "all"
-        down = bandwidth_cost(r, self.n, self.round_index,
-                              cfg.sampling_rate, down_compressed)
-        up = bandwidth_cost(r, self.n, self.round_index,
-                            cfg.sampling_rate, up_compressed)
-        return down, up
+        sparse = self.spec.selection != "all"
+        return tuple(bandwidth_cost(cfg.k(self.n) / self.n, self.n, self.round_index,
+                                    cfg.sampling_rate, compressed)
+                     for compressed in (sparse and self.spec.fixed_across_rounds, sparse))
 
     def epsilon_so_far(self):
         if not self.spec.dp or self.round_index == 0:
@@ -506,9 +495,7 @@ def run_experiment(config, train, part, test, public=None):
     trace = []
     for _ in range(config.rounds):
         run.run_round()
-        acc, bal, auc = run.evaluate()
-        down, up = run.costs()
-        trace.append(RoundMetrics(run.round_index, acc, bal, auc, down, up,
+        trace.append(RoundMetrics(run.round_index, *run.evaluate(), *run.costs(),
                                   run.epsilon_so_far(), run.clamp_total))
     return trace, summarize(config, trace)
 

@@ -1,7 +1,7 @@
 """Minimal dense feed-forward network on flat weight vectors.
 
-Models are plain float64 numpy arrays holding all weights and biases; the
-architecture object knows how to slice them back into per-layer matrices.
+Models are plain float64 numpy arrays holding all weights and biases, one
+(in + 1, out) block a layer; `_layers` views them as per-layer matrices.
 Everything is a pure function of (inputs, seed) so federated clients can be
 evaluated independently and reproducibly.
 """
@@ -9,7 +9,6 @@ evaluated independently and reproducibly.
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +53,8 @@ class ArchSpec:
         if self.loss == "binary_cross_entropy" and final != "sigmoid":
             raise ConfigError("binary_cross_entropy requires a sigmoid output layer")
 
-    # n_params and slices are cached per instance, outside the fields, so
-    # equality and hashing (which key `_index_set`'s cache) stay field-based.
+    # n_params is cached per instance, outside the fields, so equality and
+    # hashing (which key `_index_set`'s cache) stay field-based.
     @functools.cached_property
     def n_params(self):
         return sum(l.in_width * l.out_width + l.out_width for l in self.layers)
@@ -67,20 +66,6 @@ class ArchSpec:
     @property
     def output_width(self):
         return self.layers[-1].out_width
-
-    @functools.cached_property
-    def _slices(self):
-        out = []
-        pos = 0
-        for l in self.layers:
-            w_end = pos + l.in_width * l.out_width
-            out.append((slice(pos, w_end), slice(w_end, w_end + l.out_width)))
-            pos = w_end + l.out_width
-        return tuple(out)
-
-    def slices(self):
-        """Per-layer (weight, bias) slices into the flat parameter vector."""
-        return self._slices
 
 
 def mlp_arch(input_width, hidden_widths, output_width, loss,
@@ -97,9 +82,9 @@ def init_model(arch, seed):
     """Glorot-uniform weights, zero biases; deterministic for (arch, seed)."""
     rng = np.random.default_rng(seed)
     w = np.zeros(arch.n_params)
-    for layer, (w_sl, _) in zip(arch.layers, arch.slices()):
+    for layer, (mat, _) in zip(arch.layers, _layers(w, arch)):
         limit = math.sqrt(6.0 / (layer.in_width + layer.out_width))
-        w[w_sl] = rng.uniform(-limit, limit, layer.in_width * layer.out_width)
+        mat[...] = rng.uniform(-limit, limit, mat.shape)
     return w
 
 
@@ -144,7 +129,7 @@ def _forward(layers, arch, x, z0=None, cols=None):
     `w` with (rows, width) inputs, or a (G, n) stack of models with a
     (G, rows, width) stack of inputs, one per model. With `z0`, `layers[0]`
     holds only layer 0's units `cols`, and layer 0's pre-activation is `z0`
-    (which this overwrites) with those columns recomputed; see `Layer0Cache`.
+    (which this overwrites) with those columns recomputed; see `layer0_cache`.
     """
     acts = [x]
     for i, layer in enumerate(arch.layers):
@@ -167,32 +152,22 @@ def _check_batch(arch, x, y=None):
             f"targets {y.shape} do not match (batch, {arch.output_width})")
 
 
-class Layer0Cache(NamedTuple):
-    """Layer 0's pre-activation `z = x @ W0 + b0` at a base model w0, one row
-    per input row, and the sorted layer-0 output units `cols` whose weights
-    or bias a model may hold away from w0. `predict` and `topk_sgd` take one
-    and recompute only those units, and `topk_sgd` then trains the compact
-    sub-model that holds only them in layer 0. Build it with `layer0_cache`,
-    and only where `layer0_columns` says it pays."""
-    z: np.ndarray
-    cols: np.ndarray
-
-
-def predict(w, arch, x, layer0=None):
+def predict(w, arch, x, layer0=None, indices=None):
     """Output-layer activations for a batch of inputs (forward pass only).
 
-    `layer0` is an optional `Layer0Cache` for the rows of x. Every layer-0
-    weight and bias of `w` outside its columns must equal the base model's;
-    the scores then match the dense forward pass up to rounding in those
-    columns.
+    `layer0` is an optional `layer0_cache` of a base model w0 for the rows
+    of x, and `indices` an index set outside which w's layer 0 equals w0's.
+    Only the layer-0 units the set touches are recomputed, which matches the
+    dense pass up to rounding.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_batch(arch, x)
-    layers, z0, cols = _layers(w, arch), None, None
+    layers, cols = _layers(w, arch), None
     if layer0 is not None:
-        z0, cols = layer0.z.copy(), layer0.cols
+        cols = _index_set(arch, np.asarray(indices, dtype=np.int64).tobytes())[1]
+        layer0 = layer0.copy()
         layers[0] = tuple(a[:, cols] for a in layers[0])
-    return _forward(layers, arch, x, z0, cols)[-1]
+    return _forward(layers, arch, x, layer0, cols)[-1]
 
 
 def _backward(layers, arch, x, targets, grads, z0=None, cols=None):
@@ -277,7 +252,8 @@ def _index_set(arch, key):
     if np.any(np.diff(indices) <= 0):
         raise IndexError("index set must be strictly increasing")
     # Layer 0's weights and bias are the rows of one (in + 1, out) block.
-    first, stop = arch.layers[0], arch.slices()[0][1].stop
+    first = arch.layers[0]
+    stop = (first.in_width + 1) * first.out_width
     n_first = np.searchsorted(indices, stop)
     rows, units = np.divmod(indices[:n_first], first.out_width)
     cols = np.flatnonzero(np.bincount(units))  # np.unique would import numpy.ma
@@ -298,29 +274,32 @@ LAYER0_CACHE_MIN_SAVED = 1 << 15
 
 def layer0_columns(arch, indices):
     """The layer-0 output units that the index set `indices` touches, or
-    None when a `Layer0Cache` for it would not pay.
+    None when training or scoring it through a `layer0_cache` would not pay.
 
     Per input row, the cached path skips `in_width` multiply-adds for every
     unit the set leaves clean, and gathers about as many per touched unit.
     So it is taken only when in_width × (clean − touched units) reaches
     LAYER0_CACHE_MIN_SAVED: a Top-K set on 784→100 touching 3 units passes
     (784 × 94); the README config's set (20 × 48) and the full set do not.
+    `full_indices(arch)` is refused by identity, neither hashed nor held.
     """
+    if indices is full_indices(arch):
+        return None
     cols = _index_set(arch, np.asarray(indices, dtype=np.int64).tobytes())[1]
     first = arch.layers[0]
     clean = first.out_width - cols.size
-    if first.in_width * (clean - cols.size) < LAYER0_CACHE_MIN_SAVED:
-        return None
-    return cols
+    saved = first.in_width * (clean - cols.size)
+    return cols if saved >= LAYER0_CACHE_MIN_SAVED else None
 
 
-def layer0_cache(w0, arch, x, cols):
-    """The `Layer0Cache` of the base model w0 for the rows of x; `cols`
-    comes from `layer0_columns`."""
+def layer0_cache(w0, arch, x):
+    """Layer 0's pre-activation `x @ W0 + b0` at the base model w0, a row per
+    row of x. It serves any index set: `predict` and `topk_sgd` recompute only
+    the units their set touches. Build it where `layer0_columns` says it pays."""
     x = np.asarray(x, dtype=np.float64)
     _check_batch(arch, x)
     mat, bias = _layers(w0, arch)[0]
-    return Layer0Cache(x @ mat + bias, cols)
+    return x @ mat + bias
 
 
 def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
@@ -344,11 +323,11 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     scaled by -eta, into the model: SGD on `gradient(...)[indices]`, bit for
     bit.
 
-    `layer0` is an optional `Layer0Cache` of w0 for every row of x, for
-    exactly the layer-0 units the set touches (`layer0_columns` says where
-    it pays). A client's model and gradient buffer then hold only the set's
-    compact sub-model (see `_index_set`), and each step recomputes only
-    those units. This matches the dense result up to rounding.
+    `layer0` is an optional `layer0_cache` of w0 for every row of x, where
+    `layer0_columns` says it pays. A client's model and gradient buffer then
+    hold only the set's compact sub-model (see `_index_set`), and each step
+    recomputes only the layer-0 units the set touches: the dense result up
+    to rounding.
     """
     if t_gd < 1:
         raise ConfigError(f"t_gd must be >= 1, got {t_gd}")
@@ -368,20 +347,18 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
              for r, s in zip(rows.reshape(len(seeds), -1), seeds)]
     at = plans[0] if len(plans) == 1 else np.stack(plans, axis=1)
     lead = at.shape[1:-1]
+    if layer0 is not None and len(layer0) != len(x):
+        raise ValueError("layer-0 cache does not match the training set")
     # One model row per client, holding the set at `pos`: w for the shared
-    # full set, else w0 or its sub-model `w0[src]` with w's values at the set.
-    cols = z = None
+    # full set, else w0 or, under the cache, the sub-model `w0[src]` whose
+    # layer 0 holds the units `cols`, with w's values at the set.
     if indices is full_indices(arch) and layer0 is None:
-        start, pos = w, slice(None)
+        start, pos, cols = w, slice(None), None
     else:
-        indices, touched, pos, src = _index_set(
+        indices, cols, sub_pos, src = _index_set(
             arch, np.asarray(indices, dtype=np.int64).tobytes())
-        if layer0 is not None:
-            cols, z = touched, layer0.z
-            if not np.array_equal(cols, layer0.cols) or len(z) != len(x):
-                raise ValueError("layer-0 cache does not match the index set "
-                                 "and training set")
-        start, pos = (w0, indices) if z is None else (w0[src], pos)
+        start, pos, cols = ((w0, indices, None) if layer0 is None
+                            else (w0[src], sub_pos, cols))
     # numpy indexes a flat model faster without a leading slice.
     in_set = (slice(None),) * len(lead) + (pos,)
     cur = np.tile(start, lead + (1,))
@@ -393,7 +370,7 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     for batch in at:
         _backward(layers, arch, np.asarray(x[batch], dtype=np.float64),
                   np.asarray(y[batch], dtype=np.float64), grads,
-                  None if z is None else z[batch], cols)
+                  None if cols is None else layer0[batch], cols)
         step = g[in_set]
         step *= -eta
         cur[in_set] += step

@@ -41,6 +41,17 @@ def finite_difference_gradient(w, arch, x, y, h=1e-5):
     return g
 
 
+def layer_slices(arch):
+    """Per-layer (weight, bias) slices into the flat parameter vector: a
+    layer's (in, out) weights, row-major, then its out biases."""
+    out, pos = [], 0
+    for layer in arch.layers:
+        w_end = pos + layer.in_width * layer.out_width
+        out.append((slice(pos, w_end), slice(w_end, w_end + layer.out_width)))
+        pos = w_end + layer.out_width
+    return out
+
+
 def dense_gradient(w, arch, x, targets):
     """Backprop gradient of the mean batch loss, flat like w: every layer's
     full weight and bias gradient, written independently of `nn._backward`."""
@@ -51,7 +62,7 @@ def dense_gradient(w, arch, x, targets):
     grad = np.zeros_like(w)
     # Softmax+CE and sigmoid+BCE share the same output delta.
     delta = (acts[-1] - targets) / m
-    slices = arch.slices()
+    slices = layer_slices(arch)
     for i in range(len(arch.layers) - 1, -1, -1):
         layer = arch.layers[i]
         w_sl, b_sl = slices[i]
@@ -114,7 +125,7 @@ def update_norms(x, y, w0, arch, sets, steps, eta, seed):
 
 def touched_units(arch, indices):
     """Layer 0's output units that hold a weight or bias of `indices`."""
-    w_sl, b_sl = arch.slices()[0]
+    w_sl, b_sl = layer_slices(arch)[0]
     width = arch.layers[0].out_width
     first = indices[indices < b_sl.stop]
     return np.unique(np.where(first < w_sl.stop, (first - w_sl.start) % width,

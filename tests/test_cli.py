@@ -604,6 +604,47 @@ class TestErrors:
     def test_missing_file_exit_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2
 
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        assert cli.main(["run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read config {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("key", ["images", "test_labels", "public_images"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_idx_file_exit_2(self, tmp_path, key, kind):
+        # An IDX file that cannot be opened is named by its key.
+        path, cfg = base_config(tmp_path)
+        cfg["dataset"] = IdxFiles().write(tmp_path)
+        unreadable = Path(cfg["dataset"][key])
+        unreadable.unlink()
+        if kind == "directory":
+            unreadable.mkdir()
+        path.write_text(json.dumps(cfg))
+        assert_usage_error(path, tmp_path / "out", f"dataset.{key}: cannot read")
+
+    @pytest.mark.parametrize("flag", [True, False], ids=["--output-dir", "output_dir"])
+    def test_output_dir_that_cannot_be_made_exit_2(self, tmp_path, capsys,
+                                                  monkeypatch, flag):
+        # A file where the directory should be, named by the flag or by the
+        # config key; nothing is trained.
+        monkeypatch.setattr(cli, "run_experiment", None)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        path, _ = base_config(tmp_path, output_dir=str(blocker))
+        argv = ["run", str(path)] + (["--output-dir", str(blocker)] if flag else [])
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        key = "--output-dir" if flag else "output_dir"
+        assert err == f"error: {key}: cannot make {blocker}: File exists\n"
+
+    def test_output_write_error_exit_1(self, tmp_path, capsys):
+        # The outputs are written after the run: a failure there is no
+        # usage error.
+        path, _ = base_config(tmp_path)
+        (tmp_path / "out" / "trace.csv").mkdir(parents=True)
+        assert cli.main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("runtime error: ")
+
     def test_dp_cohort_of_one_exit_2_before_output(self, tmp_path, capsys):
         path, cfg = base_config(tmp_path, scheme="fl-top-dp")
         cfg["federation"]["sampling_fraction"] = 0.025  # 1 of 40 clients
@@ -720,6 +761,30 @@ class TestSweep:
         assert len(rows) == 3  # header + two distinct ratios
         assert rows[1].startswith("0.05,fl-top,")
         assert rows[2].startswith("0.1,fl-top,")
+
+    def test_output_dir_is_made_before_the_first_run(self, tmp_path, capsys,
+                                                     monkeypatch):
+        seen = []
+
+        def run_experiment(*args, **kwargs):
+            seen.append((tmp_path / "out").is_dir())
+            raise TypeError("stop")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        path, _ = base_config(tmp_path)
+        assert cli.main(["sweep", str(path), "--ratios", "0.05,0.1"]) == 1
+        assert seen == [True]
+
+    def test_output_dir_that_cannot_be_made_exit_2_before_any_run(self, tmp_path,
+                                                                   capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        path, _ = base_config(tmp_path)
+        assert cli.main(["sweep", str(path), "--ratios", "0.05,0.1",
+                         "--output-dir", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --output-dir: cannot make ")
+        assert captured.out == ""
 
     def test_empty_ratio_list_exit_2(self, tmp_path):
         path, _ = base_config(tmp_path)

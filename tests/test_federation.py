@@ -361,7 +361,7 @@ class TestLayer0Cache:
                                public=public)
             run.run_round()
             run.evaluate()
-            assert run._layer0_cols is None, scheme
+            assert run._cols is None, scheme
             assert run._test_layer0 is None, scheme
             assert run._train_layer0 is None, scheme
 
@@ -378,7 +378,7 @@ class TestLayer0Cache:
             m.setattr(nn, "layer0_columns", lambda arch, indices: None)
             runs.append(FederatedRun(cfg, train, part, test=test, public=public))
         cached, dense = runs
-        assert cached._layer0_cols is not None and dense._layer0_cols is None
+        assert cached._cols is not None and dense._cols is None
         for _ in range(3):
             scores = []
             for run in runs:
@@ -401,9 +401,9 @@ class TestLayer0Cache:
         calls = []
         layer0_cache = nn.layer0_cache
 
-        def spy(w0, arch, x, cols):
+        def spy(w0, arch, x):
             calls.append(x)
-            return layer0_cache(w0, arch, x, cols)
+            return layer0_cache(w0, arch, x)
 
         monkeypatch.setattr(nn, "layer0_cache", spy)
         run = FederatedRun(cfg, train, part, test=test, public=public)
@@ -632,8 +632,12 @@ class TestDrawAhead:
         run = FederatedRun(make_config(arch, "fl-top-dp"), train, part, test=test,
                            public=public)
         local_updates = run._local_updates
-        monkeypatch.setattr(run, "_local_updates",
-                            lambda cohort, t, s: local_updates(cohort[:-1], t, s))
+
+        def missing_last(cohort, t, s):  # the cohort's last update never comes
+            *groups, (group, stack) = local_updates(cohort, t, s)
+            return [*groups, (group, stack[:-1])]
+
+        monkeypatch.setattr(run, "_local_updates", missing_last)
         with pytest.raises(ProtocolError):
             run.run_round()
 

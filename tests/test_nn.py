@@ -8,7 +8,7 @@ from fltop import compression, nn
 from fltop.errors import ConfigError, DataError, DimensionError
 
 from oracles import (batch_stream, dense_gradient, finite_difference_gradient,
-                     forward_loss, reference_topk_sgd, touched_units)
+                     forward_loss, layer_slices, reference_topk_sgd, touched_units)
 
 
 def full_sgd(x, y, w, arch, t_gd, eta, batch_size, seed):
@@ -40,7 +40,7 @@ def topk_cases(draw):
                                "sigmoid" if binary else "softmax"))
     arch = nn.ArchSpec(tuple(layers), loss)
     n = arch.n_params
-    slices = arch.slices()
+    slices = layer_slices(arch)
     set_kind = draw(st.sampled_from(("empty", "bias", "one_layer", "random",
                                      "blocks", "full", "shared")))
     if set_kind == "empty":
@@ -98,7 +98,7 @@ def layer0_cases(draw):
     low, high = {"one": (1, 1), "few": (2, 8), "half": (9, hidden // 2),
                  "every": (hidden, hidden)}[touched]
     units = rng.choice(hidden, draw(st.integers(low, high)), replace=False)
-    w_sl, b_sl = arch.slices()[0]
+    w_sl, b_sl = layer_slices(arch)[0]
     chosen = set()
     for u in units:
         # Some of the unit's weights, its bias, or both.
@@ -148,8 +148,7 @@ class TestArchSpec:
     def test_cached_sizes_keep_field_equality(self):
         a = nn.mlp_arch(3, [4], 2, "cross_entropy")
         b = nn.mlp_arch(3, [4], 2, "cross_entropy")
-        assert a.n_params == 26 and a.slices() is a.slices()
-        assert isinstance(a.slices(), tuple)
+        assert a.n_params == 26
         assert a == b and hash(a) == hash(b)
         assert a != nn.mlp_arch(3, [5], 2, "cross_entropy")
 
@@ -177,7 +176,7 @@ class TestInit:
 
     def test_biases_zero_weights_bounded(self, toy_arch):
         w = nn.init_model(toy_arch, 3)
-        for layer, (w_sl, b_sl) in zip(toy_arch.layers, toy_arch.slices()):
+        for layer, (w_sl, b_sl) in zip(toy_arch.layers, layer_slices(toy_arch)):
             assert np.all(w[b_sl] == 0.0)
             limit = math.sqrt(6.0 / (layer.in_width + layer.out_width))
             assert np.all(np.abs(w[w_sl]) <= limit)
@@ -204,7 +203,7 @@ class TestForward:
         # vectorized one.
         x, y = toy_batch
         w = nn.init_model(toy_arch, 5)
-        (w1s, b1s), (w2s, b2s) = toy_arch.slices()
+        (w1s, b1s), (w2s, b2s) = layer_slices(toy_arch)
         w1 = w[w1s].reshape(2, 3)
         b1 = w[b1s]
         w2 = w[w2s].reshape(3, 2)
@@ -279,7 +278,7 @@ class TestGradient:
         # when every prediction error is zero.
         arch = nn.mlp_arch(2, [2], 1, "binary_cross_entropy")
         w = nn.init_model(arch, 0)
-        (w1s, b1s), (w2s, b2s) = arch.slices()
+        (w1s, b1s), (w2s, b2s) = layer_slices(arch)
         w[w2s] = 0.0
         w[b2s] = 0.0
         x = np.array([[0.2, 0.8], [0.7, 0.1]])
@@ -432,8 +431,7 @@ class TestTopkSgd:
         elif touched != "half":
             assert np.array_equal(got, cols)
         args = (arch, t_gd, indices, eta, batch_size, data_seed)
-        out = nn.topk_sgd(x, y, w, w0, *args,
-                          layer0=nn.layer0_cache(w0, arch, x, cols))
+        out = nn.topk_sgd(x, y, w, w0, *args, layer0=nn.layer0_cache(w0, arch, x))
         ref = reference_topk_sgd(x, y, w, w0, *args)[..., indices]
         assert out.shape == indices.shape
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10)
@@ -452,10 +450,9 @@ class TestTopkSgd:
     def test_stack_matches_single_shard_calls_bitwise(self, case, group):
         arch, indices, shard, batch_size, t_gd, eta, data_seed, cached = case
         x, y, w, w0, rows = group_inputs(arch, group, shard, data_seed)
-        cols = touched_units(arch, indices) if cached else None
         seeds = [[data_seed, c] for c in range(group)]
         args = (arch, t_gd, indices, eta, batch_size)
-        layer0 = nn.layer0_cache(w0, arch, x, cols) if cached else None
+        layer0 = nn.layer0_cache(w0, arch, x) if cached else None
         stacked = nn.topk_sgd(x, y, w, w0, *args, seeds, layer0, rows)
         assert stacked.shape == (group, len(indices))
         for c in range(group):
@@ -464,7 +461,7 @@ class TestTopkSgd:
             at = rows[c]
             gathered = nn.topk_sgd(
                 x[at], y[at], w, w0, *args, seeds[c],
-                layer0=nn.Layer0Cache(layer0.z[at], cols) if cached else None)
+                layer0=layer0[at] if cached else None)
             assert np.array_equal(single, gathered)
 
     def test_group_of_one_returns_one_row(self, toy_arch):
@@ -486,14 +483,11 @@ class TestTopkSgd:
             nn.topk_sgd(x[rows], y[rows], w, w0, toy_arch, 1, full, 0.1, 2,
                         [[0, 0], [0, 1], [0, 2]])
 
-    def test_layer0_cache_for_another_set_rejected(self):
+    def test_layer0_cache_for_other_rows_rejected(self):
         arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
         w0 = nn.init_model(arch, 0)
         x, y = np.zeros((4, 784)), np.eye(10)[:4]
-        cache = nn.layer0_cache(w0, arch, x, np.array([0, 1]))
-        with pytest.raises(ValueError):
-            nn.topk_sgd(x, y, w0, w0, arch, 1, np.array([2, 3]), 0.1, 2, 0,
-                        layer0=cache)
+        cache = nn.layer0_cache(w0, arch, x)
         with pytest.raises(ValueError):
             nn.topk_sgd(x[:3], y[:3], w0, w0, arch, 1, np.array([0, 1]), 0.1, 2,
                         0, layer0=cache)
@@ -545,9 +539,9 @@ class TestIndexSet:
         for dense, compact in zip(rest, sub_rest):
             assert all(map(np.array_equal, dense, compact))
         x = rng.uniform(-1, 1, (5, arch.input_width))
-        cache = nn.layer0_cache(w, arch, x, cols)
-        acts = nn._forward(nn._layers(sub, arch, cols), arch, x, cache.z.copy(), cols)
-        assert np.array_equal(acts[-1], nn.predict(w, arch, x, cache))
+        cache = nn.layer0_cache(w, arch, x)
+        acts = nn._forward(nn._layers(sub, arch, cols), arch, x, cache.copy(), cols)
+        assert np.array_equal(acts[-1], nn.predict(w, arch, x, cache, indices))
 
 
 class TestLayer0Dispatch:
@@ -579,7 +573,7 @@ class TestLayer0Dispatch:
         rng = np.random.default_rng(seed)
         w0 = nn.init_model(arch, seed)
         units = rng.choice(100, 3, replace=False)
-        w_sl, b_sl = arch.slices()[0]
+        w_sl, b_sl = layer_slices(arch)[0]
         indices = np.sort(np.concatenate([
             w_sl.start + rng.choice(784, 60) * 100 + np.repeat(units, 20),
             b_sl.start + units[:1],
@@ -590,10 +584,40 @@ class TestLayer0Dispatch:
         x = rng.uniform(0, 1, (300, 784))
         cols = nn.layer0_columns(arch, indices)
         assert np.array_equal(cols, np.sort(units))
-        cache = nn.layer0_cache(w0, arch, x, cols)
-        cached = nn.predict(w, arch, x, cache)
+        cache = nn.layer0_cache(w0, arch, x)
+        cached = nn.predict(w, arch, x, cache, indices)
         dense = nn.predict(w, arch, x)
         np.testing.assert_allclose(cached, dense, rtol=1e-10, atol=1e-12)
         assert np.array_equal(cached.argmax(axis=1), dense.argmax(axis=1))
         # The cache is read, never written.
-        assert np.array_equal(cache.z, nn.layer0_cache(w0, arch, x, cols).z)
+        assert np.array_equal(cache, nn.layer0_cache(w0, arch, x))
+
+    def test_one_cache_serves_any_set(self):
+        # One cache of w0 trains and then scores two sets that touch
+        # different layer-0 units, in turn, and is never written.
+        arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
+        rng = np.random.default_rng(3)
+        w0 = nn.init_model(arch, 3)
+        x = rng.uniform(0, 1, (40, 784))
+        y = one_hot(rng.integers(0, 10, 40), 10)
+        cache = nn.layer0_cache(w0, arch, x)
+        before = cache.copy()
+        w_sl, b_sl = layer_slices(arch)[0]
+        for units in (np.array([3, 17, 42]), np.array([5, 60])):
+            rows = rng.choice(784, 10, replace=False)
+            indices = np.sort(np.concatenate([
+                (w_sl.start + rows[:, None] * 100 + units).ravel(),
+                b_sl.start + units[:1],
+                rng.choice(np.arange(b_sl.stop, arch.n_params), 30, replace=False)]))
+            assert np.array_equal(nn.layer0_columns(arch, indices), units)
+            w = w0.copy()
+            w[indices] += rng.normal(0, 0.5, indices.size)
+            args = (arch, 3, indices, 0.3, 8, 0)
+            out = nn.topk_sgd(x, y, w, w0, *args, layer0=cache)
+            trained = reference_topk_sgd(x, y, w, w0, *args)
+            np.testing.assert_allclose(out, trained[indices], rtol=1e-10, atol=1e-10)
+            trained[indices] = out  # w0 off the set
+            np.testing.assert_allclose(nn.predict(trained, arch, x, cache, indices),
+                                       nn.predict(trained, arch, x),
+                                       rtol=1e-10, atol=1e-12)
+        assert np.array_equal(cache, before)
