@@ -374,13 +374,13 @@ class FederatedRun:
         return np.sort(rng.choice(cfg.n_clients, size=cfg.cohort_size, replace=False))
 
     def _draws(self, t):
-        """DP round t's cohort, noise seed words and `secure_agg.SecureSum`,
-        and for each group in `self._groups` a call that gives its clients'
-        (noise, masks). Inline the call draws; ahead it is a future's
-        `result` on the run's draw worker, whose one thread deals the masks
-        in cohort order and exits once the run is freed. The thread runs
-        only `draw`, `privacy._noise` and `SecureSum.masks`: a profiler may
-        wrap public functions with timers that are not thread-safe."""
+        """DP round t's cohort and `secure_agg.SecureSum`, and for each group
+        in `self._groups` a call that gives its clients' (noise, masks).
+        Inline the call draws; ahead it is a future's `result` on the run's
+        draw worker, whose one thread deals the masks in cohort order and
+        exits once the run is freed. The thread runs only `draw`,
+        `privacy._noise` and `SecureSum.masks`: a profiler may wrap public
+        functions with timers that are not thread-safe."""
         cfg = self.config
         cohort = self._cohort(t)
         noise_seeds = seed_words(cfg.seeds.noise, t, ids=cohort)
@@ -397,7 +397,7 @@ class FederatedRun:
             self._draw_worker = ThreadPoolExecutor(1, thread_name_prefix="fltop-draws")
         calls = [self._draw_worker.submit(draw, group).result if self._draw_ahead
                  else functools.partial(draw, group) for group in self._groups]
-        return cohort, noise_seeds, secure_sum, calls
+        return cohort, secure_sum, calls
 
     def _secure_mean(self, t, index_set):
         """Round t's cohort and the mean of its clients' updates through the
@@ -408,18 +408,17 @@ class FederatedRun:
         next group's draws, which are freed once added."""
         cfg = self.config
         draws, self._ahead = self._ahead or self._draws(t), None
-        cohort, noise_seeds, secure_sum, calls = draws
+        cohort, secure_sum, calls = draws
         m = len(cohort)
-        for group, stack in self._local_updates(cohort, t, index_set):
+        for _, stack in self._local_updates(cohort, t, index_set):
             if not calls:
                 raise ProtocolError(f"round {t} has no draws past its {m} clients")
             noise, masks = calls.pop(0)()
             if len(noise) != len(stack):
                 raise ProtocolError(f"round {t}: a group of {len(stack)} updates "
                                     f"against draws for {len(noise)} clients")
-            noised = privacy.add_client_noise(
-                privacy.clip(stack, cfg.clip), cfg.clip, cfg.sigma, m,
-                noise_seeds[group], noise)
+            noised = privacy.clip(stack, cfg.clip)
+            noised += noise
             residues, clamps = secure_agg.encode(noised, self.codec)
             self.clamp_total += clamps
             secure_sum.add(residues, masks)

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 
 
 def clip(delta_w, s):
@@ -46,43 +46,12 @@ def _factors(rows, s):
     return factors
 
 
-def add_client_noise(delta_w, s, sigma, num_selected, rng_seed, noise=None):
-    """Add i.i.d. Gaussian noise with per-coordinate std s*sigma/sqrt(num_selected).
-
-    Summing the noises of num_selected clients gives total std s*sigma,
-    which is what the accountant assumes for the aggregate.
-
-    `delta_w` is one client's K-vector with one `rng_seed`, or a (G, K)
-    stack with a sequence of G seeds, one a row, as in `nn.topk_sgd`. Each
-    row draws its noise from `np.random.default_rng` of its own seed, so it
-    equals that client's own call bit for bit (see `_noise`). `noise`, if
-    given, is `_noise`'s draw for these seeds and this std, made ahead of
-    time, and is added as it is. Works in place on a C-contiguous float64
-    array and returns it; any other input is first copied to one.
-    """
-    if not (s > 0 and sigma > 0):
-        raise ConfigError(f"s and sigma must be positive, got {s} and {sigma}")
-    if num_selected < 1:
-        raise ConfigError("num_selected must be >= 1")
-    out = np.ascontiguousarray(delta_w, dtype=np.float64)
-    seeds = [rng_seed] if out.ndim == 1 else list(rng_seed)
-    if out.ndim > 2 or len(seeds) != math.prod(out.shape[:-1]):
-        raise DimensionError(f"{len(seeds)} noise seeds for an update of shape "
-                             f"{out.shape}")
-    if noise is None:
-        noise = _noise(seeds, out.shape[-1], s, sigma, num_selected)
-    elif noise.shape != (len(seeds), out.shape[-1]):
-        raise DimensionError(f"noise of shape {noise.shape} for an update of "
-                             f"shape {out.shape}")
-    out += noise.reshape(out.shape)
-    return out
-
-
 def _noise(seeds, k, s, sigma, num_selected):
     """(len(seeds), k) Gaussian noise of std s*sigma/sqrt(num_selected), row
     i from `np.random.default_rng(seeds[i])`: the draws fill one buffer,
-    which is then scaled at once. It reads no data, so `federation` may
-    draw it ahead of time, on another thread."""
+    which is then scaled at once. Summed over num_selected clients it has
+    std s*sigma, as the accountant assumes. It reads no data, so
+    `federation` may draw it ahead of time, on another thread."""
     noise = np.empty((len(seeds), k))
     for row, seed in zip(noise, seeds):
         np.random.default_rng(seed).standard_normal(out=row)

@@ -86,18 +86,6 @@ def decode(residues, codec):
     return residues.view(np.int64).astype(np.float64) / codec.scale
 
 
-def encrypt(encoded, mask):
-    """One-time-pad addition in the ring, in place: adds `mask` into
-    `encoded`, a uint64 array (any other input is first copied to one), and
-    returns it."""
-    encoded = np.asarray(encoded, dtype=_U64)
-    mask = np.asarray(mask, dtype=_U64)
-    if encoded.shape != mask.shape:
-        raise DimensionError(f"shapes differ: {encoded.shape} vs {mask.shape}")
-    encoded += mask
-    return encoded
-
-
 def _add_rows(total, rows):
     """Add the rows of a (G, dim) uint64 array into `total` mod 2^64, in
     any order: by one reduction, or directly for one row, a pass fewer."""
@@ -147,17 +135,20 @@ class SecureSum:
         self.dealt += count
         return out
 
-    def add(self, residues, masks=None):
-        """Mask one client's residues, or a (G, dim) stack of G clients', and
-        add them to the sum. `masks` are the rows' masks if the caller
-        dealt them ahead; by default `add` deals them. Masks a C-contiguous
-        uint64 array in place; any other input is first copied to one."""
+    def add(self, residues, masks):
+        """Mask one client's residues, or a (G, dim) stack of G clients', with
+        the (G, dim) rows that `masks` dealt for them, and add them to the
+        sum. Masks a C-contiguous uint64 array in place; any other input is
+        first copied to one."""
         residues = np.ascontiguousarray(residues, dtype=_U64)
         rows = residues.reshape(-1, residues.shape[-1])
         if self.count + len(rows) > self.num_clients:
             raise ProtocolError(f"a cohort of {self.num_clients} clients has no "
                                 f"client {self.count + len(rows)}")
-        encrypt(rows, self.masks(len(rows)) if masks is None else masks)
+        if masks.shape != rows.shape:  # a (1, dim) mask would broadcast
+            raise DimensionError(f"masks of shape {masks.shape} for residues "
+                                 f"of shape {residues.shape}")
+        rows += masks
         _add_rows(self._total, rows)
         self.count += len(rows)
 

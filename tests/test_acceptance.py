@@ -109,7 +109,7 @@ def test_criterion_5_secure_aggregation():
     for i in range(m):
         enc, clamps = secure_agg.encode(updates[i].copy(), codec)
         assert clamps == 0
-        secure_sum.add(enc)  # masks enc in place
+        secure_sum.add(enc, secure_sum.masks(1))  # masks enc in place
         masked.append(enc)
     total = secure_sum.decode()
     err = np.max(np.abs(total - updates.sum(axis=0)))
@@ -138,10 +138,10 @@ def test_criterion_6_noise_calibration():
         true = rng.normal(0, 0.02, size=(m, dim))
         total = secure_agg.SecureSum(codec, m, dim, [3, t])
         privacy.clip(true, s)  # every client's row, in place
-        noised = privacy.add_client_noise(true.copy(), s, sigma, m,
-                                          [[2, t, i] for i in range(m)])
+        noised = true + privacy._noise([[2, t, i] for i in range(m)], dim,
+                                       s, sigma, m)
         enc, _ = secure_agg.encode(noised, codec)
-        total.add(enc)
+        total.add(enc, total.masks(m))
         diffs.append(total.decode() - true.sum(axis=0))
     std = np.std(np.concatenate(diffs))
     ok = abs(std - s * sigma) / (s * sigma) < 0.10

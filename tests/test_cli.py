@@ -658,8 +658,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400],
                              ids=["NaN", "Infinity", "-Infinity", "int-1e400"])
-    @pytest.mark.parametrize("key_path", ["federation.learning_rate",
-                                          "federation.sigma", "dataset.separation"])
+    @pytest.mark.parametrize("key_path", ["federation.learning_rate", "federation.sigma",
+                                          "federation.clip", "dataset.separation"])
     def test_non_finite_number_exit_2(self, tmp_path, key_path, value):
         # Python's json reads NaN and Infinity, and an integer of any size;
         # no float setting may hold one that is not a finite float.

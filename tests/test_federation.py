@@ -520,14 +520,6 @@ class TestDPRound:
 
         monkeypatch.setattr(run, "_local_updates", updates)
 
-    def test_missing_client_raises(self, small_setup, monkeypatch):
-        run = self.dp_run(small_setup)
-        local_updates = run._local_updates
-        monkeypatch.setattr(run, "_local_updates",
-                            lambda cohort, t, s: local_updates(cohort[:-1], t, s))
-        with pytest.raises(ProtocolError):
-            run.run_round()
-
     def test_cohort_larger_than_codec_raises(self, small_setup):
         run = self.dp_run(small_setup)
         run.codec = secure_agg.FixedPointCodec(

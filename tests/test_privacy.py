@@ -9,14 +9,16 @@ from scipy.stats import beta
 from oracles import loop_epsilon, quadrature_log_moments, reference_clip, reference_noise
 from fltop import data, nn, privacy
 from fltop.federation import FederatedRun, FederationConfig, Seeds
-from fltop.privacy import AccountantQuery, add_client_noise, clip, epsilon, log_moment
+from fltop.privacy import AccountantQuery, clip, epsilon, log_moment
 from fltop.secure_agg import FixedPointCodec, SecureSum, encode
-from fltop.errors import ConfigError, DimensionError
+from fltop.errors import ConfigError
 
 # Rows of a clipped stack at s = 1: zero, exactly at s, one whose first
 # rescale lands an ulp above s (so it takes a second), within s, and huge.
 EDGE_ROWS = ([0.0, 0.0], [0.6, 0.8], [-4.343335028964478, 4.606706247433619],
              [0.1, -0.2], [1e150, -1e150])
+
+TINY = nn.mlp_arch(2, [3], 2, "cross_entropy")
 
 
 def stacks():
@@ -109,40 +111,29 @@ class TestClip:
 
 
 class TestClientNoise:
+    """`privacy._noise`, drawn before the stack it is added to arrives."""
+
     def test_deterministic(self):
-        a = add_client_noise(np.zeros(8), 1.0, 1.5, 4, 7)
-        b = add_client_noise(np.zeros(8), 1.0, 1.5, 4, 7)
+        a = privacy._noise([7], 8, 1.0, 1.5, 4)
+        b = privacy._noise([7], 8, 1.0, 1.5, 4)
         assert np.array_equal(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(stack=stacks(), seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 20))
     def test_each_row_of_a_stack_is_noised_by_its_own_seed(self, stack, seed, m):
         seeds = [[seed, j] for j in range(len(stack))]
+        noise = privacy._noise(seeds, stack.shape[1], 0.7, 1.3, m)
         for layout in layouts(stack):
-            out = add_client_noise(layout, 0.7, 1.3, m, seeds)
+            out = layout + noise
             for row, alone, row_seed in zip(out, stack, seeds):
                 assert np.array_equal(row, reference_noise(alone, 0.7, 1.3, m, row_seed))
                 assert np.array_equal(
-                    row, add_client_noise(alone.copy(), 0.7, 1.3, m, row_seed))
-
-    def test_one_seed_a_row(self):
-        with pytest.raises(DimensionError):
-            add_client_noise(np.zeros((3, 4)), 1.0, 1.0, 2, [[1], [2]])
-
-    def test_noise_drawn_ahead_is_added_as_drawn(self):
-        # A run may draw the noise first, elsewhere; adding it gives the
-        # bytes of the call that draws its own.
-        seeds = [[5, j] for j in range(3)]
-        ahead = privacy._noise(seeds, 4, 0.7, 1.3, 10)
-        out = add_client_noise(np.ones((3, 4)), 0.7, 1.3, 10, seeds, ahead)
-        assert np.array_equal(out, add_client_noise(np.ones((3, 4)), 0.7, 1.3, 10, seeds))
-        with pytest.raises(DimensionError):
-            add_client_noise(np.ones((2, 4)), 0.7, 1.3, 10, seeds[:2], ahead)
+                    row, alone + privacy._noise([row_seed], len(alone), 0.7, 1.3, m)[0])
 
     def test_per_coordinate_std(self):
         # K=4 selected: per-coordinate std should be S*sigma/2
         s, sigma = 2.0, 1.5
-        noise = add_client_noise(np.zeros(10 ** 6), s, sigma, 4, 0)
+        noise = privacy._noise([0], 10 ** 6, s, sigma, 4)
         expected = s * sigma / 2.0
         assert abs(np.std(noise) - expected) / expected < 0.005
 
@@ -150,8 +141,8 @@ class TestClientNoise:
         # Sum of num_selected independent noises has std S*sigma
         s, sigma, m = 1.0, 1.2, 16
         total = np.zeros(200000)
-        for k in range(m):
-            total = total + add_client_noise(np.zeros(200000), s, sigma, m, 100 + k)
+        for row in privacy._noise([100 + k for k in range(m)], 200000, s, sigma, m):
+            total = total + row
         assert abs(np.std(total) - s * sigma) / (s * sigma) < 0.01
 
 
@@ -284,13 +275,14 @@ class TestEpsilon:
 
 @pytest.mark.parametrize("call", [
     lambda: clip(np.ones(3), math.nan),
-    lambda: add_client_noise(np.ones(3), math.nan, 1.0, 2, [0]),
-    lambda: add_client_noise(np.ones(3), 1.0, math.nan, 2, [0]),
+    lambda: FederationConfig(TINY, "fl-top-dp", 10, 0.5, 3, clip=math.nan),
+    lambda: FederationConfig(TINY, "fl-top-dp", 10, 0.5, 3, sigma=math.nan),
     lambda: log_moment(2, math.nan, 0.5),
     lambda: AccountantQuery(math.nan, 0.5, 10),
 ], ids=["clip-s", "noise-s", "noise-sigma", "log_moment-sigma", "query-sigma"])
 def test_nan_is_not_positive(call):
-    # NaN <= 0 is false, so a check written that way lets NaN through.
+    # NaN <= 0 is false, so a check written that way lets NaN through. The
+    # noise's S and sigma are checked where a run's config is made.
     with pytest.raises(ConfigError, match="nan"):
         call()
 
@@ -311,10 +303,11 @@ class TestEmpiricalAudit:
         total = SecureSum(codec, self.M, self.TRIALS, [seed, 0])
         for j in range(self.M):
             update = np.full(self.TRIALS, self.S if canary and j == 0 else 0.0)
-            noised = add_client_noise(update, self.S, self.SIGMA, self.M, [seed, 1, j])
-            residues, clamps = encode(noised, codec)
+            update += privacy._noise([[seed, 1, j]], self.TRIALS, self.S,
+                                     self.SIGMA, self.M)[0]
+            residues, clamps = encode(update, codec)
             assert clamps == 0
-            total.add(residues)
+            total.add(residues, total.masks(1))
         return total.decode()
 
     def epsilon_lower_bound(self, absent, present, alpha=0.05):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from oracles import make_masks, reference_encode
-from fltop.secure_agg import FixedPointCodec, SecureSum, decode, encode, encrypt
+from fltop.secure_agg import FixedPointCodec, SecureSum, decode, encode
 from fltop.errors import (ConfigError, DimensionError, EncodingOverflowError,
                           ProtocolError)
 
@@ -83,7 +83,7 @@ class TestCodec:
         total = SecureSum(codec, 10, 1, 0)
         with pytest.raises(EncodingOverflowError, match="^1 NaN entries"):
             for value in [1.0] * 8 + [np.nan] * 2:
-                total.add(encode(np.array([value]), codec)[0])
+                total.add(encode(np.array([value]), codec)[0], total.masks(1))
         assert total.count == 8
 
     def test_sum_error_bound(self):
@@ -150,39 +150,51 @@ class TestMasks:
 
 
 class TestEncrypt:
+    """The one-time pad: `SecureSum.add` adds each row's mask in the ring."""
+
     def test_zero_mask_identity(self):
         enc = np.array([1, 2, 3], dtype=np.uint64)
-        assert np.array_equal(encrypt(enc.copy(), np.zeros(3, dtype=np.uint64)), enc)
+        total, masked = secure_sum(2, 3, 0), enc.copy()
+        total.add(masked, np.zeros((1, 3), dtype=np.uint64))
+        assert np.array_equal(masked, enc) and np.array_equal(total._total, enc)
 
     def test_subtracting_mask_recovers(self):
         rng = np.random.default_rng(1)
         enc = rng.integers(0, 2 ** 64, 32, dtype=np.uint64)
-        mask = rng.integers(0, 2 ** 64, 32, dtype=np.uint64)
-        masked = encrypt(enc.copy(), mask)
-        assert np.array_equal(masked - mask, enc)
+        mask = rng.integers(0, 2 ** 64, (1, 32), dtype=np.uint64)
+        masked = enc.copy()
+        secure_sum(2, 32, 0).add(masked, mask)
+        assert np.array_equal(masked - mask[0], enc)
 
     def test_masks_in_place(self):
         enc = np.array([[1, 2], [3, 4]], dtype=np.uint64)
-        assert encrypt(enc, np.ones((2, 2), dtype=np.uint64)) is enc
+        secure_sum(2, 2, 0).add(enc, np.ones((2, 2), dtype=np.uint64))
         assert np.array_equal(enc, [[2, 3], [4, 5]])
 
     def test_length_mismatch(self):
+        # A (1, dim) mask would broadcast over every row of a stack, and the
+        # masks would no longer cancel.
+        total = secure_sum(2, 3, 0)
         with pytest.raises(DimensionError):
-            encrypt(np.zeros(3, dtype=np.uint64), np.zeros(4, dtype=np.uint64))
+            total.add(np.zeros(3, dtype=np.uint64), np.zeros((1, 4), dtype=np.uint64))
+        with pytest.raises(DimensionError):
+            total.add(np.zeros((2, 3), dtype=np.uint64), total.masks(1))
+        assert total.count == 0
 
     def test_masked_output_uniform(self):
         # One-time-pad property: a masked constant plaintext looks uniform.
         codec = FixedPointCodec()
         enc, _ = encode(np.full(100000, 0.123), codec)
-        mask, = secure_sum(2, 100000, 5).masks(1)
-        assert low_bits_uniformity_pvalue(encrypt(enc, mask)) > 0.001
+        total = secure_sum(2, 100000, 5)
+        total.add(enc, total.masks(1))
+        assert low_bits_uniformity_pvalue(enc) > 0.001
 
 
 class TestAggregateDecode:
     def test_zero_inputs_any_masks(self):
         total = secure_sum(4, 10, 0)
         for _ in range(4):
-            total.add(encode(np.zeros(10), total.codec)[0])
+            total.add(encode(np.zeros(10), total.codec)[0], total.masks(1))
         assert np.all(total.decode() == 0.0)
 
     def test_matches_plain_sum(self):
@@ -190,7 +202,7 @@ class TestAggregateDecode:
         rng = np.random.default_rng(2)
         vectors = rng.uniform(-1, 1, (4, 50))
         expected = vectors.sum(axis=0)
-        total.add(encode(vectors, total.codec)[0])
+        total.add(encode(vectors, total.codec)[0], total.masks(4))
         assert np.max(np.abs(total.decode() - expected)) <= 4 * 2.0 ** -33 + 1e-12
 
     @pytest.mark.parametrize("groups", [[1, 1, 1, 1, 1], [5], [2, 3], [4, 1]])
@@ -202,7 +214,7 @@ class TestAggregateDecode:
         masked = []
         for lo, hi in zip(np.cumsum([0] + groups), np.cumsum(groups)):
             residues, _ = encode(vectors[lo:hi].copy(), total.codec)
-            total.add(residues)
+            total.add(residues, total.masks(len(residues)))
             masked.extend(residues)
         codec = total.codec
         oracle = make_masks(5, 30, [3, 2])
@@ -221,9 +233,9 @@ class TestAggregateDecode:
         # the masks cancelling, the inputs' sum mod 2^64.
         stack = np.array(rows, dtype=np.uint64)
         stacked, per_row = secure_sum(len(rows), 3, 8), secure_sum(len(rows), 3, 8)
-        stacked.add(stack.copy())
+        stacked.add(stack.copy(), stacked.masks(len(stack)))
         for row in stack:
-            per_row.add(row.copy())
+            per_row.add(row.copy(), per_row.masks(1))
         assert np.array_equal(stacked._total, per_row._total)
         assert np.array_equal(stacked._dealt, per_row._dealt)
         assert stacked._total.tolist() == [sum(col) % 2 ** 64 for col in zip(*rows)]
@@ -231,19 +243,22 @@ class TestAggregateDecode:
     @pytest.mark.parametrize("groups", [[4], [1] * 4, [3, 1]])
     def test_masks_dealt_ahead_give_the_same_sum(self, groups):
         # A dealer that runs ahead deals every mask first; `add` then takes
-        # them in order. Whatever the groups, the sum is the one `add`
-        # reaches dealing its own, and a client still missing is refused.
+        # them in order. Whatever the groups, the sum is the one reached by
+        # dealing each group's masks just before its add, the inputs masked
+        # by the rows of `make_masks`, and a client still missing is refused.
         rows = np.random.default_rng(1).integers(0, 2 ** 64, (4, 5), dtype=np.uint64)
-        ahead, own = secure_sum(4, 5, [2, 7]), secure_sum(4, 5, [2, 7])
+        ahead, inline = secure_sum(4, 5, [2, 7]), secure_sum(4, 5, [2, 7])
         masks = [ahead.masks(g) for g in groups]
         start = 0
         for g, dealt in zip(groups, masks):
             ahead.add(rows[start:start + g].copy(), dealt)
-            own.add(rows[start:start + g].copy())
+            inline.add(rows[start:start + g].copy(), inline.masks(g))
             start += g
-        assert ahead.count == own.count == 4
-        assert np.array_equal(ahead._total, own._total)
-        assert np.array_equal(ahead.decode(), own.decode())
+        assert ahead.count == inline.count == 4
+        oracle = (rows + make_masks(4, 5, [2, 7])).sum(axis=0, dtype=np.uint64)
+        assert np.array_equal(ahead._total, oracle)
+        assert np.array_equal(inline._total, oracle)
+        assert np.array_equal(ahead.decode(), decode(oracle, ahead.codec))
         partial = secure_sum(4, 5, [2, 7])
         dealt = partial.masks(4)
         partial.add(rows[:3].copy(), dealt[:3])
@@ -253,24 +268,25 @@ class TestAggregateDecode:
     def test_missing_client_rejected(self):
         total = secure_sum(3, 5, 0)
         for _ in range(2):
-            total.add(encode(np.zeros(5), total.codec)[0])
+            total.add(encode(np.zeros(5), total.codec)[0], total.masks(1))
         with pytest.raises(ProtocolError):
             total.decode()
 
     def test_client_past_the_cohort_rejected(self):
         total = secure_sum(2, 5, 0)
-        total.add(np.zeros((2, 5), dtype=np.uint64))
+        total.add(np.zeros((2, 5), dtype=np.uint64), total.masks(2))
         with pytest.raises(ProtocolError):
-            total.add(np.zeros(5, dtype=np.uint64))
+            total.add(np.zeros(5, dtype=np.uint64), np.zeros((1, 5), dtype=np.uint64))
 
     def test_width_mismatch_rejected(self):
+        total = secure_sum(2, 5, 0)
         with pytest.raises(DimensionError):
-            secure_sum(2, 5, 0).add(np.zeros(4, dtype=np.uint64))
+            total.add(np.zeros(4, dtype=np.uint64), total.masks(1))
 
     def test_cohort_larger_than_codec_rejected(self):
         codec = FixedPointCodec(cohort_size=2)
         total = SecureSum(codec, 3, 5, 0)
-        total.add(encode(np.zeros((3, 5)), codec)[0])
+        total.add(encode(np.zeros((3, 5)), codec)[0], total.masks(3))
         with pytest.raises(EncodingOverflowError):
             total.decode()
 
@@ -287,7 +303,7 @@ class TestAggregateDecode:
         for v in values:
             residues, clamps = encode(np.array([v]), total.codec)
             assert clamps == 0
-            total.add(residues)
+            total.add(residues, total.masks(1))
         assert abs(total.decode()[0] - math.fsum(values)) <= m * 2.0 ** -frac_bits
 
     def test_strict_subset_is_uniform(self):
@@ -296,7 +312,7 @@ class TestAggregateDecode:
         total = secure_sum(3, 100000, 7)
         rng = np.random.default_rng(3)
         residues, _ = encode(rng.uniform(-1, 1, (2, 100000)), total.codec)
-        total.add(residues)  # masks the two clients' rows in place
+        total.add(residues, total.masks(2))  # masks the two clients' rows in place
         partial = residues.sum(axis=0, dtype=np.uint64)
         assert low_bits_uniformity_pvalue(partial) > 0.001
 
@@ -308,6 +324,6 @@ class TestEndToEndBound:
         rng = np.random.default_rng(m)
         vectors = rng.uniform(-1, 1, (m, 200))
         for v in vectors:
-            total.add(encode(v.copy(), total.codec)[0])
+            total.add(encode(v.copy(), total.codec)[0], total.masks(1))
         out = total.decode()
         assert np.max(np.abs(out - vectors.sum(axis=0))) <= m * 2.0 ** -33 + 1e-9
