@@ -298,8 +298,10 @@ class FederatedRun:
     With a fixed index set that is not the full set, the global model equals
     w0 outside the set after every round. Where `nn.layer0_columns` says it
     pays, the run therefore caches layer 0's pre-activation at w0
-    (`nn.layer0_cache`) on first use: once for the test set, which `evaluate`
-    then uses, and, if the scheme pins, once for the whole training set.
+    (`nn.layer0_cache`) on first use: once for the test set, and, if the
+    scheme pins, once for the whole training set. `evaluate` then reads the
+    test-set cache and, gathered once, only the test inputs' columns that
+    the set's layer-0 weights use (`nn.layer0_inputs`).
     """
 
     def __init__(self, config, train, part, test=None, public=None):
@@ -347,6 +349,13 @@ class FederatedRun:
     def _test_layer0(self):
         return None if self._cols is None else nn.layer0_cache(
             self.w0, self.arch, self.test.inputs)
+
+    @functools.cached_property
+    def _test_inputs(self):
+        """What `evaluate` reads of the test inputs: all of them, or under
+        the test-set cache only the columns of the set's layer-0 weights."""
+        return self.test.inputs if self._test_layer0 is None else nn.layer0_inputs(
+            self.arch, self.test.inputs, self.index_set)
 
     def _round_index_set(self, t):
         if self.index_set is not None:
@@ -460,9 +469,9 @@ class FederatedRun:
 
     def evaluate(self):
         """Metrics of the current global model on the held-out test set."""
-        x = self.test.inputs
         y = self.test.labels
-        scores = nn.predict(self.w, self.arch, x, self._test_layer0, self.index_set)
+        scores = nn.predict(self.w, self.arch, self._test_inputs, self._test_layer0,
+                            self.index_set, self.w0)
         acc, bal = accuracies(scores, y, self._test_counts)
         try:
             auc = auroc(scores, y) if self.arch.loss == "binary_cross_entropy" \

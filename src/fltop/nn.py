@@ -127,9 +127,11 @@ def _forward(layers, arch, x, z0=None, cols=None):
 
     `layers` comes from `_layers(w, arch)`. Rank-polymorphic: a flat model
     `w` with (rows, width) inputs, or a (G, n) stack of models with a
-    (G, rows, width) stack of inputs, one per model. With `z0`, `layers[0]`
-    holds only layer 0's units `cols`, and layer 0's pre-activation is `z0`
-    (which this overwrites) with those columns recomputed; see `layer0_cache`.
+    (G, rows, width) stack of inputs, one per model. With `z0`, a cached
+    pre-activation of layer 0 (see `layer0_cache`), `layers[0]` maps x to
+    layer 0's units `cols` alone, and their values overwrite those columns
+    of `z0`: a compact sub-model's units in training, and in `predict` the
+    cached units plus x's product with the set's change from w0.
     """
     acts = [x]
     for i, layer in enumerate(arch.layers):
@@ -152,22 +154,36 @@ def _check_batch(arch, x, y=None):
             f"targets {y.shape} do not match (batch, {arch.output_width})")
 
 
-def predict(w, arch, x, layer0=None, indices=None):
+def predict(w, arch, x, layer0=None, indices=None, w0=None):
     """Output-layer activations for a batch of inputs (forward pass only).
 
-    `layer0` is an optional `layer0_cache` of a base model w0 for the rows
-    of x, and `indices` an index set outside which w's layer 0 equals w0's.
-    Only the layer-0 units the set touches are recomputed, which matches the
-    dense pass up to rounding.
+    `layer0` is an optional `layer0_cache` of the base model `w0` for the
+    rows of x, and `indices` an index set outside which w's layer 0 equals
+    w0's. Layer 0's pre-activation is then the cache plus the set's change
+    from w0, which reads only the input columns its layer-0 weights use: x
+    may be those columns alone, `layer0_inputs(arch, x, indices)`. This
+    matches the dense pass up to rounding, and bit for bit at w = w0.
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_batch(arch, x)
-    layers, cols = _layers(w, arch), None
-    if layer0 is not None:
-        cols = _index_set(arch, np.asarray(indices, dtype=np.int64).tobytes())[1]
-        layer0 = layer0.copy()
-        layers[0] = tuple(a[:, cols] for a in layers[0])
-    return _forward(layers, arch, x, layer0, cols)[-1]
+    layers = _layers(w, arch)
+    if layer0 is None:
+        _check_batch(arch, x)
+        return _forward(layers, arch, x)[-1]
+    indices, cols, _, _, inputs, place = _index_set(
+        arch, np.asarray(indices, dtype=np.int64).tobytes())
+    if x.ndim != 2 or x.shape[1] != inputs.size:
+        x = layer0_inputs(arch, x, indices)
+    if len(layer0) != len(x):
+        raise ValueError("layer-0 cache does not match the inputs")
+    # The set's layer-0 weights and bias less w0's, as an (inputs + 1, cols)
+    # block with the bias last; it is zero wherever w equals w0. `_forward`
+    # then sets the units `cols` of a copy of the cache to x @ ΔW + (z0 + Δb).
+    at = indices[:place.size]
+    change = np.zeros((inputs.size + 1) * cols.size)
+    change[place] = w[at] - w0[at]
+    change = change.reshape(inputs.size + 1, cols.size)
+    layers[0] = (change[:-1], layer0[:, cols] + change[-1])
+    return _forward(layers, arch, x, layer0.copy(), cols)[-1]
 
 
 def _backward(layers, arch, x, targets, grads, z0=None, cols=None):
@@ -240,11 +256,15 @@ def _index_set(arch, key):
     """The index set whose int64 bytes are `key`, validated; equal sets
     share one cache entry whatever array they come in.
 
-    Returns read-only `(indices, cols, pos, src)`. `cols` are the layer-0
-    output units that hold a weight or bias of the set, sorted. The set's
-    compact sub-model, which `_layers(sub, arch, cols)` reads, holds those
-    units' layer-0 weights and bias, as one row each, and every later layer:
-    `w[src]` is the sub-model of `w`, and `pos` the set's positions in it.
+    Returns read-only `(indices, cols, pos, src, inputs, place)`. `cols`
+    are the layer-0 output units that hold a weight or bias of the set,
+    sorted. The set's compact sub-model, which `_layers(sub, arch, cols)`
+    reads, holds those units' layer-0 weights and bias, as one row each,
+    and every later layer: `w[src]` is the sub-model of `w`, and `pos` the
+    set's positions in it. `inputs` are the input rows that the set's
+    layer-0 weights use, sorted, and `place` each layer-0 coordinate's flat
+    position in an (inputs + 1, cols) block that holds those weights and,
+    last, the bias row: `predict` scores the set's change from w0 there.
     """
     indices = np.frombuffer(key, dtype=np.int64)
     if indices.size and (indices.min() < 0 or indices.max() >= arch.n_params):
@@ -258,11 +278,16 @@ def _index_set(arch, key):
     rows, units = np.divmod(indices[:n_first], first.out_width)
     cols = np.flatnonzero(np.bincount(units))  # np.unique would import numpy.ma
     pos = indices - (first.in_width + 1) * (first.out_width - cols.size)
-    pos[:n_first] = np.searchsorted(cols, units) * (first.in_width + 1) + rows
+    unit_at = np.searchsorted(cols, units)
+    pos[:n_first] = unit_at * (first.in_width + 1) + rows
     src = np.concatenate([(cols[:, None] + first.out_width * np.arange(
         first.in_width + 1)).ravel(), np.arange(stop, arch.n_params)])
-    cols.flags.writeable = pos.flags.writeable = src.flags.writeable = False
-    return indices, cols, pos, src
+    # The bias row, in_width, sorts after every input row.
+    inputs = np.flatnonzero(np.bincount(rows, minlength=first.in_width + 1)[:-1])
+    place = np.searchsorted(inputs, rows) * cols.size + unit_at
+    for a in (cols, pos, src, inputs, place):
+        a.flags.writeable = False
+    return indices, cols, pos, src, inputs, place
 
 
 # The floor of `layer0_columns`' predicate, in layer-0 multiply-adds per
@@ -294,12 +319,24 @@ def layer0_columns(arch, indices):
 
 def layer0_cache(w0, arch, x):
     """Layer 0's pre-activation `x @ W0 + b0` at the base model w0, a row per
-    row of x. It serves any index set: `predict` and `topk_sgd` recompute only
-    the units their set touches. Build it where `layer0_columns` says it pays."""
+    row of x. It serves any index set: `topk_sgd` recomputes only the units
+    its set touches, and `predict` adds the set's change from w0 to them.
+    Build it where `layer0_columns` says it pays."""
     x = np.asarray(x, dtype=np.float64)
     _check_batch(arch, x)
     mat, bias = _layers(w0, arch)[0]
     return x @ mat + bias
+
+
+def layer0_inputs(arch, x, indices):
+    """The columns of the inputs x that `predict` reads under a layer-0
+    cache for the index set `indices`: the input rows of the set's layer-0
+    weights, in order. To score the same rows every round, gather them once
+    and pass these as x."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_batch(arch, x)
+    inputs = _index_set(arch, np.asarray(indices, dtype=np.int64).tobytes())[4]
+    return x.take(inputs, axis=1)
 
 
 def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
@@ -335,9 +372,11 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     # Every batch is a row subset of x, so one check covers them all.
     _check_batch(arch, x, y)
     rows = np.arange(len(x)) if rows is None else np.asarray(rows)
+    group = rows.shape[:-1]  # (G,) for a group, () for one client
+    if 0 in group:
+        raise DimensionError(f"rows of shape {rows.shape}: a group of 0 clients")
     if rows.shape[-1] == 0:
         raise DataError("empty training set")
-    group = rows.shape[:-1]  # (G,) for a group, () for one client
     seeds = list(seed) if group else [seed]
     if len(seeds) != math.prod(group):
         raise DimensionError(f"{len(seeds)} batch seeds for {math.prod(group)} shards")
@@ -355,7 +394,7 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     if indices is full_indices(arch) and layer0 is None:
         start, pos, cols = w, slice(None), None
     else:
-        indices, cols, sub_pos, src = _index_set(
+        indices, cols, sub_pos, src, _, _ = _index_set(
             arch, np.asarray(indices, dtype=np.int64).tobytes())
         start, pos, cols = ((w0, indices, None) if layer0 is None
                             else (w0[src], sub_pos, cols))

@@ -132,6 +132,13 @@ def touched_units(arch, indices):
                               first - b_sl.start))
 
 
+def touched_inputs(arch, indices):
+    """The input rows that layer-0 weights of `indices` read."""
+    w_sl, _ = layer_slices(arch)[0]
+    weights = indices[indices < w_sl.stop]
+    return np.unique((weights - w_sl.start) // arch.layers[0].out_width)
+
+
 def reference_global_update(spec, w, w0, indices, avg):
     """The global model after a round that averaged to `avg` on `indices`,
     one case per scheme family: the full set adds `avg` everywhere, a pinning

@@ -363,6 +363,7 @@ class TestLayer0Cache:
             run.evaluate()
             assert run._cols is None, scheme
             assert run._test_layer0 is None, scheme
+            assert run._test_inputs is test.inputs, scheme  # nothing gathered
             assert run._train_layer0 is None, scheme
 
     @pytest.mark.parametrize("scheme,trains_cached", [
@@ -394,25 +395,62 @@ class TestLayer0Cache:
     def test_each_dataset_is_cached_once(self, wide_setup, monkeypatch):
         # fl-top-dp at r = 0.005 caches layer 0 once for the training set,
         # on the first round, and once for the test set, on the first
-        # evaluation, whichever clients the rounds draw; not at set-up.
+        # evaluation, whichever clients the rounds draw; not at set-up. The
+        # test inputs' columns that the set's layer-0 weights use are
+        # gathered once too, on the first evaluation.
         train, test, public, part, arch = wide_setup
         cfg = make_config(arch, "fl-top-dp", n_clients=20, sampling_fraction=0.25,
                           ratio=0.005)
-        calls = []
-        layer0_cache = nn.layer0_cache
+        calls, gathers = [], []
+        layer0_cache, layer0_inputs = nn.layer0_cache, nn.layer0_inputs
 
         def spy(w0, arch, x):
             calls.append(x)
             return layer0_cache(w0, arch, x)
 
+        def gather_spy(arch, x, indices):
+            gathers.append((x, indices))
+            return layer0_inputs(arch, x, indices)
+
         monkeypatch.setattr(nn, "layer0_cache", spy)
+        monkeypatch.setattr(nn, "layer0_inputs", gather_spy)
         run = FederatedRun(cfg, train, part, test=test, public=public)
-        assert calls == []
+        assert calls == [] and gathers == []
+        run.run_round()
+        assert gathers == []
         for _ in range(3):
-            run.run_round()
             run.evaluate()
+            run.run_round()
         assert len(calls) == 2
         assert calls[0] is train.inputs and calls[1] is test.inputs
+        assert len(gathers) == 1
+        assert gathers[0][0] is test.inputs and gathers[0][1] is run.index_set
+        assert run._test_inputs.shape[1] < arch.input_width
+
+    @pytest.mark.parametrize("scheme", ["fl-top-dp", "fl-top-bis"])
+    def test_evaluate_reads_no_full_width_inputs(self, wide_setup, monkeypatch,
+                                                 scheme):
+        # Past the first evaluation, scores read only the gathered columns:
+        # test inputs overwritten with NaN leave them equal to a twin run's.
+        train, test, public, part, arch = wide_setup
+        cfg = make_config(arch, scheme, n_clients=20, sampling_fraction=0.1,
+                          ratio=0.005)
+        blanked = data.Dataset(test.inputs.copy(), test.labels)
+        run = FederatedRun(cfg, train, part, test=blanked, public=public)
+        twin = FederatedRun(cfg, train, part, test=test, public=public)
+        assert run._cols is not None
+        scores, predict = [], nn.predict
+        monkeypatch.setattr(nn, "predict", lambda *args: scores.append(
+            predict(*args)) or scores[-1])
+        for t in range(4):
+            for r in (run, twin):
+                r.run_round()
+                r.evaluate()
+            if t == 0:
+                blanked.inputs[...] = np.nan
+            assert np.all(np.isfinite(scores[-2]))
+            assert np.array_equal(scores[-2], scores[-1])
+        assert len(scores) == 8
 
     @pytest.mark.parametrize("scheme", FIXED_SET_SCHEMES)
     def test_model_stays_at_w0_off_the_set(self, wide_setup, scheme):

@@ -8,7 +8,8 @@ from fltop import compression, nn
 from fltop.errors import ConfigError, DataError, DimensionError
 
 from oracles import (batch_stream, dense_gradient, finite_difference_gradient,
-                     forward_loss, layer_slices, reference_topk_sgd, touched_units)
+                     forward_loss, layer_slices, reference_topk_sgd,
+                     touched_inputs, touched_units)
 
 
 def full_sgd(x, y, w, arch, t_gd, eta, batch_size, seed):
@@ -483,6 +484,15 @@ class TestTopkSgd:
             nn.topk_sgd(x[rows], y[rows], w, w0, toy_arch, 1, full, 0.1, 2,
                         [[0, 0], [0, 1], [0, 2]])
 
+    def test_empty_group_is_an_internal_error(self, toy_arch):
+        # A group of 0 clients is a caller's bug: a DimensionError, never the
+        # DataError that the command line reports as a usage error.
+        x, y, w, w0, rows = group_inputs(toy_arch, 2, 4, 0)
+        with pytest.raises(DimensionError, match="group of 0 clients"):
+            nn.topk_sgd(x, y, w, w0, toy_arch, 1, nn.full_indices(toy_arch), 0.1, 2,
+                        [], rows=rows[:0])
+        assert not issubclass(DimensionError, DataError)
+
     def test_layer0_cache_for_other_rows_rejected(self):
         arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
         w0 = nn.init_model(arch, 0)
@@ -519,13 +529,15 @@ class TestIndexSet:
     # Over every kind of set, wide archs included: `cols` is exactly the
     # touched units (a superset would still train correctly, only slower),
     # `src` gathers the compact sub-model that `_layers(sub, arch, cols)`
-    # reads, `pos` finds the set in it, and a cached forward pass over the
-    # sub-model is `predict`'s, bit for bit.
+    # reads, `pos` finds the set in it, `inputs` are exactly the input rows
+    # of its layer-0 weights and `place` lays those weights and biases out
+    # over (inputs + 1, cols). Cached scores match the dense pass, and at
+    # w = w0 equal it bit for bit.
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(topk_cases(), layer0_cases()).map(lambda case: case[:2]))
     def test_positions_read_the_compact_sub_model(self, case):
         arch, indices = case
-        got, cols, pos, src = nn._index_set(arch, indices.tobytes())
+        got, cols, pos, src, inputs, place = nn._index_set(arch, indices.tobytes())
         assert np.array_equal(got, indices)
         assert np.array_equal(cols, touched_units(arch, indices))
         rng = np.random.default_rng(indices.size)
@@ -538,10 +550,26 @@ class TestIndexSet:
         assert np.array_equal(sub_bias, bias[:, cols])
         for dense, compact in zip(rest, sub_rest):
             assert all(map(np.array_equal, dense, compact))
+        assert np.array_equal(inputs, touched_inputs(arch, indices))
+        at_set = np.zeros(arch.n_params)
+        at_set[indices] = w[indices]
+        block = np.concatenate(nn._layers(at_set, arch)[0])
+        laid = np.zeros((inputs.size + 1) * cols.size)
+        laid[place] = w[indices[:place.size]]
+        assert np.array_equal(laid.reshape(inputs.size + 1, cols.size),
+                              block[np.append(inputs, arch.input_width)][:, cols])
         x = rng.uniform(-1, 1, (5, arch.input_width))
-        cache = nn.layer0_cache(w, arch, x)
-        acts = nn._forward(nn._layers(sub, arch, cols), arch, x, cache.copy(), cols)
-        assert np.array_equal(acts[-1], nn.predict(w, arch, x, cache, indices))
+        w0 = w.copy()  # w's base: w0 differs from w only at the set
+        w0[indices] = rng.standard_normal(indices.size)
+        cache = nn.layer0_cache(w0, arch, x)
+        cached = nn.predict(w, arch, x, cache, indices, w0)
+        np.testing.assert_allclose(cached, nn.predict(w, arch, x),
+                                   rtol=1e-10, atol=1e-12)
+        narrow = nn.layer0_inputs(arch, x, indices)
+        assert np.array_equal(narrow, x[:, inputs])
+        assert np.array_equal(nn.predict(w, arch, narrow, cache, indices, w0), cached)
+        assert np.array_equal(nn.predict(w0, arch, x, cache, indices, w0),
+                              nn.predict(w0, arch, x))
 
 
 class TestLayer0Dispatch:
@@ -585,7 +613,7 @@ class TestLayer0Dispatch:
         cols = nn.layer0_columns(arch, indices)
         assert np.array_equal(cols, np.sort(units))
         cache = nn.layer0_cache(w0, arch, x)
-        cached = nn.predict(w, arch, x, cache, indices)
+        cached = nn.predict(w, arch, x, cache, indices, w0)
         dense = nn.predict(w, arch, x)
         np.testing.assert_allclose(cached, dense, rtol=1e-10, atol=1e-12)
         assert np.array_equal(cached.argmax(axis=1), dense.argmax(axis=1))
@@ -617,7 +645,7 @@ class TestLayer0Dispatch:
             trained = reference_topk_sgd(x, y, w, w0, *args)
             np.testing.assert_allclose(out, trained[indices], rtol=1e-10, atol=1e-10)
             trained[indices] = out  # w0 off the set
-            np.testing.assert_allclose(nn.predict(trained, arch, x, cache, indices),
+            np.testing.assert_allclose(nn.predict(trained, arch, x, cache, indices, w0),
                                        nn.predict(trained, arch, x),
                                        rtol=1e-10, atol=1e-12)
         assert np.array_equal(cache, before)
