@@ -13,7 +13,7 @@ An index set is a sorted int64 array of coordinate positions, validated by
 
 import functools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -162,7 +162,7 @@ def bandwidth_cost(r, n, round_index, c, compressed):
     """Cumulative one-direction traffic in kilobytes after `round_index` rounds:
     (r or 1) * n * 32 bits * rounds * sampling fraction."""
     if n <= 0 or round_index < 0 or c <= 0:
-        raise ConfigError("bandwidth arguments must be positive")
+        raise ValueError("bandwidth arguments must be positive")
     bits = (r if compressed else 1.0) * n * FLOAT_BITS * round_index * c
     return bits / 8000.0
 
@@ -329,15 +329,7 @@ class FederatedRun:
         self._group = cohort_group_size(
             self.arch, config.batch_size,
             self._cols if self.spec.reinit_nonselected else None)
-        # ceil(m / G) near-equal slices of the cohort, for training and draws.
-        m, n_groups = config.cohort_size, -(-config.cohort_size // self._group)
-        self._groups = [slice(i * m // n_groups, (i + 1) * m // n_groups)
-                        for i in range(n_groups)]
-        # Under DP, whether each round's noise and masks are drawn on the
-        # draw worker, and the next round's submitted there, ahead of training.
-        self._draw_ahead = self.spec.dp and (
-            -(-m // n_groups) * config.k(self.n) >= DRAW_AHEAD_MIN_VALUES)
-        self._ahead = None  # the next round's `_draws`, if submitted
+        self._next = None  # the next round's `_plan`, once made
         self._draw_worker = None  # a one-thread executor, once used
 
     @functools.cached_property
@@ -363,66 +355,74 @@ class FederatedRun:
         return compression.select_random(
             self.n, self.config.k(self.n), seed_words(102, self.config.seeds.sampling, t))
 
-    def _local_updates(self, cohort, t, index_set):
-        """Train the cohort locally in the run's groups, `self._groups`, one
-        `local_update` call each; yields, group by group in cohort order,
-        the group's slice of the cohort and its (G, K) stack of updates, one
-        row a client."""
+    def _plan(self, t):
+        """Round t's cohort, its groups and, under DP, its
+        `secure_agg.SecureSum`. The cohort's m clients are split into
+        ceil(m / G) near-equal slices, one `local_update` call each. Under
+        DP each slice comes with a call that gives its clients' (noise,
+        masks), else with None. Inline the call draws; when the round's
+        largest group draws at least `DRAW_AHEAD_MIN_VALUES` noise values it
+        is a future's `result` on the run's draw worker, whose one thread
+        deals the masks in cohort order and exits once the run is freed. The
+        thread runs only `draw`, `privacy._noise` and `SecureSum.masks`: a
+        profiler may wrap public functions with timers that are not
+        thread-safe."""
         cfg = self.config
+        rng = np.random.default_rng(seed_words(103, cfg.seeds.sampling, t))
+        cohort = np.sort(rng.choice(cfg.n_clients, size=cfg.cohort_size, replace=False))
+        m = len(cohort)
+        n_groups = -(-m // self._group)
+        slices = [slice(i * m // n_groups, (i + 1) * m // n_groups)
+                  for i in range(n_groups)]
+        if not self.spec.dp:
+            return cohort, [(group, None) for group in slices], None
+        k = cfg.k(self.n)
+        noise_seeds = seed_words(cfg.seeds.noise, t, ids=cohort)
+        secure_sum = secure_agg.SecureSum(self.codec, m, k,
+                                          seed_words(cfg.seeds.masks, t))
+
+        def draw(group):
+            noise = privacy._noise(noise_seeds[group], k, cfg.clip, cfg.sigma, m)
+            return noise, secure_sum.masks(len(noise))
+
+        ahead = -(-m // n_groups) * k >= DRAW_AHEAD_MIN_VALUES
+        if ahead and self._draw_worker is None:
+            self._draw_worker = ThreadPoolExecutor(1, thread_name_prefix="fltop-draws")
+        calls = [self._draw_worker.submit(draw, group).result if ahead
+                 else functools.partial(draw, group) for group in slices]
+        return cohort, list(zip(slices, calls)), secure_sum
+
+    def run_round(self):
+        """Advance the global model by one round; returns this round's cohort.
+
+        Its generators are seeded by `seed_words`. Each group of the round's
+        `_plan` is trained by one `local_update` call. Without DP the cohort
+        mean is the running total of the updates, in cohort order. Under DP
+        each group's stack, while it is fresh from training, is clipped,
+        noised, encoded and masked in place, each row with its own client's
+        seeds, and added to the round's secure sum, whose decoded total gives
+        the mean. Once the round is summed the next round's plan is made, so
+        draws on the draw worker overlap `evaluate` and the next round's
+        training. Every byte is the same as when drawn inline. A failed
+        round is planned afresh when it is run again.
+        """
+        cfg = self.config
+        t = self.round_index + 1
+        index_set = self._round_index_set(t)
+        (cohort, groups, secure_sum), self._next = self._next or self._plan(t), None
         seeds = seed_words(100, cfg.seeds.sampling, t, ids=cohort)
-        for group in self._groups:
-            yield group, local_update(
+        total = 0
+        for group, draw in groups:
+            stack = local_update(
                 self.spec, self.train.inputs, self._targets, self.w, self.w0,
                 self.arch, index_set, cfg.local_steps, cfg.learning_rate,
                 cfg.batch_size, seeds[group], self._train_layer0,
                 self._shards[cohort[group]])
-
-    def _cohort(self, t):
-        cfg = self.config
-        rng = np.random.default_rng(seed_words(103, cfg.seeds.sampling, t))
-        return np.sort(rng.choice(cfg.n_clients, size=cfg.cohort_size, replace=False))
-
-    def _draws(self, t):
-        """DP round t's cohort and `secure_agg.SecureSum`, and for each group
-        in `self._groups` a call that gives its clients' (noise, masks).
-        Inline the call draws; ahead it is a future's `result` on the run's
-        draw worker, whose one thread deals the masks in cohort order and
-        exits once the run is freed. The thread runs only `draw`,
-        `privacy._noise` and `SecureSum.masks`: a profiler may wrap public
-        functions with timers that are not thread-safe."""
-        cfg = self.config
-        cohort = self._cohort(t)
-        noise_seeds = seed_words(cfg.seeds.noise, t, ids=cohort)
-        k = cfg.k(self.n)
-        secure_sum = secure_agg.SecureSum(self.codec, len(cohort), k,
-                                          seed_words(cfg.seeds.masks, t))
-
-        def draw(group):
-            noise = privacy._noise(noise_seeds[group], k, cfg.clip, cfg.sigma,
-                                   len(cohort))
-            return noise, secure_sum.masks(len(noise))
-
-        if self._draw_ahead and self._draw_worker is None:
-            self._draw_worker = ThreadPoolExecutor(1, thread_name_prefix="fltop-draws")
-        calls = [self._draw_worker.submit(draw, group).result if self._draw_ahead
-                 else functools.partial(draw, group) for group in self._groups]
-        return cohort, secure_sum, calls
-
-    def _secure_mean(self, t, index_set):
-        """Round t's cohort and the mean of its clients' updates through the
-        secure sum. Each group's stack, while it is fresh from training, is
-        clipped, noised, encoded and masked in place, each row with its own
-        client's seeds, and added to the round's `secure_agg.SecureSum`.
-        The stacks must come in the run's groups: each is paired with the
-        next group's draws, which are freed once added."""
-        cfg = self.config
-        draws, self._ahead = self._ahead or self._draws(t), None
-        cohort, secure_sum, calls = draws
-        m = len(cohort)
-        for _, stack in self._local_updates(cohort, t, index_set):
-            if not calls:
-                raise ProtocolError(f"round {t} has no draws past its {m} clients")
-            noise, masks = calls.pop(0)()
+            if secure_sum is None:
+                for update in stack:
+                    total = total + update
+                continue
+            noise, masks = draw()
             if len(noise) != len(stack):
                 raise ProtocolError(f"round {t}: a group of {len(stack)} updates "
                                     f"against draws for {len(noise)} clients")
@@ -432,31 +432,9 @@ class FederatedRun:
             self.clamp_total += clamps
             secure_sum.add(residues, masks)
             del noise, masks  # not held while the next group trains
-        return cohort, secure_sum.decode() / m
-
-    def run_round(self):
-        """Advance the global model by one round; returns this round's cohort.
-
-        Its generators are seeded by `seed_words`. Under DP the cohort mean
-        is the decoded secure sum of `_secure_mean`. Its noise and masks read
-        no data: with groups of at least `DRAW_AHEAD_MIN_VALUES` noise values
-        they are drawn on the run's draw worker, and once this round is
-        summed the next round's are submitted, so they overlap `evaluate`
-        and the next round's training. Every byte is the same as when drawn
-        inline.
-        """
-        cfg = self.config
-        t = self.round_index + 1
-        index_set = self._round_index_set(t)
-        m = cfg.cohort_size
-        if self.spec.dp:
-            cohort, avg = self._secure_mean(t, index_set)
-            if self._draw_ahead and t < cfg.rounds:
-                self._ahead = self._draws(t + 1)
-        else:
-            cohort = self._cohort(t)
-            groups = self._local_updates(cohort, t, index_set)
-            avg = sum(update for _, stack in groups for update in stack) / m
+        avg = (total if secure_sum is None else secure_sum.decode()) / len(cohort)
+        if t < cfg.rounds:
+            self._next = self._plan(t + 1)
 
         if len(index_set) == self.n:
             self.w = self.w + avg
@@ -519,24 +497,18 @@ def summarize(config, trace):
         "ratio": config.ratio if config.spec.selection != "all" else 1.0,
         "best_metric": "balanced_accuracy" if binary else "accuracy",
         "best_value": key(best),
-        "round": best.round,
-        "accuracy": best.accuracy,
-        "balanced_accuracy": best.balanced_accuracy,
-        "auroc": best.auroc,
-        "down_kb": best.down_kb,
-        "up_kb": best.up_kb,
-        "epsilon": best.epsilon,
-        "clamps": best.clamps,
+        **asdict(best),
         "rounds": len(trace),
     }
 
 
 def trace_to_csv(trace):
-    """CSV text for a metrics trace; deterministic formatting."""
-    lines = ["round,accuracy,balanced_accuracy,auroc,down_kb,up_kb,epsilon,clamps"]
+    """CSV text for a metrics trace, one column per `RoundMetrics` field;
+    deterministic formatting."""
+    names = [f.name for f in fields(RoundMetrics)]
+    lines = [",".join(names)]
     for rm in trace:
-        lines.append(
-            f"{rm.round},{rm.accuracy:.10g},{rm.balanced_accuracy:.10g},"
-            f"{rm.auroc:.10g},{rm.down_kb:.10g},{rm.up_kb:.10g},"
-            f"{rm.epsilon:.10g},{rm.clamps}")
+        values = (getattr(rm, name) for name in names)
+        lines.append(",".join(f"{v:.10g}" if isinstance(v, float) else str(v)
+                              for v in values))
     return "\n".join(lines) + "\n"

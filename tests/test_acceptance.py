@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import chisquare
 
 from oracles import finite_difference_gradient, quadrature_log_moments, sgd
-from fltop import cli, data, nn, privacy, secure_agg
+from fltop import cli, data, federation, nn, privacy, secure_agg
 from fltop.data import to_targets
 from fltop.federation import (FederatedRun, FederationConfig, Seeds,
                               bandwidth_cost, run_experiment)
@@ -164,8 +164,12 @@ def test_criterion_7_coordinate_freeze():
                            test=test, public=public)
         for t in range(1, 21):
             iset = run._round_index_set(t)
-            (_, (upd,)), = run._local_updates(np.array([0]), t, iset)
-            ok = ok and len(upd) == run.config.k(run.n)
+            cfg = run.config
+            upd = federation.local_update(
+                cfg.spec, train.inputs, to_targets(train.labels, arch), run.w, run.w0,
+                arch, iset, cfg.local_steps, cfg.learning_rate, cfg.batch_size,
+                [100, cfg.seeds.sampling, t, 0], rows=part[0])
+            ok = ok and len(upd) == cfg.k(run.n)
             run.run_round()
     check(7, "coordinate freeze and transmission length", ok)
 

@@ -73,6 +73,15 @@ class TestBandwidth:
     def test_round_zero_is_free(self):
         assert bandwidth_cost(0.5, 1000, 0, 0.1, True) == 0.0
 
+    @pytest.mark.parametrize("args", [(0.5, 0, 1, 0.1), (0.5, 1000, -1, 0.1),
+                                      (0.5, 1000, 1, 0.0)])
+    def test_bad_arguments_are_internal_errors(self, args):
+        # The arguments come from a validated config, so a bad one is a bug,
+        # not a usage error: not a ConfigError.
+        with pytest.raises(ValueError, match="must be positive") as raised:
+            bandwidth_cost(*args, True)
+        assert not isinstance(raised.value, ConfigError)
+
 
 class TestMetrics:
     def test_perfect_classifier(self):
@@ -236,7 +245,10 @@ class TestRounds:
             cfg = make_config(arch, scheme)
             run = FederatedRun(cfg, train, part, test=test, public=public)
             iset = run._round_index_set(1)
-            (_, (upd,)), = run._local_updates(np.array([0]), 1, iset)
+            upd = federation.local_update(
+                cfg.spec, train.inputs, to_targets(train.labels, arch), run.w, run.w0,
+                arch, iset, cfg.local_steps, cfg.learning_rate, cfg.batch_size,
+                [100, cfg.seeds.sampling, 1, 0], rows=part[0])
             assert len(upd) == cfg.k(run.n) == len(iset), scheme
 
     def test_dp_sigma_near_zero_matches_clipped_topk(self, small_setup):
@@ -306,23 +318,22 @@ class TestRounds:
         train, test, public, part, arch = small_setup
         cfg = make_config(arch, scheme)
         run = FederatedRun(cfg, train, part, test=test, public=public)
-        calls = []
+        local_update, calls = federation.local_update, []
 
-        def spy(cohort, t, index_set):
-            for group, stack in FederatedRun._local_updates(run, cohort, t, index_set):
-                # Copies: the DP pass clips and noises the stack in place.
-                calls.extend((cid, t, index_set, upd.copy())
-                             for cid, upd in zip(cohort[group], stack, strict=True))
-                yield group, stack
+        def spy(*args):  # args[6] is the index set
+            stack = local_update(*args)
+            # Copies: the DP pass clips and noises the stack in place.
+            calls.extend((args[6], upd.copy()) for upd in stack)
+            return stack
 
-        monkeypatch.setattr(run, "_local_updates", spy)
-        for _ in range(3):
+        monkeypatch.setattr(federation, "local_update", spy)
+        for t in range(1, 4):
             w_prev = run.w.copy()
             calls.clear()
-            run.run_round()
+            cohort = run.run_round()
             assert len(calls) == cfg.cohort_size
             oracle_updates = []
-            for cid, t, index_set, upd in calls:
+            for cid, (index_set, upd) in zip(cohort, calls, strict=True):
                 shard = part[cid]
                 idx = index_set
                 trained = idx if cfg.spec.reinit_nonselected else np.arange(run.n)
@@ -335,7 +346,7 @@ class TestRounds:
                 assert np.array_equal(upd, oracle_updates[-1])
             if not cfg.spec.dp:
                 expected = reference_global_update(
-                    cfg.spec, w_prev, run.w0, calls[0][2],
+                    cfg.spec, w_prev, run.w0, calls[0][0],
                     sum(oracle_updates) / cfg.cohort_size)
                 assert np.array_equal(run.w, expected)
 
@@ -346,8 +357,8 @@ class TestRounds:
         k = len(run.index_set)
         u = np.arange(1, k + 1, dtype=np.float64)
         updates = iter([u, -u])
-        monkeypatch.setattr(run, "_local_updates", lambda cohort, t, s: [
-            (slice(None), np.array([next(updates) for _ in cohort]))])
+        monkeypatch.setattr(federation, "local_update", lambda *args: np.array(
+            [next(updates) for _ in args[-1]]))  # one update a row of shards
         w_prev = run.w.copy()
         run.run_round()
         assert np.array_equal(run.w, w_prev)
@@ -522,20 +533,20 @@ class TestDPRound:
         monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
         cfg = make_config(arch, scheme, **overrides)
         run = FederatedRun(cfg, train, part, test=test, public=public)
-        trained = []
+        local_update, trained = federation.local_update, []
 
-        def spy(cohort, t, index_set):
-            trained.append([])
-            for group, stack in FederatedRun._local_updates(run, cohort, t, index_set):
-                trained[-1].extend(stack.copy())
-                yield group, stack
+        def spy(*args):
+            stack = local_update(*args)
+            trained.extend(stack.copy())
+            return stack
 
-        monkeypatch.setattr(run, "_local_updates", spy)
+        monkeypatch.setattr(federation, "local_update", spy)
         clamps = 0
         for t in range(1, 4):
             w_prev = run.w.copy()
+            trained.clear()
             cohort = run.run_round()
-            total, clamped = reference_dp_sum(cfg, run.codec, t, cohort, trained[-1])
+            total, clamped = reference_dp_sum(cfg, run.codec, t, cohort, trained)
             clamps += clamped
             assert np.array_equal(run.w, reference_global_update(
                 cfg.spec, w_prev, run.w0, run._round_index_set(t),
@@ -549,14 +560,16 @@ class TestDPRound:
                             test=test, public=public)
 
     @staticmethod
-    def stub_updates(monkeypatch, run, fill):
-        """Every client's update zero but where `fill(stack)` sets it."""
-        def updates(cohort, t, index_set):
-            stack = np.zeros((len(cohort), len(index_set)))
+    def stub_updates(monkeypatch, fill):
+        """Every client's update zero but where `fill(stack)` sets it; at
+        the default budget one group trains the whole cohort."""
+        def updates(*args):
+            index_set, rows = args[6], args[-1]
+            stack = np.zeros((len(rows), len(index_set)))
             fill(stack)
-            return [(slice(None), stack)]
+            return stack
 
-        monkeypatch.setattr(run, "_local_updates", updates)
+        monkeypatch.setattr(federation, "local_update", updates)
 
     def test_cohort_larger_than_codec_raises(self, small_setup):
         run = self.dp_run(small_setup)
@@ -567,7 +580,7 @@ class TestDPRound:
 
     def test_nan_update_raises(self, small_setup, monkeypatch):
         run = self.dp_run(small_setup)
-        self.stub_updates(monkeypatch, run, lambda stack: stack[3, :1].fill(np.nan))
+        self.stub_updates(monkeypatch, lambda stack: stack[3, :1].fill(np.nan))
         with pytest.raises(EncodingOverflowError, match="^1 NaN entries"):
             run.run_round()
 
@@ -577,7 +590,7 @@ class TestDPRound:
         run = self.dp_run(small_setup, clip=2.0 ** 31, sigma=1e-12)
         m = run.config.cohort_size
         assert run.codec.clamp_range == 2.0 ** 27
-        self.stub_updates(monkeypatch, run, lambda stack: stack[:, 0].fill(2.0 ** 30))
+        self.stub_updates(monkeypatch, lambda stack: stack[:, 0].fill(2.0 ** 30))
         w_prev = run.w.copy()
         run.run_round()
         assert run.clamp_total == m
@@ -635,7 +648,7 @@ class TestDrawAhead:
         def discarding(run):
             # Each round's queued successor is discarded and drawn again.
             cohort = run_round(run)
-            run._ahead = None
+            run._next = None
             return cohort
 
         traces = set()
@@ -656,50 +669,26 @@ class TestDrawAhead:
     @pytest.mark.parametrize("floor", FLOORS)
     @pytest.mark.parametrize("budget", TestCohortGroups.BUDGETS)
     def test_missing_client_raises(self, small_setup, monkeypatch, floor, budget):
+        # The cohort's last update never comes, so the last group's stack is
+        # a row short of its draws. The round is not counted, and run again
+        # it gives a fresh run's model.
         monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", floor)
         monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
         train, test, public, part, arch = small_setup
-        run = FederatedRun(make_config(arch, "fl-top-dp"), train, part, test=test,
-                           public=public)
-        local_updates = run._local_updates
-
-        def missing_last(cohort, t, s):  # the cohort's last update never comes
-            *groups, (group, stack) = local_updates(cohort, t, s)
-            return [*groups, (group, stack[:-1])]
-
-        monkeypatch.setattr(run, "_local_updates", missing_last)
-        with pytest.raises(ProtocolError):
-            run.run_round()
-
-    @pytest.mark.parametrize("floor", FLOORS, ids=["ahead", "inline"])
-    @pytest.mark.parametrize("budget, sizes", [(1 << 62, [3, 7]), (0, [4, 6]),
-                                               (1 << 62, [10, 0])],
-                             ids=["10-as-3-7", "1s-as-4-6", "10-as-10-0"])
-    def test_updates_in_other_groups_raise(self, small_setup, monkeypatch, floor,
-                                           budget, sizes):
-        # Each stack takes the draws of the run's next group (one of 10, or
-        # 10 of 1), so stacks in other groups are a protocol error. The
-        # round is not counted, and drawn again it gives a fresh run's model.
-        train, test, public, part, arch = small_setup
-        monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", floor)
-        monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
         cfg = make_config(arch, "fl-top-dp")
         run = FederatedRun(cfg, train, part, test=test, public=public)
-        local_updates, regroup = run._local_updates, [True]
+        local_update, trained = federation.local_update, []
 
-        def regrouped(cohort, t, index_set):
-            groups = list(local_updates(cohort, t, index_set))
-            if not regroup:
-                return groups
-            stack = np.concatenate([updates for _, updates in groups])
-            bounds = np.cumsum([0] + sizes)
-            return [(slice(a, b), stack[a:b]) for a, b in zip(bounds, bounds[1:])]
+        def missing_last(*args):
+            stack = local_update(*args)
+            trained.extend(stack)
+            return stack[:-1] if len(trained) == cfg.cohort_size else stack
 
-        monkeypatch.setattr(run, "_local_updates", regrouped)
+        monkeypatch.setattr(federation, "local_update", missing_last)
         with pytest.raises(ProtocolError):
             run.run_round()
         assert run.round_index == 0
-        regroup.clear()
+        monkeypatch.setattr(federation, "local_update", local_update)
         run.run_round()
         fresh = FederatedRun(cfg, train, part, test=test, public=public)
         fresh.run_round()
@@ -748,7 +737,7 @@ class TestDrawAhead:
         run = FederatedRun(make_config(arch, "fl-std-dp"), train, part, test=test,
                            public=public)
         run.run_round()
-        assert run._ahead is not None  # round 2's, submitted as round 1 ended
+        assert run._next is not None  # round 2's, submitted as round 1 ended
         started = set(threading.enumerate()) - before
         assert len(started) == 1
         assert all(thread.name.startswith("fltop-draws") and not thread.daemon
@@ -782,6 +771,68 @@ class TestDrawAhead:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(w, inline[0]) for w in inline + ahead)
+
+
+class TestRoundPlan:
+    """`_plan(t)` gives round t's cohort, its groups and, under DP, their
+    draws and the round's secure sum; each round is planned as the one
+    before it ends."""
+
+    @pytest.mark.parametrize("scheme", ["fl-top", "fl-top-dp"])
+    @pytest.mark.parametrize("budget", TestCohortGroups.BUDGETS)
+    def test_groups_tile_the_cohort(self, small_setup, monkeypatch, scheme, budget):
+        train, test, public, part, arch = small_setup
+        monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
+        cfg = make_config(arch, scheme)
+        run = FederatedRun(cfg, train, part, test=test, public=public)
+        m = cfg.cohort_size
+        for size in (run._group, 1, 3, m, m + 1):
+            run._group = size
+            cohort, groups, secure_sum = run._plan(1)
+            assert len(cohort) == m
+            tiles = [range(m)[group] for group, _ in groups]
+            assert len(tiles) == -(-m // size)
+            assert [i for tile in tiles for i in tile] == list(range(m))
+            assert max(map(len, tiles)) - min(map(len, tiles)) <= 1
+            assert (secure_sum is None) != cfg.spec.dp
+            assert all((draw is None) != cfg.spec.dp for _, draw in groups)
+
+    @pytest.mark.parametrize("scheme", ["fl-top", "fl-top-dp"])
+    def test_next_round_is_planned_as_a_round_ends(self, small_setup, monkeypatch,
+                                                   scheme):
+        train, test, public, part, arch = small_setup
+        run = FederatedRun(make_config(arch, scheme, rounds=2), train, part,
+                           test=test, public=public)
+        planned, plan = [], FederatedRun._plan
+        monkeypatch.setattr(FederatedRun, "_plan",
+                            lambda self, t: planned.append(t) or plan(self, t))
+        run.run_round()
+        assert planned == [1, 2]
+        queued = run._next[0]
+        assert run.run_round() is queued  # round 2 trains the queued cohort
+        assert planned == [1, 2] and run._next is None
+        run.run_round()  # past `rounds`: planned when run, and nothing queued
+        assert planned == [1, 2, 3] and run._next is None
+
+    @pytest.mark.parametrize("size", [1, 3, 10])
+    def test_draws_go_ahead_from_the_largest_group(self, small_setup, monkeypatch,
+                                                   size):
+        # With G = 3 the cohort of 10 trains as 2, 3, 2, 3: the largest
+        # group's G·K, not the smallest's, sets where the draws run.
+        train, test, public, part, arch = small_setup
+        cfg = make_config(arch, "fl-top-dp")
+        run = FederatedRun(cfg, train, part, test=test, public=public)
+        run._group = size
+        names = TestDrawAhead.draw_threads(monkeypatch)
+        largest = -(-cfg.cohort_size // -(-cfg.cohort_size // size)) * cfg.k(run.n)
+        for floor, ahead in [(largest, True), (largest + 1, False)]:
+            monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", floor)
+            names.clear()
+            _, groups, _ = run._plan(1)
+            for _, draw in groups:
+                draw()
+            assert len(names) == len(groups)
+            assert all(name.startswith("fltop-draws") == ahead for name in names)
 
 
 class TestExperiment:

@@ -111,6 +111,48 @@ def test_every_private_function_has_a_caller_outside_the_tests():
     assert uncalled_functions(*sources_and_callers(), private=True) == set()
 
 
+def private_attributes_set(source):
+    """(line, name) of each private attribute a module assigns (`run._x = …`)
+    or monkeypatches (`monkeypatch.setattr(run, "_x", …)`) on a name it does
+    not import: on an object such as a run, not on a module or class."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            found += [(target.value, target.attr) for target in node.targets
+                      if isinstance(target, ast.Attribute)]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "setattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            found.append((node.args[0], node.args[1].value))
+    return sorted((owner.lineno, name) for owner, name in found
+                  if isinstance(owner, ast.Name) and owner.id not in imported
+                  and isinstance(name, str) and name.startswith("_")
+                  and not name.startswith("__"))
+
+
+def test_private_attribute_detection():
+    source = ("from fltop import nn\nfrom fltop.federation import FederatedRun\n"
+              "def test(monkeypatch, run):\n    run._ahead = None\n"
+              "    run.codec = None\n    monkeypatch.setattr(run, '_old', 1)\n"
+              "    monkeypatch.setattr(nn, '_backward', 2)\n"
+              "    monkeypatch.setattr(FederatedRun, '_plan', 3)\n"
+              "    run.__dict__ = {}\n    x = run._next\n")
+    assert private_attributes_set(source) == [(4, "_ahead"), (6, "_old")]
+
+
+def test_tests_set_only_private_attributes_the_run_has():
+    # A test that sets a run's private attribute which `FederatedRun` no
+    # longer has passes without testing anything: the code never reads it.
+    run_names = referenced_names((ROOT / "src" / "fltop" / "federation.py").read_text())
+    stale = {f"{p.name}:{line}: {name}" for p in sorted((ROOT / "tests").glob("*.py"))
+             for line, name in private_attributes_set(p.read_text())
+             if name not in run_names}
+    assert stale == set()
+
+
 def is_transpose(node):
     """`<matrix>.T`, or `<matrix>.swapaxes(-1, -2)` for a stack of them."""
     if isinstance(node, ast.Attribute):

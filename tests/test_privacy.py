@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import beta
 
 from oracles import loop_epsilon, quadrature_log_moments, reference_clip, reference_noise
-from fltop import data, nn, privacy
+from fltop import data, federation, nn, privacy
 from fltop.federation import FederatedRun, FederationConfig, Seeds
 from fltop.privacy import AccountantQuery, clip, epsilon, log_moment
 from fltop.secure_agg import FixedPointCodec, SecureSum, encode
@@ -357,8 +357,10 @@ class TestEmpiricalAudit:
         n = arch.n_params
         stack = np.array([np.full(n, self.S if canary and j == 0 else 0.0)
                           for j in range(self.M)])
-        monkeypatch.setattr(run, "_local_updates", lambda cohort, t, index_set: (
-            (group, stack[group]) for group in run._groups))
+        # A client's shard is its own index, so `rows[:, 0]` names a group's
+        # clients.
+        monkeypatch.setattr(federation, "local_update",
+                            lambda *args: stack[args[-1][:, 0]])
         before = run.w.copy()
         run.run_round()
         return self.M * (run.w - before), run.epsilon_so_far()
