@@ -1,5 +1,6 @@
 """Dataset ingestion, synthetic generation, partitioning, and public batches."""
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -53,7 +54,7 @@ def _read_idx(path, expected_magic):
     if len(raw) < header_len:
         raise FormatError(f"{path}: truncated dimension header at byte {len(raw)}")
     dims = struct.unpack(f">{ndim}I", raw[4:header_len])
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # np.prod would wrap in int64
     if len(raw) != header_len + count:
         raise FormatError(
             f"{path}: expected {header_len + count} bytes, got {len(raw)} "

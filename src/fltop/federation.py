@@ -244,8 +244,8 @@ def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, see
 # cache of one core (2 MiB) of the 2-vCPU Xeon VM where, on 20→64→2 with a
 # Top-K set, a round ran 2.1× faster at G = 10 than at G = 1 (median of 300
 # interleaved rounds). A client takes 35 KB there (G = 58), and on
-# 784→100→10 1.35 MB with full model rows (G = 1) but 184 KB with the
-# compact sub-model of a Top-K set that touches 7 layer-0 units (G = 11).
+# 784→100→10 1.35 MB with full model rows (G = 1) but 118 KB with the sub-
+# model of a Top-K set on 7 layer-0 units and 200 input rows (G = 17).
 # The group also sizes the DP pass: a DP round clips, noises, encodes and
 # masks each group's (G, K) stack while it is still in cache. On the same
 # VM, a pass per client ran 2.7% slower on the 20→64→2 and Top-K 784→100→10
@@ -254,20 +254,22 @@ def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, see
 COHORT_GROUP_BYTES = 2 << 20
 
 
-def cohort_group_size(arch, batch_size, layer0_cols=None):
+def cohort_group_size(arch, batch_size, indices=None):
     """How many clients one `nn.topk_sgd` call trains:
     max(1, COHORT_GROUP_BYTES // what the call holds for a client).
 
     The call holds a client's model row and gradient buffer, n float64
-    values each, or under a layer-0 cache over the units `layer0_cols` the
-    compact sub-model's (see `nn._index_set`), and per step its batch's
-    activations and deltas, `batch_size` × (in + out) values a layer.
-    Stacking removes per-client Python and numpy dispatch work but, once the
-    group outgrows the cache, costs more in memory traffic than it saves.
+    values each or, for a set `indices` trained under a layer-0 cache, its
+    sub-model's (see `nn._sub_model`), and per step its batch's activations
+    and deltas, `batch_size` × (in + out) values a layer. Stacking removes
+    per-client Python and numpy dispatch work but, once the group outgrows
+    the cache, costs more in memory traffic than it saves.
     """
-    first = arch.layers[0]
-    clean = 0 if layer0_cols is None else first.out_width - len(layer0_cols)
-    values = 2 * (arch.n_params - clean * (first.in_width + 1)) + batch_size * sum(
+    n, first = arch.n_params, arch.layers[0]
+    if indices is not None:
+        _, cols, _, inputs = nn._index_set(arch, np.asarray(indices, np.int64).tobytes())
+        n += (inputs.size + 1) * cols.size - (first.in_width + 1) * first.out_width
+    values = 2 * n + batch_size * sum(
         layer.in_width + layer.out_width for layer in arch.layers)
     return max(1, COHORT_GROUP_BYTES // (8 * values))
 
@@ -321,21 +323,20 @@ class FederatedRun:
         self.index_set = initial_index_set(config, self.w0, public)
         self._shards = part
         self._targets = to_targets(train.labels, self.arch)
-        # The layer-0 units that cached forward passes recompute (see
-        # `nn.layer0_columns`); None keeps every pass dense. Training reads
-        # the cache only if the scheme pins.
+        # The layer-0 units a cached pass recomputes (`nn.layer0_columns`),
+        # or None; training reads the cache only if the scheme pins.
         self._cols = None if self.index_set is None else nn.layer0_columns(
             self.arch, self.index_set)
-        self._group = cohort_group_size(
-            self.arch, config.batch_size,
-            self._cols if self.spec.reinit_nonselected else None)
+        self._pins = self._cols is not None and self.spec.reinit_nonselected
+        self._group = cohort_group_size(self.arch, config.batch_size,
+                                        self.index_set if self._pins else None)
         self._next = None  # the next round's `_plan`, once made
         self._draw_worker = None  # a one-thread executor, once used
 
     @functools.cached_property
     def _train_layer0(self):
-        pins = self._cols is not None and self.spec.reinit_nonselected
-        return nn.layer0_cache(self.w0, self.arch, self.train.inputs) if pins else None
+        x = self.train.inputs
+        return nn.layer0_cache(self.w0, self.arch, x) if self._pins else None
 
     @functools.cached_property
     def _test_layer0(self):
@@ -411,7 +412,7 @@ class FederatedRun:
         index_set = self._round_index_set(t)
         (cohort, groups, secure_sum), self._next = self._next or self._plan(t), None
         seeds = seed_words(100, cfg.seeds.sampling, t, ids=cohort)
-        total = 0
+        total = clamps = 0
         for group, draw in groups:
             stack = local_update(
                 self.spec, self.train.inputs, self._targets, self.w, self.w0,
@@ -428,11 +429,12 @@ class FederatedRun:
                                     f"against draws for {len(noise)} clients")
             noised = privacy.clip(stack, cfg.clip)
             noised += noise
-            residues, clamps = secure_agg.encode(noised, self.codec)
-            self.clamp_total += clamps
+            residues, clamped = secure_agg.encode(noised, self.codec)
+            clamps += clamped
             secure_sum.add(residues, masks)
             del noise, masks  # not held while the next group trains
         avg = (total if secure_sum is None else secure_sum.decode()) / len(cohort)
+        self.clamp_total += clamps  # a failed round counts none
         if t < cfg.rounds:
             self._next = self._plan(t + 1)
 

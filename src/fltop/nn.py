@@ -101,22 +101,18 @@ def _activate(z, kind):
     return z
 
 
-def _layers(w, arch, cols=None):
+def _layers(w, arch, first=None):
     """Each layer's weight matrix and bias row as views of `w`: (in, out) and
     (1, out) for a flat model, with a leading group axis for a (G, n) stack.
     The views follow in-place updates of `w`, so SGD takes them once. A
-    layer is one (in + 1, out) block, its bias the last row. With `cols`,
-    `w` is a compact sub-model (see `_index_set`) whose layer-0 block is
-    stored transposed, as one row of weights and bias per unit in `cols`."""
+    layer is one (in + 1, out) block, its bias the last row. With `first`,
+    an (inputs, cols) pair of sizes, `w` is an index set's sub-model (see
+    `_index_set`), whose layer-0 block is (inputs + 1, cols)."""
     lead, out, pos = w.shape[:-1], [], 0
     for i, layer in enumerate(arch.layers):
-        width = layer.out_width if i or cols is None else len(cols)
-        end = pos + (layer.in_width + 1) * width
-        if i or cols is None:
-            block = w[..., pos:end].reshape(lead + (layer.in_width + 1, width))
-        else:
-            block = w[..., pos:end].reshape(
-                lead + (width, layer.in_width + 1)).swapaxes(-1, -2)
+        rows, width = first if first and not i else (layer.in_width, layer.out_width)
+        end = pos + (rows + 1) * width
+        block = w[..., pos:end].reshape(lead + (rows + 1, width))
         out.append((block[..., :-1, :], block[..., -1:, :]))
         pos = end
     return out
@@ -128,15 +124,15 @@ def _forward(layers, arch, x, z0=None, cols=None):
     `layers` comes from `_layers(w, arch)`. Rank-polymorphic: a flat model
     `w` with (rows, width) inputs, or a (G, n) stack of models with a
     (G, rows, width) stack of inputs, one per model. With `z0`, a cached
-    pre-activation of layer 0 (see `layer0_cache`), `layers[0]` maps x to
-    layer 0's units `cols` alone, and their values overwrite those columns
-    of `z0`: a compact sub-model's units in training, and in `predict` the
-    cached units plus x's product with the set's change from w0.
+    pre-activation of layer 0 at w0 (see `layer0_cache`), `layers` is an
+    index set's sub-model and x holds only its `inputs` columns: layer 0's
+    units `cols` become z0's plus the set's change, x @ ΔW + Δb, written
+    into z0, and every other unit keeps z0's value.
     """
     acts = [x]
     for i, layer in enumerate(arch.layers):
         mat, bias = layers[i]
-        z = acts[-1] @ mat + bias
+        z = acts[-1] @ mat + (bias if i or z0 is None else z0[..., cols] + bias)
         if i == 0 and z0 is not None:
             z0[..., cols] = z
             z = z0
@@ -165,24 +161,16 @@ def predict(w, arch, x, layer0=None, indices=None, w0=None):
     matches the dense pass up to rounding, and bit for bit at w = w0.
     """
     x = np.asarray(x, dtype=np.float64)
-    layers = _layers(w, arch)
     if layer0 is None:
         _check_batch(arch, x)
-        return _forward(layers, arch, x)[-1]
-    indices, cols, _, _, inputs, place = _index_set(
-        arch, np.asarray(indices, dtype=np.int64).tobytes())
+        return _forward(_layers(w, arch), arch, x)[-1]
+    key = np.asarray(indices, dtype=np.int64).tobytes()
+    indices, cols, _, inputs = _index_set(arch, key)
     if x.ndim != 2 or x.shape[1] != inputs.size:
         x = layer0_inputs(arch, x, indices)
     if len(layer0) != len(x):
         raise ValueError("layer-0 cache does not match the inputs")
-    # The set's layer-0 weights and bias less w0's, as an (inputs + 1, cols)
-    # block with the bias last; it is zero wherever w equals w0. `_forward`
-    # then sets the units `cols` of a copy of the cache to x @ ΔW + (z0 + Δb).
-    at = indices[:place.size]
-    change = np.zeros((inputs.size + 1) * cols.size)
-    change[place] = w[at] - w0[at]
-    change = change.reshape(inputs.size + 1, cols.size)
-    layers[0] = (change[:-1], layer0[:, cols] + change[-1])
+    layers = _layers(_sub_model(arch, key, w, w0, w), arch, (inputs.size, cols.size))
     return _forward(layers, arch, x, layer0.copy(), cols)[-1]
 
 
@@ -192,21 +180,18 @@ def _backward(layers, arch, x, targets, grads, z0=None, cols=None):
     gradient into `grads`, the `_layers` of a buffer shaped like the model.
     A (G, n) stack of models runs on (G, batch, width) stacks and fills a
     (G, n) buffer, each row as its own flat pass would. With `z0`, both are
-    compact sub-models, `_layers(w, arch, cols)`, and layer 0 runs on the
-    cached pre-activation; see `_forward`."""
+    an index set's sub-model and layer 0 runs on the cached pre-activation;
+    see `_forward`. Layer 0's delta is then that of its units `cols`."""
     acts = _forward(layers, arch, x, z0, cols)
     # Softmax+CE and sigmoid+BCE share the same output delta.
     delta = (acts[-1] - targets) / x.shape[-2]
     for i in range(len(arch.layers) - 1, -1, -1):
+        if i == 0 and z0 is not None:
+            delta = delta.take(cols, axis=-1)
         g_mat, g_bias = grads[i]
-        if i or z0 is None:
-            np.matmul(acts[i].swapaxes(-1, -2), delta, out=g_mat)
-            # `ndarray.sum`, not `np.sum`, whose Python wrapper costs µs a call.
-            delta.sum(axis=-2, keepdims=True, out=g_bias)
-        else:  # into the (units, in) rows; a lone column would sum pairwise
-            np.matmul(delta.take(cols, axis=-1).swapaxes(-1, -2), x,
-                      out=g_mat.swapaxes(-1, -2))
-            delta.sum(axis=-2, keepdims=True).take(cols, axis=-1, out=g_bias)
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=g_mat)
+        # `ndarray.sum`, not `np.sum`, whose Python wrapper costs µs a call.
+        delta.sum(axis=-2, keepdims=True, out=g_bias)
         if i > 0:
             delta = delta @ layers[i][0].swapaxes(-1, -2)
             prev = acts[i]
@@ -256,15 +241,11 @@ def _index_set(arch, key):
     """The index set whose int64 bytes are `key`, validated; equal sets
     share one cache entry whatever array they come in.
 
-    Returns read-only `(indices, cols, pos, src, inputs, place)`. `cols`
-    are the layer-0 output units that hold a weight or bias of the set,
-    sorted. The set's compact sub-model, which `_layers(sub, arch, cols)`
-    reads, holds those units' layer-0 weights and bias, as one row each,
-    and every later layer: `w[src]` is the sub-model of `w`, and `pos` the
-    set's positions in it. `inputs` are the input rows that the set's
-    layer-0 weights use, sorted, and `place` each layer-0 coordinate's flat
-    position in an (inputs + 1, cols) block that holds those weights and,
-    last, the bias row: `predict` scores the set's change from w0 there.
+    Returns read-only `(indices, cols, pos, inputs)`: `cols` are the
+    layer-0 units that hold a weight or bias of the set and `inputs` the
+    input rows its layer-0 weights use, both sorted, and `pos` the set's
+    positions in its sub-model (see `_sub_model`): layer 0 as one
+    (inputs + 1, cols) block, bias row last, then every later layer in full.
     """
     indices = np.frombuffer(key, dtype=np.int64)
     if indices.size and (indices.min() < 0 or indices.max() >= arch.n_params):
@@ -277,17 +258,25 @@ def _index_set(arch, key):
     n_first = np.searchsorted(indices, stop)
     rows, units = np.divmod(indices[:n_first], first.out_width)
     cols = np.flatnonzero(np.bincount(units))  # np.unique would import numpy.ma
-    pos = indices - (first.in_width + 1) * (first.out_width - cols.size)
-    unit_at = np.searchsorted(cols, units)
-    pos[:n_first] = unit_at * (first.in_width + 1) + rows
-    src = np.concatenate([(cols[:, None] + first.out_width * np.arange(
-        first.in_width + 1)).ravel(), np.arange(stop, arch.n_params)])
     # The bias row, in_width, sorts after every input row.
     inputs = np.flatnonzero(np.bincount(rows, minlength=first.in_width + 1)[:-1])
-    place = np.searchsorted(inputs, rows) * cols.size + unit_at
-    for a in (cols, pos, src, inputs, place):
+    pos = indices + ((inputs.size + 1) * cols.size - stop)
+    pos[:n_first] = inputs.searchsorted(rows) * cols.size + cols.searchsorted(units)
+    for a in (cols, pos, inputs):
         a.flags.writeable = False
-    return indices, cols, pos, src, inputs, place
+    return indices, cols, pos, inputs
+
+
+def _sub_model(arch, key, w, w0, rest):
+    """The sub-model of the index set whose int64 bytes are `key`, for a
+    model equal to w0 in layer 0 off the set, as `_layers(sub, arch,
+    (inputs.size, cols.size))` reads it: layer 0 holds w's change from w0
+    at the set, zero elsewhere, and later layers are `rest`'s, w's at the set."""
+    indices, cols, pos, inputs = _index_set(arch, key)
+    stop = (arch.input_width + 1) * arch.layers[0].out_width
+    sub = np.concatenate([np.zeros((inputs.size + 1) * cols.size), rest[stop:]])
+    sub[pos] = w[indices] - np.where(indices < stop, w0[indices], 0.0)
+    return sub
 
 
 # The floor of `layer0_columns`' predicate, in layer-0 multiply-adds per
@@ -319,9 +308,9 @@ def layer0_columns(arch, indices):
 
 def layer0_cache(w0, arch, x):
     """Layer 0's pre-activation `x @ W0 + b0` at the base model w0, a row per
-    row of x. It serves any index set: `topk_sgd` recomputes only the units
-    its set touches, and `predict` adds the set's change from w0 to them.
-    Build it where `layer0_columns` says it pays."""
+    row of x. It serves any index set: `topk_sgd` and `predict` add a set's
+    change from w0 to the units it touches. Build it where `layer0_columns`
+    says it pays."""
     x = np.asarray(x, dtype=np.float64)
     _check_batch(arch, x)
     mat, bias = _layers(w0, arch)[0]
@@ -335,7 +324,7 @@ def layer0_inputs(arch, x, indices):
     and pass these as x."""
     x = np.asarray(x, dtype=np.float64)
     _check_batch(arch, x)
-    inputs = _index_set(arch, np.asarray(indices, dtype=np.int64).tobytes())[4]
+    inputs = _index_set(arch, np.asarray(indices, dtype=np.int64).tobytes())[3]
     return x.take(inputs, axis=1)
 
 
@@ -362,9 +351,9 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
 
     `layer0` is an optional `layer0_cache` of w0 for every row of x, where
     `layer0_columns` says it pays. A client's model and gradient buffer then
-    hold only the set's compact sub-model (see `_index_set`), and each step
-    recomputes only the layer-0 units the set touches: the dense result up
-    to rounding.
+    hold only the set's sub-model (see `_sub_model`), and each step reads
+    only x's columns `inputs` and recomputes only the units the set touches:
+    the dense result up to rounding, returned as w's values plus each step.
     """
     if t_gd < 1:
         raise ConfigError(f"t_gd must be >= 1, got {t_gd}")
@@ -389,28 +378,35 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     if layer0 is not None and len(layer0) != len(x):
         raise ValueError("layer-0 cache does not match the training set")
     # One model row per client, holding the set at `pos`: w for the shared
-    # full set, else w0 or, under the cache, the sub-model `w0[src]` whose
-    # layer 0 holds the units `cols`, with w's values at the set.
+    # full set, else w0 with w's values at the set or, under the cache, the
+    # set's sub-model of w with w0's later layers.
+    first = trained = cols = None
     if indices is full_indices(arch) and layer0 is None:
-        start, pos, cols = w, slice(None), None
+        start, pos = w, slice(None)
     else:
-        indices, cols, sub_pos, src, _, _ = _index_set(
-            arch, np.asarray(indices, dtype=np.int64).tobytes())
-        start, pos, cols = ((w0, indices, None) if layer0 is None
-                            else (w0[src], sub_pos, cols))
+        key = np.asarray(indices, dtype=np.int64).tobytes()
+        indices, cols, pos, inputs = _index_set(arch, key)
+        w = np.asarray(w, dtype=np.float64)
+        if layer0 is None:
+            start, pos, cols = w0.copy(), indices, None
+            start[indices] = w[indices]
+        else:
+            start, first = _sub_model(arch, key, w, w0, w0), (inputs.size, cols.size)
+            trained = np.tile(w[indices], lead + (1,))
     # numpy indexes a flat model faster without a leading slice.
     in_set = (slice(None),) * len(lead) + (pos,)
     cur = np.tile(start, lead + (1,))
-    if start is not w:
-        cur[in_set] = np.asarray(w, dtype=np.float64)[indices]
-    layers = _layers(cur, arch, cols)
+    layers = _layers(cur, arch, first)
     g = np.empty_like(cur)
-    grads = _layers(g, arch, cols)
+    grads = _layers(g, arch, first)
     for batch in at:
-        _backward(layers, arch, np.asarray(x[batch], dtype=np.float64),
-                  np.asarray(y[batch], dtype=np.float64), grads,
-                  None if cols is None else layer0[batch], cols)
+        xb, z0 = ((x[batch], None) if cols is None
+                  else (x[batch[..., None], inputs], layer0[batch]))
+        _backward(layers, arch, np.asarray(xb, dtype=np.float64),
+                  np.asarray(y[batch], dtype=np.float64), grads, z0, cols)
         step = g[in_set]
         step *= -eta
         cur[in_set] += step
-    return cur[in_set].reshape(group + (-1,))
+        if trained is not None:
+            trained += step
+    return (cur[in_set] if trained is None else trained).reshape(group + (-1,))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -276,10 +277,11 @@ def test_readme_round_is_one_stacked_call(topk_sgd_calls):
 
 def test_group_sizes_of_the_benchmark_models():
     # A call holds each client's model row and gradient buffer: n values
-    # each, or the compact sub-model's under a layer-0 cache. The README
+    # each, or the set's sub-model's under a layer-0 cache. The README
     # config's model trains a cohort of 10 in one call, fixed set or full.
-    # On 784 -> 100 -> 10, a pinned set that touches 7 layer-0 units (as
-    # wide-topk-dp's does at seed 7) does too; full rows go one a call.
+    # On 784 -> 100 -> 10, a pinned set that touches 7 layer-0 units from
+    # 200 input rows (as wide-topk-dp's does at seed 7) does too; full rows
+    # go one a call.
     for scheme in ("fl-top-dp", "fl-std-dp"):
         exp = config.resolve({**README_CONFIG, "scheme": scheme})
         run = federation.FederatedRun(exp.fed, exp.train, exp.part, exp.test,
@@ -287,7 +289,8 @@ def test_group_sizes_of_the_benchmark_models():
         assert run._group >= 10, scheme
     wide = nn.mlp_arch(784, [100], 10, "cross_entropy")
     assert federation.cohort_group_size(wide, 10) == 1
-    assert federation.cohort_group_size(wide, 10, np.arange(7)) >= 10
+    rows = np.arange(200)
+    assert federation.cohort_group_size(wide, 10, rows * 100 + rows % 7) >= 10
 
 
 # sha256 of trace.csv for each benchmark workload at seed 7: small-topk-dp
@@ -338,7 +341,7 @@ def test_benchmark_trace_is_unchanged(tmp_path, workload, blas_threads):
 # and the trace's accuracy columns can hide a change in the last bits of
 # the model; this cannot.
 WIDE_FL_TOP_FINAL_MODEL_SEED_7 = (
-    "7e312f6b2c7ba4218b2081439dbbf487561e35322027a44832ff4bb913675f50")
+    "08ef150a0ab92287da8942f5beca6196ff33247cdbaea74d9016223e93a429ac")
 
 
 def test_wide_fl_top_final_model_is_unchanged(tmp_path):
@@ -359,7 +362,7 @@ def test_wide_fl_top_final_model_is_unchanged(tmp_path):
 
 def test_wide_rounds_stack_only_the_pinned_cohort(tmp_path, topk_sgd_calls):
     # On wide-topk-dp's seed-7 data, fl-top-dp's cohort of 10 holds only
-    # the compact sub-model and trains in one `nn.topk_sgd` call; fl-top-bis
+    # its set's sub-model and trains in one `nn.topk_sgd` call; fl-top-bis
     # and fl-std-dp hold full model rows and train one client a call.
     script = "import sys, gen\nprint(gen.generate('wide-topk-dp', 7, sys.argv[1])['config'])\n"
     path = run_with_perfbench(script, [str(tmp_path)], "1").strip()
@@ -551,6 +554,18 @@ class TestErrors:
         cfg["dataset"] = IdxFiles(**{count: 0}).write(tmp_path)
         path.write_text(json.dumps(cfg))
         assert_usage_error(path, tmp_path / "out", cfg["dataset"][key])
+
+    def test_idx_header_overflowing_int64_exit_2(self, tmp_path):
+        # Dimensions of 2^22 x 2^22 x 2^20 promise 2^64 bytes, a product that
+        # wraps to 0 in int64; no pixel byte follows. The file is refused,
+        # its path named, as too short.
+        path, cfg = base_config(tmp_path)
+        cfg["dataset"] = IdxFiles().write(tmp_path)
+        images = Path(cfg["dataset"]["images"])
+        images.write_bytes(struct.pack(">IIII", data.IDX_IMAGES_MAGIC,
+                                       1 << 22, 1 << 22, 1 << 20))
+        path.write_text(json.dumps(cfg))
+        assert_usage_error(path, tmp_path / "out", str(images))
 
     @pytest.mark.parametrize("key, value", [("sigma", 0), ("lambda_max", 0),
                                             ("delta", 2), ("frac_bits", 60),

@@ -597,6 +597,30 @@ class TestDPRound:
         first = run.index_set[0]
         assert run.w[first] == w_prev[first] + run.codec.clamp_range
 
+    def test_failed_round_counts_no_clamps(self, small_setup, monkeypatch):
+        # Each client's update clamps once, as above, and trains in a group
+        # of its own. The cohort's last update is dropped once, so the round
+        # fails after the other groups are summed; run again, it counts each
+        # client's clamp once, as a fresh run does.
+        monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", 0)
+        run = self.dp_run(small_setup, clip=2.0 ** 31, sigma=1e-12)
+        m = run.config.cohort_size
+        trained = []
+
+        def updates(*args):
+            index_set, rows = args[6], args[-1]
+            stack = np.zeros((len(rows), len(index_set)))
+            stack[:, 0] = 2.0 ** 30
+            trained.extend(rows)
+            return stack[:-1] if len(trained) == m else stack
+
+        monkeypatch.setattr(federation, "local_update", updates)
+        with pytest.raises(ProtocolError):
+            run.run_round()
+        assert run.clamp_total == 0
+        run.run_round()
+        assert run.clamp_total == m
+
     @pytest.mark.parametrize("budget", TestCohortGroups.BUDGETS)
     def test_masks_cancel_and_are_make_masks_words(self, small_setup, monkeypatch,
                                                    budget):

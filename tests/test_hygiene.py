@@ -1,6 +1,8 @@
 """Source hygiene checks that need no linter installed."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -184,3 +186,21 @@ def test_nn_has_one_backward_pass():
     # an option of `_backward`.
     source = (ROOT / "src" / "fltop" / "nn.py").read_text()
     assert len(backprop_sites(source)) == 1
+
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    # Under the repo's pytest settings, where a DeprecationWarning is an
+    # error, a failing hypothesis test must still fail as a test, with its
+    # falsifying example, rather than abort the run (exit 3) while
+    # hypothesis builds its report.
+    (tmp_path / "test_failing.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n@given(st.integers())\n"
+        "def test_small(n):\n    assert n < 5\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_failing.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout

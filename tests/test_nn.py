@@ -437,6 +437,36 @@ class TestTopkSgd:
         assert out.shape == indices.shape
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("far", [False, True])
+    def test_cached_zero_step_returns_w_at_the_set(self, far):
+        # The cached path trains w's change from w0 in layer 0 but returns
+        # w's values plus each step, so eta = 0 gives back w[indices] bit for
+        # bit, one client or a group: near w0, and far from it, where w at
+        # the set is drawn apart from w0 and (w - w0) + w0 rounds for about
+        # a quarter of the layer-0 weights.
+        arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
+        rng = np.random.default_rng(5)
+        w0 = nn.init_model(arch, 5)
+        x = rng.uniform(0, 1, (12, 784))
+        y = one_hot(rng.integers(0, 10, 12), 10)
+        w_sl, b_sl = layer_slices(arch)[0]
+        units = np.array([4, 31, 77])
+        indices = np.sort(np.concatenate([
+            (w_sl.start + rng.choice(784, 8, replace=False)[:, None] * 100
+             + units).ravel(), b_sl.start + units,
+            rng.choice(np.arange(b_sl.stop, arch.n_params), 20, replace=False)]))
+        assert np.array_equal(nn.layer0_columns(arch, indices), units)
+        w = w0.copy()
+        step = rng.standard_normal(indices.size)
+        w[indices] = step if far else w[indices] + 0.1 * step
+        cache = nn.layer0_cache(w0, arch, x)
+        args = (arch, 3, indices, 0.0, 4)
+        out = nn.topk_sgd(x, y, w, w0, *args, 0, layer0=cache)
+        assert np.array_equal(out, w[indices])
+        rows = np.arange(12).reshape(3, 4)
+        stacked = nn.topk_sgd(x, y, w, w0, *args, [0, 1, 2], cache, rows)
+        assert np.array_equal(stacked, np.tile(w[indices], (3, 1)))
+
     # A group of G clients' rows trains like G one-client calls, and each of
     # those like a call on its gathered shard and cache rows, bit for bit:
     # both losses, relu/sigmoid, 1-3 hidden layers, every kind of set (empty,
@@ -527,40 +557,39 @@ class TestBatches:
 
 class TestIndexSet:
     # Over every kind of set, wide archs included: `cols` is exactly the
-    # touched units (a superset would still train correctly, only slower),
-    # `src` gathers the compact sub-model that `_layers(sub, arch, cols)`
-    # reads, `pos` finds the set in it, `inputs` are exactly the input rows
-    # of its layer-0 weights and `place` lays those weights and biases out
-    # over (inputs + 1, cols). Cached scores match the dense pass, and at
-    # w = w0 equal it bit for bit.
+    # touched units (a superset would still train correctly, only slower)
+    # and `inputs` exactly the input rows of its layer-0 weights. The set's
+    # sub-model, which `_layers(sub, arch, (inputs.size, cols.size))` reads,
+    # holds the set's change from w0 in one (inputs + 1, cols) layer-0
+    # block, bias row last, then every later layer of w, and `pos` reads
+    # the set out of it. Cached scores match the dense pass, and at w = w0
+    # equal it bit for bit.
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(topk_cases(), layer0_cases()).map(lambda case: case[:2]))
     def test_positions_read_the_compact_sub_model(self, case):
         arch, indices = case
-        got, cols, pos, src, inputs, place = nn._index_set(arch, indices.tobytes())
+        got, cols, pos, inputs = nn._index_set(arch, indices.tobytes())
         assert np.array_equal(got, indices)
         assert np.array_equal(cols, touched_units(arch, indices))
+        assert np.array_equal(inputs, touched_inputs(arch, indices))
         rng = np.random.default_rng(indices.size)
         w = rng.standard_normal(arch.n_params)
-        sub = w[src]
-        assert np.array_equal(sub[pos], w[indices])
-        (mat, bias), *rest = nn._layers(w, arch)
-        (sub_mat, sub_bias), *sub_rest = nn._layers(sub, arch, cols)
-        assert np.array_equal(sub_mat, mat[:, cols])
-        assert np.array_equal(sub_bias, bias[:, cols])
-        for dense, compact in zip(rest, sub_rest):
-            assert all(map(np.array_equal, dense, compact))
-        assert np.array_equal(inputs, touched_inputs(arch, indices))
-        at_set = np.zeros(arch.n_params)
-        at_set[indices] = w[indices]
-        block = np.concatenate(nn._layers(at_set, arch)[0])
-        laid = np.zeros((inputs.size + 1) * cols.size)
-        laid[place] = w[indices[:place.size]]
-        assert np.array_equal(laid.reshape(inputs.size + 1, cols.size),
-                              block[np.append(inputs, arch.input_width)][:, cols])
-        x = rng.uniform(-1, 1, (5, arch.input_width))
         w0 = w.copy()  # w's base: w0 differs from w only at the set
         w0[indices] = rng.standard_normal(indices.size)
+        sub = nn._sub_model(arch, indices.tobytes(), w, w0, w)
+        first = arch.layers[0]
+        stop = (first.in_width + 1) * first.out_width
+        assert sub.size == (inputs.size + 1) * cols.size + arch.n_params - stop
+        change = w - w0  # zero off the set
+        (mat, bias), *rest = nn._layers(sub, arch, (inputs.size, cols.size))
+        block = np.concatenate(nn._layers(change, arch)[0])
+        assert np.array_equal(np.concatenate([mat, bias]),
+                              block[np.append(inputs, arch.input_width)][:, cols])
+        for dense, compact in zip(nn._layers(w, arch)[1:], rest):
+            assert all(map(np.array_equal, dense, compact))
+        assert np.array_equal(sub[pos], np.where(indices < stop, change[indices],
+                                                 w[indices]))
+        x = rng.uniform(-1, 1, (5, arch.input_width))
         cache = nn.layer0_cache(w0, arch, x)
         cached = nn.predict(w, arch, x, cache, indices, w0)
         np.testing.assert_allclose(cached, nn.predict(w, arch, x),
