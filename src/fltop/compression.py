@@ -6,7 +6,6 @@ An index set is a sorted int64 array of distinct coordinate positions in
 
 import numpy as np
 
-from .errors import ConfigError
 from .nn import gradient
 
 
@@ -19,9 +18,9 @@ def select_topk(w0, arch, public_x, public_y, t_init, k, eta):
     """
     n = len(w0)
     if not 1 <= k <= n:
-        raise ConfigError(f"K must be in [1, {n}], got {k}")
+        raise ValueError(f"K must be in [1, {n}], got {k}")
     if t_init < 1:
-        raise ConfigError(f"t_init must be >= 1, got {t_init}")
+        raise ValueError(f"t_init must be >= 1, got {t_init}")
     w = np.array(w0, dtype=np.float64)
     acc = np.zeros(n)
     for _ in range(t_init):
@@ -44,7 +43,7 @@ def _largest(acc, k):
 def select_random(n, k, seed):
     """Uniform random K-subset of [0, n), deterministic from seed."""
     if not 1 <= k <= n:
-        raise ConfigError(f"K must be in [1, {n}], got {k}")
+        raise ValueError(f"K must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(n, size=k, replace=False))
 

@@ -68,6 +68,9 @@ def load_idx(images_path, labels_path):
     images = _read_idx(images_path, IDX_IMAGES_MAGIC)
     if not len(images):
         raise FormatError(f"{images_path}: holds no images")
+    if not images[0].size:
+        raise FormatError(f"{images_path}: images of {images.shape[1]}x"
+                          f"{images.shape[2]} hold no pixels")
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
     if len(images) != len(labels):
         raise FormatError(f"{images_path} holds {len(images)} images but "

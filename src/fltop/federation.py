@@ -227,7 +227,7 @@ def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, see
     A pinning scheme trains only the index set, with every other coordinate
     held at w0; any other scheme trains every coordinate. A set of size n is
     every coordinate, so it trains, and returns, the full vector directly.
-    `layer0` is an optional `nn.layer0_cache` of w0 for every row of x,
+    With `layer0`, (x, layer0) is the training set's `nn.layer0_view`,
     which only a pinning scheme can use (see `nn.topk_sgd`).
     """
     full = len(index_set) == arch.n_params
@@ -258,18 +258,14 @@ def cohort_group_size(arch, batch_size, indices=None):
     """How many clients one `nn.topk_sgd` call trains:
     max(1, COHORT_GROUP_BYTES // what the call holds for a client).
 
-    The call holds a client's model row and gradient buffer, n float64
-    values each or, for a set `indices` trained under a layer-0 cache, its
-    sub-model's (see `nn._sub_model`), and per step its batch's activations
-    and deltas, `batch_size` × (in + out) values a layer. Stacking removes
-    per-client Python and numpy dispatch work but, once the group outgrows
-    the cache, costs more in memory traffic than it saves.
+    The call holds a client's model row and gradient buffer, each
+    `nn.model_size` values for the set `indices` it pins, if any, and per
+    step its batch's activations and deltas, `batch_size` × (in + out)
+    values a layer. Stacking removes per-client Python and numpy dispatch
+    work but, once the group outgrows the cache, costs more in memory
+    traffic than it saves.
     """
-    n, first = arch.n_params, arch.layers[0]
-    if indices is not None:
-        _, cols, _, inputs = nn._index_set(arch, np.asarray(indices, np.int64).tobytes())
-        n += (inputs.size + 1) * cols.size - (first.in_width + 1) * first.out_width
-    values = 2 * n + batch_size * sum(
+    values = 2 * nn.model_size(arch, indices) + batch_size * sum(
         layer.in_width + layer.out_width for layer in arch.layers)
     return max(1, COHORT_GROUP_BYTES // (8 * values))
 
@@ -298,12 +294,10 @@ class FederatedRun:
     stacked `nn.topk_sgd` call per group on the group's rows.
 
     With a fixed index set that is not the full set, the global model equals
-    w0 outside the set after every round. Where `nn.layer0_columns` says it
-    pays, the run therefore caches layer 0's pre-activation at w0
-    (`nn.layer0_cache`) on first use: once for the test set, and, if the
-    scheme pins, once for the whole training set. `evaluate` then reads the
-    test-set cache and, gathered once, only the test inputs' columns that
-    the set's layer-0 weights use (`nn.layer0_inputs`).
+    w0 outside the set after every round. So the run reads each dataset
+    through its `nn.layer0_view` of w0 where `nn` says that pays, built on
+    first use: the test set's in `evaluate`, and the training set's in
+    training if the scheme pins.
     """
 
     def __init__(self, config, train, part, test=None, public=None):
@@ -323,32 +317,22 @@ class FederatedRun:
         self.index_set = initial_index_set(config, self.w0, public)
         self._shards = part
         self._targets = to_targets(train.labels, self.arch)
-        # The layer-0 units a cached pass recomputes (`nn.layer0_columns`),
-        # or None; training reads the cache only if the scheme pins.
-        self._cols = None if self.index_set is None else nn.layer0_columns(
-            self.arch, self.index_set)
-        self._pins = self._cols is not None and self.spec.reinit_nonselected
-        self._group = cohort_group_size(self.arch, config.batch_size,
-                                        self.index_set if self._pins else None)
+        self._group = cohort_group_size(
+            self.arch, config.batch_size,
+            self.index_set if self.spec.reinit_nonselected else None)
         self._next = None  # the next round's `_plan`, once made
         self._draw_worker = None  # a one-thread executor, once used
 
     @functools.cached_property
-    def _train_layer0(self):
-        x = self.train.inputs
-        return nn.layer0_cache(self.w0, self.arch, x) if self._pins else None
+    def _train_view(self):
+        pins = self.index_set is not None and self.spec.reinit_nonselected
+        return nn.layer0_view(self.w0, self.arch, self.train.inputs,
+                              self.index_set) if pins else None
 
     @functools.cached_property
-    def _test_layer0(self):
-        return None if self._cols is None else nn.layer0_cache(
-            self.w0, self.arch, self.test.inputs)
-
-    @functools.cached_property
-    def _test_inputs(self):
-        """What `evaluate` reads of the test inputs: all of them, or under
-        the test-set cache only the columns of the set's layer-0 weights."""
-        return self.test.inputs if self._test_layer0 is None else nn.layer0_inputs(
-            self.arch, self.test.inputs, self.index_set)
+    def _test_view(self):
+        return None if self.index_set is None else nn.layer0_view(
+            self.w0, self.arch, self.test.inputs, self.index_set)
 
     def _round_index_set(self, t):
         if self.index_set is not None:
@@ -412,13 +396,13 @@ class FederatedRun:
         index_set = self._round_index_set(t)
         (cohort, groups, secure_sum), self._next = self._next or self._plan(t), None
         seeds = seed_words(100, cfg.seeds.sampling, t, ids=cohort)
+        x, layer0 = self._train_view or (self.train.inputs, None)
         total = clamps = 0
         for group, draw in groups:
             stack = local_update(
-                self.spec, self.train.inputs, self._targets, self.w, self.w0,
-                self.arch, index_set, cfg.local_steps, cfg.learning_rate,
-                cfg.batch_size, seeds[group], self._train_layer0,
-                self._shards[cohort[group]])
+                self.spec, x, self._targets, self.w, self.w0, self.arch, index_set,
+                cfg.local_steps, cfg.learning_rate, cfg.batch_size, seeds[group],
+                layer0, self._shards[cohort[group]])
             if secure_sum is None:
                 for update in stack:
                     total = total + update
@@ -450,8 +434,8 @@ class FederatedRun:
     def evaluate(self):
         """Metrics of the current global model on the held-out test set."""
         y = self.test.labels
-        scores = nn.predict(self.w, self.arch, self._test_inputs, self._test_layer0,
-                            self.index_set, self.w0)
+        x, layer0 = self._test_view or (self.test.inputs, None)
+        scores = nn.predict(self.w, self.arch, x, layer0, self.index_set, self.w0)
         acc, bal = accuracies(scores, y, self._test_counts)
         try:
             auc = auroc(scores, y) if self.arch.loss == "binary_cross_entropy" \

@@ -124,7 +124,7 @@ def _forward(layers, arch, x, z0=None, cols=None):
     `layers` comes from `_layers(w, arch)`. Rank-polymorphic: a flat model
     `w` with (rows, width) inputs, or a (G, n) stack of models with a
     (G, rows, width) stack of inputs, one per model. With `z0`, a cached
-    pre-activation of layer 0 at w0 (see `layer0_cache`), `layers` is an
+    pre-activation of layer 0 at w0 (see `layer0_view`), `layers` is an
     index set's sub-model and x holds only its `inputs` columns: layer 0's
     units `cols` become z0's plus the set's change, x @ ΔW + Δb, written
     into z0, and every other unit keeps z0's value.
@@ -140,11 +140,17 @@ def _forward(layers, arch, x, z0=None, cols=None):
     return acts
 
 
-def _check_batch(arch, x, y=None):
-    if x.ndim != 2 or x.shape[1] != arch.input_width:
+def _check_batch(arch, x, y=None, inputs=None, z0=None):
+    """x is (rows, input width), or under a `layer0_view` (x, z0) that
+    gathered the columns `inputs`, (rows, inputs.size) with z0's rows; y, if
+    given, is (rows, output width)."""
+    width = arch.input_width if inputs is None else inputs.size
+    if x.ndim != 2 or x.shape[1] != width:
         raise DimensionError(
             f"inputs of width {x.shape[1] if x.ndim == 2 else '?'} do not "
-            f"match architecture input width {arch.input_width}")
+            f"match input width {width}")
+    if z0 is not None and len(z0) != len(x):
+        raise DimensionError(f"{len(x)} input rows against a layer-0 view of {len(z0)}")
     if y is not None and y.shape != x.shape[:-1] + (arch.output_width,):
         raise DimensionError(
             f"targets {y.shape} do not match (batch, {arch.output_width})")
@@ -153,23 +159,19 @@ def _check_batch(arch, x, y=None):
 def predict(w, arch, x, layer0=None, indices=None, w0=None):
     """Output-layer activations for a batch of inputs (forward pass only).
 
-    `layer0` is an optional `layer0_cache` of the base model `w0` for the
-    rows of x, and `indices` an index set outside which w's layer 0 equals
-    w0's. Layer 0's pre-activation is then the cache plus the set's change
-    from w0, which reads only the input columns its layer-0 weights use: x
-    may be those columns alone, `layer0_inputs(arch, x, indices)`. This
-    matches the dense pass up to rounding, and bit for bit at w = w0.
+    With `layer0`, (x, layer0) is the `layer0_view` of the base model w0
+    for the index set `indices`, outside which w's layer 0 equals w0's: x
+    holds only the view's input columns, and layer 0's pre-activation is
+    the cached one plus the set's change from w0. This matches the dense
+    pass up to rounding, and bit for bit at w = w0.
     """
     x = np.asarray(x, dtype=np.float64)
     if layer0 is None:
         _check_batch(arch, x)
         return _forward(_layers(w, arch), arch, x)[-1]
     key = np.asarray(indices, dtype=np.int64).tobytes()
-    indices, cols, _, inputs = _index_set(arch, key)
-    if x.ndim != 2 or x.shape[1] != inputs.size:
-        x = layer0_inputs(arch, x, indices)
-    if len(layer0) != len(x):
-        raise ValueError("layer-0 cache does not match the inputs")
+    _, cols, _, inputs = _index_set(arch, key)
+    _check_batch(arch, x, inputs=inputs, z0=layer0)
     layers = _layers(_sub_model(arch, key, w, w0, w), arch, (inputs.size, cols.size))
     return _forward(layers, arch, x, layer0.copy(), cols)[-1]
 
@@ -288,7 +290,7 @@ LAYER0_CACHE_MIN_SAVED = 1 << 15
 
 def layer0_columns(arch, indices):
     """The layer-0 output units that the index set `indices` touches, or
-    None when training or scoring it through a `layer0_cache` would not pay.
+    None when training or scoring it through a `layer0_view` would not pay.
 
     Per input row, the cached path skips `in_width` multiply-adds for every
     unit the set leaves clean, and gathers about as many per touched unit.
@@ -306,26 +308,37 @@ def layer0_columns(arch, indices):
     return cols if saved >= LAYER0_CACHE_MIN_SAVED else None
 
 
-def layer0_cache(w0, arch, x):
-    """Layer 0's pre-activation `x @ W0 + b0` at the base model w0, a row per
-    row of x. It serves any index set: `topk_sgd` and `predict` add a set's
-    change from w0 to the units it touches. Build it where `layer0_columns`
-    says it pays."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_batch(arch, x)
-    mat, bias = _layers(w0, arch)[0]
-    return x @ mat + bias
+def model_size(arch, indices=None):
+    """The float64 values of one client's model row in `topk_sgd`: n, or
+    for a set `indices` whose `layer0_view` pays, its sub-model's (see
+    `_sub_model`)."""
+    if indices is None or layer0_columns(arch, indices) is None:
+        return arch.n_params
+    _, cols, _, inputs = _index_set(arch, np.asarray(indices, dtype=np.int64).tobytes())
+    return arch.n_params + (inputs.size + 1) * cols.size - (
+        arch.input_width + 1) * arch.layers[0].out_width
 
 
-def layer0_inputs(arch, x, indices):
-    """The columns of the inputs x that `predict` reads under a layer-0
-    cache for the index set `indices`: the input rows of the set's layer-0
-    weights, in order. To score the same rows every round, gather them once
-    and pass these as x."""
+def layer0_view(w0, arch, x, indices):
+    """The inputs x as `predict` and `topk_sgd` read them for the index set
+    `indices` at the base model w0, or None where `layer0_columns` says the
+    dense pass is cheaper. The view is (x[:, R], x @ W0 + b0): the input
+    rows R of the set's layer-0 weights, in order, and layer 0's
+    pre-activation at w0. Both callers add the set's change from w0 to the
+    units it touches, and never write the view."""
     x = np.asarray(x, dtype=np.float64)
     _check_batch(arch, x)
+    if layer0_columns(arch, indices) is None:
+        return None
     inputs = _index_set(arch, np.asarray(indices, dtype=np.int64).tobytes())[3]
-    return x.take(inputs, axis=1)
+    mat, bias = _layers(w0, arch)[0]
+    # In 10-row products, whose bits do not depend on the BLAS thread
+    # count; one product over every row does.
+    z0 = np.empty((len(x), mat.shape[1]))
+    for i in range(0, len(x), 10):
+        np.matmul(x[i:i + 10], mat, out=z0[i:i + 10])
+    z0 += bias
+    return x.take(inputs, axis=1), z0
 
 
 def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
@@ -349,17 +362,32 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     scaled by -eta, into the model: SGD on `gradient(...)[indices]`, bit for
     bit.
 
-    `layer0` is an optional `layer0_cache` of w0 for every row of x, where
-    `layer0_columns` says it pays. A client's model and gradient buffer then
-    hold only the set's sub-model (see `_sub_model`), and each step reads
-    only x's columns `inputs` and recomputes only the units the set touches:
+    With `layer0`, (x, layer0) is the training set's `layer0_view` of w0
+    for `indices`, so x holds only the view's input columns. A client's
+    model and gradient buffer then hold only the set's sub-model (see
+    `_sub_model`), and each step recomputes only the units the set touches:
     the dense result up to rounding, returned as w's values plus each step.
     """
     if t_gd < 1:
-        raise ConfigError(f"t_gd must be >= 1, got {t_gd}")
+        raise ValueError(f"t_gd must be >= 1, got {t_gd}")
     x, y = np.asarray(x), np.asarray(y)
+    # One model row per client, holding the set at `pos`: w for the shared
+    # full set, else w0 with w's values at the set or, under the view, the
+    # set's sub-model of w with w0's later layers.
+    first = cols = inputs = None
+    if indices is full_indices(arch) and layer0 is None:
+        start, pos = w, slice(None)
+    else:
+        key = np.asarray(indices, dtype=np.int64).tobytes()
+        indices, cols, pos, inputs = _index_set(arch, key)
+        w = np.asarray(w, dtype=np.float64)
+        if layer0 is None:
+            start, pos, cols, inputs = w0.copy(), indices, None, None
+            start[indices] = w[indices]
+        else:
+            start, first = _sub_model(arch, key, w, w0, w0), (inputs.size, cols.size)
     # Every batch is a row subset of x, so one check covers them all.
-    _check_batch(arch, x, y)
+    _check_batch(arch, x, y, inputs, layer0)
     rows = np.arange(len(x)) if rows is None else np.asarray(rows)
     group = rows.shape[:-1]  # (G,) for a group, () for one client
     if 0 in group:
@@ -375,35 +403,17 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
              for r, s in zip(rows.reshape(len(seeds), -1), seeds)]
     at = plans[0] if len(plans) == 1 else np.stack(plans, axis=1)
     lead = at.shape[1:-1]
-    if layer0 is not None and len(layer0) != len(x):
-        raise ValueError("layer-0 cache does not match the training set")
-    # One model row per client, holding the set at `pos`: w for the shared
-    # full set, else w0 with w's values at the set or, under the cache, the
-    # set's sub-model of w with w0's later layers.
-    first = trained = cols = None
-    if indices is full_indices(arch) and layer0 is None:
-        start, pos = w, slice(None)
-    else:
-        key = np.asarray(indices, dtype=np.int64).tobytes()
-        indices, cols, pos, inputs = _index_set(arch, key)
-        w = np.asarray(w, dtype=np.float64)
-        if layer0 is None:
-            start, pos, cols = w0.copy(), indices, None
-            start[indices] = w[indices]
-        else:
-            start, first = _sub_model(arch, key, w, w0, w0), (inputs.size, cols.size)
-            trained = np.tile(w[indices], lead + (1,))
     # numpy indexes a flat model faster without a leading slice.
     in_set = (slice(None),) * len(lead) + (pos,)
     cur = np.tile(start, lead + (1,))
+    trained = None if layer0 is None else np.tile(w[indices], lead + (1,))
     layers = _layers(cur, arch, first)
     g = np.empty_like(cur)
     grads = _layers(g, arch, first)
     for batch in at:
-        xb, z0 = ((x[batch], None) if cols is None
-                  else (x[batch[..., None], inputs], layer0[batch]))
-        _backward(layers, arch, np.asarray(xb, dtype=np.float64),
-                  np.asarray(y[batch], dtype=np.float64), grads, z0, cols)
+        _backward(layers, arch, np.asarray(x[batch], dtype=np.float64),
+                  np.asarray(y[batch], dtype=np.float64), grads,
+                  None if layer0 is None else layer0[batch], cols)
         step = g[in_set]
         step *= -eta
         cur[in_set] += step

@@ -21,7 +21,7 @@ def clip(delta_w, s):
     to norm s (see `_factors`); one with an infinite entry turns NaN.
     """
     if not s > 0:
-        raise ConfigError(f"clipping threshold must be positive, got {s}")
+        raise ValueError(f"clipping threshold must be positive, got {s}")
     out = np.ascontiguousarray(delta_w, dtype=np.float64)
     rows = out.reshape(-1, out.shape[-1])  # a view: out is C-contiguous
     # Rescaling can land an ulp above s; iterate so clip(clip(x)) == clip(x)

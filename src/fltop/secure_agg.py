@@ -112,7 +112,7 @@ class SecureSum:
 
     def __init__(self, codec, num_clients, dim, seed):
         if num_clients < 2:
-            raise ConfigError("masking needs at least 2 clients")
+            raise ValueError("masking needs at least 2 clients")
         self.codec = codec
         self.num_clients = num_clients
         self.count = 0  # clients added so far

@@ -139,6 +139,16 @@ def touched_inputs(arch, indices):
     return np.unique((weights - w_sl.start) // arch.layers[0].out_width)
 
 
+def reference_layer0_view(w0, arch, x, indices):
+    """A set's layer-0 view, built whether or not `nn.layer0_columns` says
+    it pays: the columns of x that the set's layer-0 weights read, and
+    layer 0's pre-activation at w0 in one product, a row per row of x."""
+    w_sl, b_sl = layer_slices(arch)[0]
+    first = arch.layers[0]
+    mat = w0[w_sl].reshape(first.in_width, first.out_width)
+    return x[:, touched_inputs(arch, indices)], x @ mat + w0[b_sl]
+
+
 def reference_global_update(spec, w, w0, indices, avg):
     """The global model after a round that averaged to `avg` on `indices`,
     one case per scheme family: the full set adds `avg` everywhere, a pinning

@@ -337,11 +337,11 @@ def test_benchmark_trace_is_unchanged(tmp_path, workload, blas_threads):
 
 
 # sha256 of the final model's bytes after non-DP fl-top on wide-topk-dp's
-# seed-7 data at 1 BLAS thread, through the layer-0 cache. DP's 2^-32 grid
-# and the trace's accuracy columns can hide a change in the last bits of
-# the model; this cannot.
+# seed-7 data, through the layer-0 views, at 1 BLAS thread and at 2. DP's
+# 2^-32 grid and the trace's accuracy columns can hide a change in the last
+# bits of the model; this cannot.
 WIDE_FL_TOP_FINAL_MODEL_SEED_7 = (
-    "08ef150a0ab92287da8942f5beca6196ff33247cdbaea74d9016223e93a429ac")
+    "281e49169aa7e82cae2ffdf89e7a0329118ad2d05615250b9f89596d63cc3fe7")
 
 
 def test_wide_fl_top_final_model_is_unchanged(tmp_path):
@@ -356,8 +356,9 @@ def test_wide_fl_top_final_model_is_unchanged(tmp_path):
               "for _ in range(exp.fed.rounds):\n"
               "    run.run_round()\n"
               "print(hashlib.sha256(run.w.tobytes()).hexdigest())\n")
-    out = run_with_perfbench(script, [str(tmp_path / "in")], "1")
-    assert out.strip() == WIDE_FL_TOP_FINAL_MODEL_SEED_7
+    for blas_threads in ("1", "2"):
+        out = run_with_perfbench(script, [str(tmp_path / blas_threads)], blas_threads)
+        assert out.strip() == WIDE_FL_TOP_FINAL_MODEL_SEED_7, blas_threads
 
 
 def test_wide_rounds_stack_only_the_pinned_cohort(tmp_path, topk_sgd_calls):
@@ -552,6 +553,17 @@ class TestErrors:
         # An image file of 0 images is refused, its path named.
         path, cfg = base_config(tmp_path)
         cfg["dataset"] = IdxFiles(**{count: 0}).write(tmp_path)
+        path.write_text(json.dumps(cfg))
+        assert_usage_error(path, tmp_path / "out", cfg["dataset"][key])
+
+    @pytest.mark.parametrize("key", ["images", "test_images"])
+    def test_idx_images_without_pixels_exit_2(self, tmp_path, key):
+        # Images of 0x0 pixels are refused, their file named, before any
+        # model of input width 0 is made.
+        path, cfg = base_config(tmp_path)
+        cfg["dataset"] = IdxFiles().write(tmp_path)
+        data.write_idx(np.zeros((20, 0, 0)), np.arange(20) % 3, cfg["dataset"][key],
+                       cfg["dataset"][key.replace("images", "labels")])
         path.write_text(json.dumps(cfg))
         assert_usage_error(path, tmp_path / "out", cfg["dataset"][key])
 

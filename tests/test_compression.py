@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from fltop import nn
 from fltop.compression import _largest, select_random, select_topk
 from fltop.data import to_targets
-from fltop.errors import ConfigError
 
 from oracles import finite_difference_gradient
 
@@ -78,10 +77,19 @@ class TestSelectTopk:
         assert s.tolist() == [0]
 
     def test_k_out_of_range(self, toy_arch, toy_batch):
+        # K and t_init come from a validated config: out of range, they are
+        # a caller's bug, never the usage error that a ConfigError reports.
         x, y = toy_batch
         w0 = nn.init_model(toy_arch, 0)
-        with pytest.raises(ConfigError):
-            select_topk(w0, toy_arch, x, y, 3, toy_arch.n_params + 1, 0.1)
+        n = toy_arch.n_params
+        for call in (lambda: select_topk(w0, toy_arch, x, y, 3, n + 1, 0.1),
+                     lambda: select_topk(w0, toy_arch, x, y, 3, 0, 0.1),
+                     lambda: select_topk(w0, toy_arch, x, y, 0, 1, 0.1),
+                     lambda: select_random(n, n + 1, 0),
+                     lambda: select_random(n, 0, 0)):
+            with pytest.raises(ValueError) as error:
+                call()
+            assert type(error.value) is ValueError
 
     def test_tie_break_lowest_index(self):
         # Of equal accumulated magnitudes, the lowest indices are kept.

@@ -38,10 +38,13 @@ class TestIdx:
             data.load_idx(p, p)
 
     def test_empty_image_file(self, tmp_path):
-        ip, lp = self._write_pair(tmp_path, np.zeros((0, 4, 4)), np.zeros(0))
-        with pytest.raises(FormatError) as error:
-            data.load_idx(ip, lp)
-        assert str(ip) in str(error.value)
+        # No images, or images of no pixels, which would make a model of
+        # input width 0: either way the images file is named.
+        for shape in ((0, 4, 4), (3, 0, 0), (3, 4, 0)):
+            ip, lp = self._write_pair(tmp_path, np.zeros(shape), np.zeros(shape[0]))
+            with pytest.raises(FormatError) as error:
+                data.load_idx(ip, lp)
+            assert str(ip) in str(error.value)
 
     def test_image_and_label_counts_disagree(self, tmp_path):
         # Both files and both counts, since a config names three such pairs.

@@ -372,10 +372,8 @@ class TestLayer0Cache:
                                public=public)
             run.run_round()
             run.evaluate()
-            assert run._cols is None, scheme
-            assert run._test_layer0 is None, scheme
-            assert run._test_inputs is test.inputs, scheme  # nothing gathered
-            assert run._train_layer0 is None, scheme
+            assert run._test_view is None, scheme  # nothing gathered
+            assert run._train_view is None, scheme
 
     @pytest.mark.parametrize("scheme,trains_cached", [
         ("fl-top", True), ("fl-top-dp", True), ("fl-top-bis", False)])
@@ -386,11 +384,12 @@ class TestLayer0Cache:
                           ratio=0.005)
         runs = [FederatedRun(cfg, train, part, test=test, public=public)]
         with monkeypatch.context() as m:
-            # The same run with the predicate refusing every set.
+            # The same run with the predicate refusing every set, views
+            # included, which are built on first use.
             m.setattr(nn, "layer0_columns", lambda arch, indices: None)
             runs.append(FederatedRun(cfg, train, part, test=test, public=public))
+            assert runs[1]._train_view is None and runs[1]._test_view is None
         cached, dense = runs
-        assert cached._cols is not None and dense._cols is None
         for _ in range(3):
             scores = []
             for run in runs:
@@ -400,43 +399,36 @@ class TestLayer0Cache:
             np.testing.assert_allclose(cached.w, dense.w, rtol=1e-10, atol=1e-10)
             # Accuracy and balanced accuracy; AUROC is nan for 10 classes.
             assert scores[0][:2] == scores[1][:2]
-        assert cached._test_layer0 is not None
-        assert (cached._train_layer0 is not None) == trains_cached
+        assert cached._test_view is not None
+        assert (cached._train_view is not None) == trains_cached
 
     def test_each_dataset_is_cached_once(self, wide_setup, monkeypatch):
-        # fl-top-dp at r = 0.005 caches layer 0 once for the training set,
-        # on the first round, and once for the test set, on the first
-        # evaluation, whichever clients the rounds draw; not at set-up. The
-        # test inputs' columns that the set's layer-0 weights use are
-        # gathered once too, on the first evaluation.
+        # fl-top-dp at r = 0.005 builds the training set's layer-0 view
+        # once, on the first round, and the test set's once, on the first
+        # evaluation, whichever clients the rounds draw; not at set-up. Each
+        # view holds only the input columns of the set's layer-0 weights.
         train, test, public, part, arch = wide_setup
         cfg = make_config(arch, "fl-top-dp", n_clients=20, sampling_fraction=0.25,
                           ratio=0.005)
-        calls, gathers = [], []
-        layer0_cache, layer0_inputs = nn.layer0_cache, nn.layer0_inputs
+        calls, layer0_view = [], nn.layer0_view
 
-        def spy(w0, arch, x):
-            calls.append(x)
-            return layer0_cache(w0, arch, x)
+        def spy(w0, arch, x, indices):
+            calls.append((x, indices))
+            return layer0_view(w0, arch, x, indices)
 
-        def gather_spy(arch, x, indices):
-            gathers.append((x, indices))
-            return layer0_inputs(arch, x, indices)
-
-        monkeypatch.setattr(nn, "layer0_cache", spy)
-        monkeypatch.setattr(nn, "layer0_inputs", gather_spy)
+        monkeypatch.setattr(nn, "layer0_view", spy)
         run = FederatedRun(cfg, train, part, test=test, public=public)
-        assert calls == [] and gathers == []
+        assert calls == []
         run.run_round()
-        assert gathers == []
+        assert len(calls) == 1
         for _ in range(3):
             run.evaluate()
             run.run_round()
         assert len(calls) == 2
-        assert calls[0] is train.inputs and calls[1] is test.inputs
-        assert len(gathers) == 1
-        assert gathers[0][0] is test.inputs and gathers[0][1] is run.index_set
-        assert run._test_inputs.shape[1] < arch.input_width
+        assert calls[0][0] is train.inputs and calls[1][0] is test.inputs
+        assert all(indices is run.index_set for _, indices in calls)
+        for view in (run._train_view, run._test_view):
+            assert view[0].shape[1] < arch.input_width
 
     @pytest.mark.parametrize("scheme", ["fl-top-dp", "fl-top-bis"])
     def test_evaluate_reads_no_full_width_inputs(self, wide_setup, monkeypatch,
@@ -449,7 +441,6 @@ class TestLayer0Cache:
         blanked = data.Dataset(test.inputs.copy(), test.labels)
         run = FederatedRun(cfg, train, part, test=blanked, public=public)
         twin = FederatedRun(cfg, train, part, test=test, public=public)
-        assert run._cols is not None
         scores, predict = [], nn.predict
         monkeypatch.setattr(nn, "predict", lambda *args: scores.append(
             predict(*args)) or scores[-1])
@@ -462,6 +453,27 @@ class TestLayer0Cache:
             assert np.all(np.isfinite(scores[-2]))
             assert np.array_equal(scores[-2], scores[-1])
         assert len(scores) == 8
+        assert run._test_view is not None
+
+    @pytest.mark.parametrize("scheme", ["fl-top", "fl-top-dp"])
+    def test_training_reads_no_full_width_inputs(self, wide_setup, scheme):
+        # Past the first round, a pinned run trains on its view's gathered
+        # columns only: training inputs overwritten with NaN leave the model
+        # equal to a twin run's, bit for bit.
+        train, test, public, part, arch = wide_setup
+        cfg = make_config(arch, scheme, n_clients=20, sampling_fraction=0.25,
+                          ratio=0.005)
+        blanked = data.Dataset(train.inputs.copy(), train.labels)
+        run = FederatedRun(cfg, blanked, part, test=test, public=public)
+        twin = FederatedRun(cfg, train, part, test=test, public=public)
+        for t in range(4):
+            for r in (run, twin):
+                r.run_round()
+            if t == 0:
+                blanked.inputs[...] = np.nan
+            assert np.all(np.isfinite(run.w))
+            assert np.array_equal(run.w, twin.w)
+        assert run._train_view is not None
 
     @pytest.mark.parametrize("scheme", FIXED_SET_SCHEMES)
     def test_model_stays_at_w0_off_the_set(self, wide_setup, scheme):
@@ -510,7 +522,7 @@ class TestCohortGroups:
         for budget in self.BUDGETS:
             monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
             run = FederatedRun(cfg, train, part, test=test, public=public)
-            assert run._train_layer0 is not None
+            assert run._train_view is not None
             for _ in range(3):
                 run.run_round()
             finals.append((run.w, run.evaluate()[:2]))

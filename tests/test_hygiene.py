@@ -155,6 +155,36 @@ def test_tests_set_only_private_attributes_the_run_has():
     assert stale == set()
 
 
+def private_names_used(source, module):
+    """(line, name) of each private name of the sibling module `module` that
+    a module reads: `module._x`, or `from .module import _x`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == module):
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.ImportFrom) and node.level == 1
+              and node.module == module):
+            found += [(node.lineno, alias.name) for alias in node.names]
+    return sorted((line, name) for line, name in found
+                  if name.startswith("_") and not name.startswith("__"))
+
+
+def test_private_name_detection():
+    source = ("from . import nn, privacy\nfrom .nn import _sub_model, gradient\n"
+              "a = nn._index_set(1)\nb = nn.layer0_view\nc = nn.__name__\n"
+              "d = privacy._noise\nfrom .privacy import _factors\n")
+    assert private_names_used(source, "nn") == [(2, "_sub_model"), (3, "_index_set")]
+    assert private_names_used(source, "privacy") == [(6, "_noise"), (7, "_factors")]
+
+
+def test_federation_reads_no_private_nn_name():
+    # `nn` alone decides where a layer-0 view pays and what a client's model
+    # row holds under one; federation asks it through public names.
+    source = (ROOT / "src" / "fltop" / "federation.py").read_text()
+    assert private_names_used(source, "nn") == []
+
+
 def is_transpose(node):
     """`<matrix>.T`, or `<matrix>.swapaxes(-1, -2)` for a stack of them."""
     if isinstance(node, ast.Attribute):

@@ -8,14 +8,21 @@ from fltop import compression, nn
 from fltop.errors import ConfigError, DataError, DimensionError
 
 from oracles import (batch_stream, dense_gradient, finite_difference_gradient,
-                     forward_loss, layer_slices, reference_topk_sgd,
-                     touched_inputs, touched_units)
+                     forward_loss, layer_slices, reference_layer0_view,
+                     reference_topk_sgd, touched_inputs, touched_units)
 
 
 def full_sgd(x, y, w, arch, t_gd, eta, batch_size, seed):
     """Plain SGD: `nn.topk_sgd` over the shared full index set."""
     return nn.topk_sgd(x, y, w, w, arch, t_gd, nn.full_indices(arch), eta,
                        batch_size, seed)
+
+
+def forced_view(w0, arch, x, indices):
+    """`nn.layer0_view`, or the reference view where `nn` would take the
+    dense pass, so that every set can run the cached path."""
+    return (nn.layer0_view(w0, arch, x, indices)
+            or reference_layer0_view(w0, arch, x, indices))
 
 
 def one_hot(labels, k):
@@ -300,8 +307,10 @@ class TestSgd:
     def test_tgd_zero_rejected_and_eta_zero_identity(self, toy_arch, toy_batch):
         x, y = toy_batch
         w = nn.init_model(toy_arch, 0)
-        with pytest.raises(ConfigError):
+        # A caller's bug, never the usage error that a ConfigError reports.
+        with pytest.raises(ValueError) as e:
             full_sgd(x, y, w, toy_arch, 0, 0.1, 4, 0)
+        assert type(e.value) is ValueError
         out = full_sgd(x, y, w, toy_arch, 1, 0.0, 4, 0)
         assert np.array_equal(out, w)
 
@@ -432,7 +441,8 @@ class TestTopkSgd:
         elif touched != "half":
             assert np.array_equal(got, cols)
         args = (arch, t_gd, indices, eta, batch_size, data_seed)
-        out = nn.topk_sgd(x, y, w, w0, *args, layer0=nn.layer0_cache(w0, arch, x))
+        narrow, cache = forced_view(w0, arch, x, indices)
+        out = nn.topk_sgd(narrow, y, w, w0, *args, layer0=cache)
         ref = reference_topk_sgd(x, y, w, w0, *args)[..., indices]
         assert out.shape == indices.shape
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10)
@@ -459,19 +469,19 @@ class TestTopkSgd:
         w = w0.copy()
         step = rng.standard_normal(indices.size)
         w[indices] = step if far else w[indices] + 0.1 * step
-        cache = nn.layer0_cache(w0, arch, x)
+        narrow, cache = nn.layer0_view(w0, arch, x, indices)
         args = (arch, 3, indices, 0.0, 4)
-        out = nn.topk_sgd(x, y, w, w0, *args, 0, layer0=cache)
+        out = nn.topk_sgd(narrow, y, w, w0, *args, 0, layer0=cache)
         assert np.array_equal(out, w[indices])
         rows = np.arange(12).reshape(3, 4)
-        stacked = nn.topk_sgd(x, y, w, w0, *args, [0, 1, 2], cache, rows)
+        stacked = nn.topk_sgd(narrow, y, w, w0, *args, [0, 1, 2], cache, rows)
         assert np.array_equal(stacked, np.tile(w[indices], (3, 1)))
 
     # A group of G clients' rows trains like G one-client calls, and each of
-    # those like a call on its gathered shard and cache rows, bit for bit:
+    # those like a call on its gathered shard and view rows, bit for bit:
     # both losses, relu/sigmoid, 1-3 hidden layers, every kind of set (empty,
     # sparse, whole blocks, full), batches above and below the shard size,
-    # and wide archs whose set is trained through the layer-0 cache of every
+    # and wide archs whose set is trained through the layer-0 view of every
     # training row: on one touched unit, whose products are vector-shaped
     # (numpy may hand them to gemv), a few, up to half or every one.
     @settings(max_examples=200, deadline=None)
@@ -483,7 +493,7 @@ class TestTopkSgd:
         x, y, w, w0, rows = group_inputs(arch, group, shard, data_seed)
         seeds = [[data_seed, c] for c in range(group)]
         args = (arch, t_gd, indices, eta, batch_size)
-        layer0 = nn.layer0_cache(w0, arch, x) if cached else None
+        x, layer0 = forced_view(w0, arch, x, indices) if cached else (x, None)
         stacked = nn.topk_sgd(x, y, w, w0, *args, seeds, layer0, rows)
         assert stacked.shape == (group, len(indices))
         for c in range(group):
@@ -527,10 +537,35 @@ class TestTopkSgd:
         arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
         w0 = nn.init_model(arch, 0)
         x, y = np.zeros((4, 784)), np.eye(10)[:4]
-        cache = nn.layer0_cache(w0, arch, x)
+        indices = np.array([0, 1])
+        narrow, cache = nn.layer0_view(w0, arch, x, indices)
         with pytest.raises(ValueError):
-            nn.topk_sgd(x[:3], y[:3], w0, w0, arch, 1, np.array([0, 1]), 0.1, 2,
+            nn.topk_sgd(narrow[:3], y[:3], w0, w0, arch, 1, indices, 0.1, 2,
                         0, layer0=cache)
+        with pytest.raises(ValueError):
+            nn.predict(w0, arch, narrow[:3], cache, indices, w0)
+
+    def test_full_width_inputs_refused_under_a_view(self, monkeypatch):
+        # Under a view, x is its gathered columns and nothing else; the
+        # targets are checked as on the dense path. No pass runs.
+        def backward(*args):
+            raise AssertionError("backward pass ran on a malformed batch")
+
+        monkeypatch.setattr(nn, "_backward", backward)
+        arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
+        w0 = nn.init_model(arch, 0)
+        x, y = np.zeros((4, 784)), np.eye(10)[:4]
+        indices = np.array([0, 1, 101 * 100])  # inputs 0 and 101
+        narrow, cache = nn.layer0_view(w0, arch, x, indices)
+        assert narrow.shape == (4, 2)
+        for bad in (x, narrow[:, :1], narrow[0]):
+            with pytest.raises(DimensionError):
+                nn.topk_sgd(bad, y, w0, w0, arch, 1, indices, 0.1, 2, 0, layer0=cache)
+            with pytest.raises(DimensionError):
+                nn.predict(w0, arch, bad, cache, indices, w0)
+        with pytest.raises(DimensionError):
+            nn.topk_sgd(narrow, y[:, :5], w0, w0, arch, 1, indices, 0.1, 2, 0,
+                        layer0=cache)
 
     def test_out_of_range_index(self, toy_arch, toy_batch):
         x, y = toy_batch
@@ -590,14 +625,19 @@ class TestIndexSet:
         assert np.array_equal(sub[pos], np.where(indices < stop, change[indices],
                                                  w[indices]))
         x = rng.uniform(-1, 1, (5, arch.input_width))
-        cache = nn.layer0_cache(w0, arch, x)
-        cached = nn.predict(w, arch, x, cache, indices, w0)
+        # `nn`'s view, where it builds one, is the reference view: the same
+        # columns, and the same pre-activation up to rounding.
+        narrow, cache = reference_layer0_view(w0, arch, x, indices)
+        assert np.array_equal(narrow, x[:, inputs])
+        view = nn.layer0_view(w0, arch, x, indices)
+        assert (view is None) == (nn.layer0_columns(arch, indices) is None)
+        if view is not None:
+            assert np.array_equal(view[0], narrow)
+            np.testing.assert_allclose(view[1], cache, rtol=1e-12, atol=1e-12)
+        cached = nn.predict(w, arch, narrow, cache, indices, w0)
         np.testing.assert_allclose(cached, nn.predict(w, arch, x),
                                    rtol=1e-10, atol=1e-12)
-        narrow = nn.layer0_inputs(arch, x, indices)
-        assert np.array_equal(narrow, x[:, inputs])
-        assert np.array_equal(nn.predict(w, arch, narrow, cache, indices, w0), cached)
-        assert np.array_equal(nn.predict(w0, arch, x, cache, indices, w0),
+        assert np.array_equal(nn.predict(w0, arch, narrow, cache, indices, w0),
                               nn.predict(w0, arch, x))
 
 
@@ -641,24 +681,25 @@ class TestLayer0Dispatch:
         x = rng.uniform(0, 1, (300, 784))
         cols = nn.layer0_columns(arch, indices)
         assert np.array_equal(cols, np.sort(units))
-        cache = nn.layer0_cache(w0, arch, x)
-        cached = nn.predict(w, arch, x, cache, indices, w0)
+        narrow, cache = nn.layer0_view(w0, arch, x, indices)
+        cached = nn.predict(w, arch, narrow, cache, indices, w0)
         dense = nn.predict(w, arch, x)
         np.testing.assert_allclose(cached, dense, rtol=1e-10, atol=1e-12)
         assert np.array_equal(cached.argmax(axis=1), dense.argmax(axis=1))
-        # The cache is read, never written.
-        assert np.array_equal(cache, nn.layer0_cache(w0, arch, x))
+        # The view is read, never written.
+        again = nn.layer0_view(w0, arch, x, indices)
+        assert np.array_equal(narrow, again[0]) and np.array_equal(cache, again[1])
 
     def test_one_cache_serves_any_set(self):
-        # One cache of w0 trains and then scores two sets that touch
-        # different layer-0 units, in turn, and is never written.
+        # The views of two sets that touch different layer-0 units hold the
+        # same pre-activation of w0, bit for bit. Each trains and then
+        # scores its set, in turn, and neither is written.
         arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
         rng = np.random.default_rng(3)
         w0 = nn.init_model(arch, 3)
         x = rng.uniform(0, 1, (40, 784))
         y = one_hot(rng.integers(0, 10, 40), 10)
-        cache = nn.layer0_cache(w0, arch, x)
-        before = cache.copy()
+        views = []
         w_sl, b_sl = layer_slices(arch)[0]
         for units in (np.array([3, 17, 42]), np.array([5, 60])):
             rows = rng.choice(784, 10, replace=False)
@@ -667,14 +708,19 @@ class TestLayer0Dispatch:
                 b_sl.start + units[:1],
                 rng.choice(np.arange(b_sl.stop, arch.n_params), 30, replace=False)]))
             assert np.array_equal(nn.layer0_columns(arch, indices), units)
+            narrow, cache = nn.layer0_view(w0, arch, x, indices)
+            views.append((narrow, cache, narrow.copy(), cache.copy()))
             w = w0.copy()
             w[indices] += rng.normal(0, 0.5, indices.size)
             args = (arch, 3, indices, 0.3, 8, 0)
-            out = nn.topk_sgd(x, y, w, w0, *args, layer0=cache)
+            out = nn.topk_sgd(narrow, y, w, w0, *args, layer0=cache)
             trained = reference_topk_sgd(x, y, w, w0, *args)
             np.testing.assert_allclose(out, trained[indices], rtol=1e-10, atol=1e-10)
             trained[indices] = out  # w0 off the set
-            np.testing.assert_allclose(nn.predict(trained, arch, x, cache, indices, w0),
-                                       nn.predict(trained, arch, x),
-                                       rtol=1e-10, atol=1e-12)
-        assert np.array_equal(cache, before)
+            np.testing.assert_allclose(
+                nn.predict(trained, arch, narrow, cache, indices, w0),
+                nn.predict(trained, arch, x), rtol=1e-10, atol=1e-12)
+        assert np.array_equal(views[0][1], views[1][1])
+        for narrow, cache, narrow_before, cache_before in views:
+            assert np.array_equal(narrow, narrow_before)
+            assert np.array_equal(cache, cache_before)

@@ -60,8 +60,11 @@ class TestClip:
             assert np.array_equal(clip(c1.copy(), s), c1)
 
     def test_nonpositive_s(self):
-        with pytest.raises(ConfigError):
-            clip(np.ones(3), 0.0)
+        # s comes from a validated config: a caller's bug, not a usage error.
+        for s in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError) as error:
+                clip(np.ones(3), s)
+            assert type(error.value) is ValueError
 
     @settings(max_examples=300, deadline=None)
     @given(stack=stacks(), s=st.sampled_from((1.0, 0.5, 3.7)))
@@ -273,18 +276,22 @@ class TestEpsilon:
             AccountantQuery(1.54, 0.0, 10)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: clip(np.ones(3), math.nan),
-    lambda: FederationConfig(TINY, "fl-top-dp", 10, 0.5, 3, clip=math.nan),
-    lambda: FederationConfig(TINY, "fl-top-dp", 10, 0.5, 3, sigma=math.nan),
-    lambda: log_moment(2, math.nan, 0.5),
-    lambda: AccountantQuery(math.nan, 0.5, 10),
+@pytest.mark.parametrize("call, error", [
+    (lambda: clip(np.ones(3), math.nan), ValueError),
+    (lambda: FederationConfig(TINY, "fl-top-dp", 10, 0.5, 3, clip=math.nan),
+     ConfigError),
+    (lambda: FederationConfig(TINY, "fl-top-dp", 10, 0.5, 3, sigma=math.nan),
+     ConfigError),
+    (lambda: log_moment(2, math.nan, 0.5), ConfigError),
+    (lambda: AccountantQuery(math.nan, 0.5, 10), ConfigError),
 ], ids=["clip-s", "noise-s", "noise-sigma", "log_moment-sigma", "query-sigma"])
-def test_nan_is_not_positive(call):
+def test_nan_is_not_positive(call, error):
     # NaN <= 0 is false, so a check written that way lets NaN through. The
-    # noise's S and sigma are checked where a run's config is made.
-    with pytest.raises(ConfigError, match="nan"):
+    # noise's S and sigma are checked where a run's config is made; `clip`
+    # takes its s from that config, so a NaN there is a caller's bug.
+    with pytest.raises(error, match="nan") as raised:
         call()
+    assert type(raised.value) is error
 
 
 class TestEmpiricalAudit:
