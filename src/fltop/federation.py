@@ -67,9 +67,10 @@ class Seeds:
 def seed_words(*parts, ids=None):
     """The uint32 words that `np.random.SeedSequence` makes of the list seed
     `[*parts]` of non-negative ints: each part's little-endian 32-bit words,
-    at least one. `np.random.default_rng` takes them faster, to the same
-    generator. With `ids`, (m,) ints below 2**32, row i of the (m, w)
-    result is the words of `[*parts, ids[i]]`."""
+    at least one. `np.random.default_rng` makes the same generator of them
+    as of the list. With `ids`, (m,) ints below 2**32, row i of the (m, w)
+    result is the words of `[*parts, ids[i]]`; `_generators` seeds a group
+    of such rows in one pass."""
     words = [part >> shift & 0xFFFFFFFF for part in map(int, parts)
              for shift in range(0, max(part.bit_length(), 1), 32)]
     if ids is None:
@@ -77,6 +78,37 @@ def seed_words(*parts, ids=None):
     out = np.empty((len(ids), len(words) + 1), dtype=np.uint32)
     out[:, :-1], out[:, -1] = words, ids
     return out
+
+
+# `SeedSequence.generate_state` hashes the sequence's 4-word pool into
+# PCG64's 8 state words with constants that do not depend on the pool: word
+# i is pool[i % 4] ^ _HASH[i], times _HASH[i + 1], xor-shifted right by 16.
+_HASH = np.array([0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32)
+                  for i in range(9)], dtype=np.uint32)
+
+
+class _Hashed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose PCG64 state words `_generators` has hashed."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state  # PCG64 asks only for its (4,) uint64 state
+
+
+def _generators(rows):
+    """One `np.random.Generator` per row of seed words, bit for bit
+    `np.random.default_rng(row)`'s: each row's `SeedSequence` pool, then the
+    `generate_state` hash of every pool in one pass."""
+    pools = np.array([np.random.SeedSequence(row).pool for row in rows])
+    state = np.concatenate((pools, pools), axis=1)
+    state ^= _HASH[:-1]
+    state *= _HASH[1:]
+    state ^= state >> 16
+    # numpy reads the state words as little-endian uint64 on any host.
+    state = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_Hashed(row))) for row in state]
 
 
 @dataclass
@@ -348,10 +380,11 @@ class FederatedRun:
         masks), else with None. Inline the call draws; when the round's
         largest group draws at least `DRAW_AHEAD_MIN_VALUES` noise values it
         is a future's `result` on the run's draw worker, whose one thread
-        deals the masks in cohort order and exits once the run is freed. The
-        thread runs only `draw`, `privacy._noise` and `SecureSum.masks`: a
-        profiler may wrap public functions with timers that are not
-        thread-safe."""
+        deals the masks in cohort order and exits once the run is freed.
+        `draw` seeds its group's noise generators with `_generators`, so the
+        thread runs only `draw`, `_generators`, `privacy._noise` and
+        `SecureSum.masks`: a profiler may wrap public functions with timers
+        that are not thread-safe."""
         cfg = self.config
         rng = np.random.default_rng(seed_words(103, cfg.seeds.sampling, t))
         cohort = np.sort(rng.choice(cfg.n_clients, size=cfg.cohort_size, replace=False))
@@ -367,7 +400,8 @@ class FederatedRun:
                                           seed_words(cfg.seeds.masks, t))
 
         def draw(group):
-            noise = privacy._noise(noise_seeds[group], k, cfg.clip, cfg.sigma, m)
+            noise = privacy._noise(_generators(noise_seeds[group]), k, cfg.clip,
+                                   cfg.sigma, m)
             return noise, secure_sum.masks(len(noise))
 
         ahead = -(-m // n_groups) * k >= DRAW_AHEAD_MIN_VALUES
@@ -381,7 +415,8 @@ class FederatedRun:
         """Advance the global model by one round; returns this round's cohort.
 
         Its generators are seeded by `seed_words`. Each group of the round's
-        `_plan` is trained by one `local_update` call. Without DP the cohort
+        `_plan` is trained by one `local_update` call, with its clients'
+        batch generators seeded in one `_generators` pass. Without DP the cohort
         mean is the running total of the updates, in cohort order. Under DP
         each group's stack, while it is fresh from training, is clipped,
         noised, encoded and masked in place, each row with its own client's
@@ -401,7 +436,8 @@ class FederatedRun:
         for group, draw in groups:
             stack = local_update(
                 self.spec, x, self._targets, self.w, self.w0, self.arch, index_set,
-                cfg.local_steps, cfg.learning_rate, cfg.batch_size, seeds[group],
+                cfg.local_steps, cfg.learning_rate, cfg.batch_size,
+                _generators(seeds[group]),
                 layer0, self._shards[cohort[group]])
             if secure_sum is None:
                 for update in stack:

@@ -89,15 +89,19 @@ def init_model(arch, seed):
 
 
 def _activate(z, kind):
+    """The activation of the pre-activation `z`, written into `z`."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "sigmoid":
+        np.maximum(z, 0.0, out=z)
+    elif kind == "sigmoid":
+        np.negative(z, out=z)
         with np.errstate(over="ignore"):  # exp(-z) = inf: the limit, 0
-            return 1.0 / (1.0 + np.exp(-z))
-    if kind == "softmax":
-        shifted = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+            np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+    elif kind == "softmax":
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
@@ -132,7 +136,8 @@ def _forward(layers, arch, x, z0=None, cols=None):
     acts = [x]
     for i, layer in enumerate(arch.layers):
         mat, bias = layers[i]
-        z = acts[-1] @ mat + (bias if i or z0 is None else z0[..., cols] + bias)
+        z = acts[-1] @ mat
+        z += bias if i or z0 is None else z0[..., cols] + bias
         if i == 0 and z0 is not None:
             z0[..., cols] = z
             z = z0
@@ -185,8 +190,11 @@ def _backward(layers, arch, x, targets, grads, z0=None, cols=None):
     an index set's sub-model and layer 0 runs on the cached pre-activation;
     see `_forward`. Layer 0's delta is then that of its units `cols`."""
     acts = _forward(layers, arch, x, z0, cols)
-    # Softmax+CE and sigmoid+BCE share the same output delta.
-    delta = (acts[-1] - targets) / x.shape[-2]
+    # Softmax+CE and sigmoid+BCE share the same output delta, built in the
+    # output activations, which nothing reads after it.
+    delta = acts[-1]
+    delta -= targets
+    delta /= x.shape[-2]
     for i in range(len(arch.layers) - 1, -1, -1):
         if i == 0 and z0 is not None:
             delta = delta.take(cols, axis=-1)
@@ -199,9 +207,10 @@ def _backward(layers, arch, x, targets, grads, z0=None, cols=None):
             prev = acts[i]
             prev_kind = arch.layers[i - 1].activation
             if prev_kind == "relu":
-                delta = delta * (prev > 0)
+                delta *= prev > 0
             elif prev_kind == "sigmoid":
-                delta = delta * prev * (1.0 - prev)
+                delta *= prev
+                delta *= 1.0 - prev
             # identity: unchanged
 
 
@@ -352,8 +361,8 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     (G, shard) array with a sequence of G batch `seed`s, which gives (G, K)
     for G = 1 too, each row equal bit for bit to its client's own call.
     Every client begins from the same `w`, of which only `w[indices]` is
-    read. A call draws every client's batches as it begins, and each step
-    is one forward and backward pass over all of them.
+    read. A call draws every client's batches and gathers their rows as it
+    begins, and each step is one forward and backward pass over all of them.
 
     `indices` must be strictly increasing; `full_indices(arch)` is
     recognised by identity and gathers nothing, and any other array is
@@ -410,10 +419,13 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     layers = _layers(cur, arch, first)
     g = np.empty_like(cur)
     grads = _layers(g, arch, first)
-    for batch in at:
-        _backward(layers, arch, np.asarray(x[batch], dtype=np.float64),
-                  np.asarray(y[batch], dtype=np.float64), grads,
-                  None if layer0 is None else layer0[batch], cols)
+    # Every step's rows, gathered once; a step writes its own rows of z0.
+    xs = np.asarray(x[at], dtype=np.float64)
+    ys = np.asarray(y[at], dtype=np.float64)
+    z0s = None if layer0 is None else layer0[at]
+    for i in range(t_gd):
+        _backward(layers, arch, xs[i], ys[i], grads, None if z0s is None else z0s[i],
+                  cols)
         step = g[in_set]
         step *= -eta
         cur[in_set] += step

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from fltop import cli, config, data, federation, nn, privacy
 from fltop.errors import ConfigError
 from fltop.federation import SCHEMES
 
-# The example config from README.md.
+# The example config from README.md, which
+# `test_readme_example_is_the_tested_config` parses and compares.
 README_CONFIG = {
     "scheme": "fl-top-dp",
     "dataset": {"type": "synthetic", "n_samples": 4000, "n_features": 20,
@@ -359,6 +361,50 @@ def test_wide_fl_top_final_model_is_unchanged(tmp_path):
     for blas_threads in ("1", "2"):
         out = run_with_perfbench(script, [str(tmp_path / blas_threads)], blas_threads)
         assert out.strip() == WIDE_FL_TOP_FINAL_MODEL_SEED_7, blas_threads
+
+
+# sha256 of the final model's bytes after 50 rounds on README_CONFIG at 1
+# BLAS thread: fl-top (its K = 74 set pinned, on the dense path) and fl-std
+# (the full set). As with the wide pin, this catches a last-bit change in
+# the model that the DP traces' 2^-32 grid could hide.
+README_FINAL_MODELS = {
+    "fl-top": "e287621ad2a0462a06f14698631233573788d3c1c36828fe36995feede309656",
+    "fl-std": "338b9a36ac0f0df85ccd9b6db42e43a637dd8fc7c90e25169f0e4a6ed682bd91",
+}
+
+
+def test_readme_final_models_are_unchanged():
+    script = ("import hashlib, json, sys\n"
+              "from fltop import config, federation\n"
+              "raw = json.loads(sys.argv[1])\n"
+              "for scheme in sys.argv[2:]:\n"
+              "    exp = config.resolve({**raw, 'scheme': scheme})\n"
+              "    run = federation.FederatedRun(exp.fed, exp.train, exp.part, exp.test,\n"
+              "                                  exp.public)\n"
+              "    for _ in range(exp.fed.rounds):\n"
+              "        run.run_round()\n"
+              "    print(scheme, hashlib.sha256(run.w.tobytes()).hexdigest())\n")
+    out = run_with_perfbench(script, [json.dumps(README_CONFIG), *README_FINAL_MODELS],
+                             "1")
+    assert dict(line.split() for line in out.splitlines()) == README_FINAL_MODELS
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_example_is_the_tested_config():
+    blocks = README.read_text().split("```json\n")[1:]
+    assert [json.loads(block.split("```")[0]) for block in blocks] == [README_CONFIG]
+
+
+def test_readme_quotes_only_pinned_digests():
+    # Every sha256 prefix the README quotes (`281e4916…`) is a value a test
+    # pins, in full.
+    quoted = re.findall(r"`([0-9a-f]{8,64})…`", README.read_text())
+    pinned = set().union(*(re.findall(r"\b[0-9a-f]{64}\b", p.read_text())
+                           for p in Path(__file__).parent.glob("*.py")))
+    assert quoted
+    assert [q for q in quoted if not any(p.startswith(q) for p in pinned)] == []
 
 
 def test_wide_rounds_stack_only_the_pinned_cohort(tmp_path, topk_sgd_calls):

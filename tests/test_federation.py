@@ -166,6 +166,23 @@ class TestSeedWords:
                                   np.random.default_rng([100, big, int(cid)])
                                   .standard_normal(4))
 
+    @settings(deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda width: st.lists(
+        st.lists(st.sampled_from([0, 2 ** 32 - 1]) | st.integers(0, 2 ** 32 - 1),
+                 min_size=width, max_size=width), min_size=1, max_size=12)))
+    def test_group_seeding_matches_default_rng(self, rows):
+        # One seeding pass over a group's (G, w) rows gives each row the
+        # generator that `np.random.default_rng(row)` gives, bit for bit.
+        rows = np.array(rows, dtype=np.uint32)
+        gens = federation._generators(rows)
+        assert len(gens) == len(rows)
+        for gen, row in zip(gens, rows, strict=True):
+            ref = np.random.default_rng(row)
+            assert np.array_equal(gen.standard_normal(3), ref.standard_normal(3))
+            assert np.array_equal(gen.integers(0, 2 ** 64, 3, dtype=np.uint64),
+                                  ref.integers(0, 2 ** 64, 3, dtype=np.uint64))
+            assert np.array_equal(gen.permutation(10), ref.permutation(10))
+
 
 class TestSchemeTable:
     def test_named_mapping(self):
@@ -490,6 +507,43 @@ class TestLayer0Cache:
         assert not np.array_equal(run.w, run.w0)
 
 
+class TestInputsStayUnwritten:
+    """Training and scoring write nothing they are given: every array below
+    is read-only, so numpy raises on any write into it."""
+
+    @pytest.mark.parametrize("group", [None, 3])
+    @pytest.mark.parametrize("path, scheme", [
+        ("dense pinned", "fl-top"), ("full set", "fl-std"), ("layer-0 view", "fl-top")])
+    def test_nothing_given_is_written(self, small_setup, wide_setup, path, scheme,
+                                      group):
+        wide = path == "layer-0 view"
+        train, _, public, part, arch = wide_setup if wide else small_setup
+        cfg = make_config(arch, scheme, ratio=0.005 if wide else 0.05)
+        w0 = nn.init_model(arch, 0)
+        index_set = federation.initial_index_set(cfg, w0, public)
+        w = w0.copy()
+        w[index_set] += 0.01
+        x, y = train.inputs.copy(), to_targets(train.labels, arch)
+        view = nn.layer0_view(w0, arch, x, index_set) if scheme == "fl-top" else None
+        assert (view is not None) == wide
+        x, layer0 = view or (x, None)
+        for a in (x, y, w, w0) + (view or ()):
+            a.flags.writeable = False
+        if group is None:
+            rows, seeds = part[0], federation.seed_words(100, 1, 1, 0)
+        else:
+            rows = part[:group]
+            seeds = federation.seed_words(100, 1, 1, ids=np.arange(group))
+        # fl-std's set is `nn.full_indices(arch)`, which `topk_sgd` trains in full.
+        out = nn.topk_sgd(x, y, w, w0, arch, 3, index_set, 0.3, 10, seeds, layer0, rows)
+        update = federation.local_update(cfg.spec, x, y, w, w0, arch, index_set, 3,
+                                         0.3, 10, seeds, layer0, rows)
+        shape = (() if group is None else (group,)) + (len(index_set),)
+        assert out.shape == update.shape == shape
+        scores = nn.predict(w, arch, x, layer0, index_set, w0)
+        assert scores.shape == (len(x), arch.output_width)
+
+
 class TestCohortGroups:
     # A budget of 0 bytes trains one client a call; an unbounded one trains
     # the whole cohort in one call. Either way each client's update, and so
@@ -744,10 +798,13 @@ class TestDrawAhead:
         cfg = make_config(arch, "fl-top-dp", rounds=3)
         noise = privacy._noise
         calls = []
+        # A row's generator is that of the list seed [noise, t, client].
+        failing_states = [np.random.default_rng([cfg.seeds.noise, failing_round, cid])
+                          .bit_generator.state for cid in range(len(part))]
 
-        def failing(seeds, *args):  # a row's seed words are [noise, t, client]
+        def failing(seeds, *args):
             calls.append(threading.current_thread().name)
-            if seeds[-1][1] == failing_round:
+            if seeds[-1].bit_generator.state in failing_states:
                 raise self.Failed("no noise")
             return noise(seeds, *args)
 
