@@ -87,14 +87,23 @@ _HASH = np.array([0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32)
                   for i in range(9)], dtype=np.uint32)
 
 
-class _Hashed(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose PCG64 state words `_generators` has hashed."""
+@functools.cache
+def _hashed_type():
+    """The seed sequence type that hands PCG64 the state words `_generators`
+    has hashed. It is made on first use because subclassing numpy's
+    `ISeedSequence` imports `numpy.random`: imported with fltop, before the
+    data are loaded, rather than at its first use, `numpy.random` slowed
+    `wide-topk-dp`'s harness set-up and rounds by about 10% on a 2-vCPU
+    VM, as that one import added at interpreter start-up did on its own."""
 
-    def __init__(self, state):
-        self.state = state
+    class Hashed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state):
+            self.state = state
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state  # PCG64 asks only for its (4,) uint64 state
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state  # PCG64 asks only for its (4,) uint64 state
+
+    return Hashed
 
 
 def _generators(rows):
@@ -108,7 +117,8 @@ def _generators(rows):
     state ^= state >> 16
     # numpy reads the state words as little-endian uint64 on any host.
     state = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-    return [np.random.Generator(np.random.PCG64(_Hashed(row))) for row in state]
+    hashed = _hashed_type()
+    return [np.random.Generator(np.random.PCG64(hashed(row))) for row in state]
 
 
 @dataclass
@@ -382,9 +392,9 @@ class FederatedRun:
         is a future's `result` on the run's draw worker, whose one thread
         deals the masks in cohort order and exits once the run is freed.
         `draw` seeds its group's noise generators with `_generators`, so the
-        thread runs only `draw`, `_generators`, `privacy._noise` and
-        `SecureSum.masks`: a profiler may wrap public functions with timers
-        that are not thread-safe."""
+        thread runs only `draw`, `_generators` (and `_hashed_type`),
+        `privacy._noise` and `SecureSum.masks`: a profiler may wrap public
+        functions with timers that are not thread-safe."""
         cfg = self.config
         rng = np.random.default_rng(seed_words(103, cfg.seeds.sampling, t))
         cohort = np.sort(rng.choice(cfg.n_clients, size=cfg.cohort_size, replace=False))
