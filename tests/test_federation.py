@@ -1,5 +1,9 @@
+import functools
+import importlib
+import inspect
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -963,3 +967,206 @@ class TestExperiment:
         cfg = make_config(arch, "fl-top", rounds=30)
         _, summary = run_experiment(cfg, train, part, test, public=public)
         assert summary["best_value"] >= 0.8
+
+    def test_run_without_a_test_set_is_refused(self, small_setup, monkeypatch):
+        # Every round is scored on the test set, so a run without one is
+        # refused before it trains a round, and so is evaluating one.
+        train, test, public, part, arch = small_setup
+        cfg = make_config(arch, "fl-top-dp", rounds=2)
+        rounds, run_round = [], FederatedRun.run_round
+        monkeypatch.setattr(FederatedRun, "run_round",
+                            lambda run: rounds.append(run) or run_round(run))
+        with pytest.raises(ValueError, match="test set"):
+            run_experiment(cfg, train, part, None, public=public)
+        assert rounds == []
+        run = FederatedRun(cfg, train, part, public=public)
+        run.run_round()
+        with pytest.raises(ValueError, match="test set"):
+            run.evaluate()
+
+
+@pytest.fixture
+def scores_ahead(small_setup, monkeypatch):
+    """The tier-1 fixture with every Top-K set's test view built, so a
+    Top-K run whose draws run inline scores on its worker; and the thread
+    of every scoring pass the test makes, `nn.predict`'s included."""
+    monkeypatch.setattr(nn, "LAYER0_CACHE_MIN_SAVED", 0)
+    threads, predictor = [], nn.predictor
+
+    def spy(*args):
+        forward = predictor(*args)
+
+        def scored():
+            threads.append(threading.current_thread())
+            return forward()
+
+        return scored
+
+    monkeypatch.setattr(nn, "predictor", spy)
+    return small_setup, threads
+
+
+class TestScoresAhead:
+    """Where a run reads its test set through a layer-0 view and its draws
+    run inline, `run_experiment` scores round t on the run's worker while
+    round t + 1 trains, and collects the scores after; not a byte moves."""
+
+    @pytest.mark.parametrize("scheme", ["fl-top", "fl-top-dp", "fl-top-bis-dp"])
+    def test_trace_does_not_depend_on_where_scores_run(self, scores_ahead,
+                                                       monkeypatch, scheme):
+        (train, test, public, part, arch), threads = scores_ahead
+        cfg = make_config(arch, scheme)
+        assert FederatedRun(cfg, train, part, test=test, public=public)._scores_ahead()
+        traces = []
+        for ahead in (True, False):
+            monkeypatch.setattr(FederatedRun, "_scores_ahead", lambda run: ahead)
+            threads.clear()
+            trace, summary = run_experiment(cfg, train, part, test, public=public)
+            traces.append((trace_to_csv(trace), repr(summary)))  # nan != nan
+            assert len(threads) == cfg.rounds
+            assert all(t.name.startswith("fltop-draws") == ahead for t in threads)
+        assert traces[0] == traces[1]
+
+    def test_gate(self, scores_ahead, monkeypatch):
+        (train, test, public, part, arch), _ = scores_ahead
+
+        def gate(scheme):
+            return FederatedRun(make_config(arch, scheme), train, part, test=test,
+                                public=public)._scores_ahead()
+
+        assert gate("fl-top-dp") and gate("fl-top")
+        assert not gate("fl-std-dp") and not gate("fl-basic")  # no test view
+        with monkeypatch.context() as m:
+            m.setattr(federation, "DRAW_AHEAD_MIN_VALUES", 0)
+            assert not gate("fl-top-dp")  # the worker draws
+            assert gate("fl-top")  # nothing to draw
+        monkeypatch.setattr(nn, "LAYER0_CACHE_MIN_SAVED", 1 << 62)
+        assert not gate("fl-top-dp") and not gate("fl-top")  # the dense pass
+
+    class Failed(Exception):
+        pass
+
+    @pytest.mark.parametrize("failing_round", [1, 3])
+    def test_scoring_error_reaches_the_caller(self, scores_ahead, monkeypatch,
+                                              failing_round):
+        # Round 1's scores are collected once round 2 has trained, round
+        # 3's, the last, after the loop.
+        (train, test, public, part, arch), threads = scores_ahead
+        predictor = nn.predictor  # the fixture's spy
+
+        def failing(*args):
+            forward = predictor(*args)
+
+            def scored():
+                scores = forward()
+                if len(threads) == failing_round:
+                    raise self.Failed("no scores")
+                return scores
+
+            return scored
+
+        monkeypatch.setattr(nn, "predictor", failing)
+        with pytest.raises(self.Failed, match="no scores"):
+            run_experiment(make_config(arch, "fl-top-dp", rounds=3), train, part,
+                           test, public=public)
+        assert len(threads) == failing_round
+        assert all(t.name.startswith("fltop-draws") for t in threads)
+
+    def test_concurrent_runs_under_fast_switching(self, scores_ahead, monkeypatch):
+        # Four runs at once, each scoring on its own worker while it
+        # trains, so eight threads on fewer cores, at a switch interval of
+        # a microsecond: every trace must be the inline one.
+        (train, test, public, part, arch), threads = scores_ahead
+        cfg = make_config(arch, "fl-top-dp", rounds=4)
+
+        def trace(_):
+            return trace_to_csv(run_experiment(cfg, train, part, test, public=public)[0])
+
+        with monkeypatch.context() as m:
+            m.setattr(FederatedRun, "_scores_ahead", lambda run: False)
+            inline = trace(None)
+        threads.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                traces = list(pool.map(trace, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert traces == [inline] * 4
+        assert len(threads) == 4 * cfg.rounds and len(set(threads)) == 4
+        assert all(t.name.startswith("fltop-draws") for t in threads)
+
+    def test_worker_ends_with_its_run(self, scores_ahead):
+        (train, test, public, part, arch), threads = scores_ahead
+        before = set(threading.enumerate())
+        run_experiment(make_config(arch, "fl-top-dp", rounds=3), train, part, test,
+                       public=public)
+        started = set(threads)
+        assert len(threads) == 3 and len(started) == 1 and not started & before
+        for thread in started:
+            assert thread.name.startswith("fltop-draws") and not thread.daemon
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
+def test_public_functions_run_on_the_main_thread(small_setup, monkeypatch):
+    # A profiler may wrap every public fltop function with timers that are
+    # not thread-safe, so the run's worker runs only private code. One run
+    # scores on the worker and one draws there; every public function
+    # either reaches, wrapped at every module that holds it, and every
+    # public method of `FederatedRun`, must run on the main thread.
+    import fltop
+    modules = [importlib.import_module(f"fltop.{name}") for name in (
+        "data", "config", "compression", "nn", "privacy", "secure_agg",
+        "federation", "cli")]
+    calls, worker = {}, []
+
+    def spy(name, fn, record):
+        @functools.wraps(fn)
+        def spied(*args, **kwargs):
+            record(name)
+            return fn(*args, **kwargs)
+        return spied
+
+    def public(name):
+        calls.setdefault(name, set()).add(threading.current_thread().name)
+
+    for module in modules:
+        for attr, fn in list(vars(module).items()):
+            if (attr.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != module.__name__):
+                continue
+            spied = spy(f"{module.__name__}.{attr}", fn, public)
+            for site in (*modules, fltop):
+                for site_attr, value in list(vars(site).items()):
+                    if value is fn:
+                        monkeypatch.setattr(site, site_attr, spied)
+    for attr, fn in list(vars(FederatedRun).items()):
+        if not attr.startswith("_") and inspect.isfunction(fn):
+            monkeypatch.setattr(FederatedRun, attr,
+                                spy(f"FederatedRun.{attr}", fn, public))
+
+    def on_worker(name):
+        if threading.current_thread().name != "MainThread":
+            worker.append(name)
+
+    for module, attr in ((nn, "_forward"), (privacy, "_noise")):
+        monkeypatch.setattr(module, attr, spy(attr, getattr(module, attr), on_worker))
+
+    # A binary model, so that AUROC is scored too.
+    train, test, public_batch, part, _ = small_setup
+    arch = nn.mlp_arch(20, [64], 1, "binary_cross_entropy")
+    cfg = make_config(arch, "fl-top-dp", rounds=3)
+    monkeypatch.setattr(nn, "LAYER0_CACHE_MIN_SAVED", 0)
+    run_experiment(cfg, train, part, test, public=public_batch)
+    assert set(worker) == {"_forward"}  # the scores
+    worker.clear()
+    monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", 0)
+    run_experiment(cfg, train, part, test, public=public_batch)
+    assert set(worker) == {"_noise"}  # the draws
+    assert {name for name, threads in calls.items() if threads != {"MainThread"}} == set()
+    assert {"fltop.nn.predict", "fltop.nn.predictor", "fltop.nn.layer0_view",
+            "fltop.federation.accuracies", "fltop.federation.auroc",
+            "fltop.privacy.clip", "fltop.secure_agg.encode",
+            "FederatedRun.evaluate"} <= set(calls)

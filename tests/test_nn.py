@@ -563,6 +563,8 @@ class TestTopkSgd:
                 nn.topk_sgd(bad, y, w0, w0, arch, 1, indices, 0.1, 2, 0, layer0=cache)
             with pytest.raises(DimensionError):
                 nn.predict(w0, arch, bad, cache, indices, w0)
+            with pytest.raises(DimensionError):  # at once, not in its closure
+                nn.predictor(w0, arch, bad, cache, indices, w0)
         with pytest.raises(DimensionError):
             nn.topk_sgd(narrow, y[:, :5], w0, w0, arch, 1, indices, 0.1, 2, 0,
                         layer0=cache)
@@ -689,6 +691,24 @@ class TestLayer0Dispatch:
         # The view is read, never written.
         again = nn.layer0_view(w0, arch, x, indices)
         assert np.array_equal(narrow, again[0]) and np.array_equal(cache, again[1])
+
+    def test_predictor_scores_the_model_it_was_given(self):
+        # The closure gives `predict`'s bits for the model of the call that
+        # made it, even once that model is changed, and writes nothing.
+        arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
+        rng = np.random.default_rng(5)
+        w0 = nn.init_model(arch, 5)
+        indices = np.sort(rng.choice(np.arange(0, 78_400, 100), 40, replace=False))
+        w = w0.copy()
+        w[indices] += rng.normal(0, 0.5, indices.size)
+        narrow, cache = nn.layer0_view(w0, arch, rng.uniform(0, 1, (30, 784)), indices)
+        scores = nn.predict(w, arch, narrow, cache, indices, w0)
+        views = narrow.copy(), cache.copy()
+        forward = nn.predictor(w, arch, narrow, cache, indices, w0)
+        w[indices] = w0[indices]
+        assert np.array_equal(forward(), scores)
+        assert np.array_equal(forward(), scores)
+        assert np.array_equal(narrow, views[0]) and np.array_equal(cache, views[1])
 
     def test_one_cache_serves_any_set(self):
         # The views of two sets that touch different layer-0 units hold the
