@@ -312,15 +312,14 @@ def cohort_group_size(arch, batch_size, indices=None):
     return max(1, COHORT_GROUP_BYTES // (8 * values))
 
 
-# The fewest noise values (G·K) that a DP round's largest training group
-# must draw for the round's draws to run on the run's draw worker, ahead
-# of training. Below it the same draws run inline, as the round reaches each
-# group. On the 2-vCPU VM, whole runs with every group on the worker, in
-# 8 alternating pairs in one process, took 0.81× the inline time with
-# full 784→100→10 rows (G·K = 79,510) but 1.04× on the Python-bound
-# 20→64→2 Top-K benchmark workload (G·K = 740, 1 win of 8) and 1.01× on
-# Top-K 784→100→10 (G·K = 3,980).
-DRAW_AHEAD_MIN_VALUES = 1 << 15
+# The fewest values, cohort size × model parameters (m·n), for which a run
+# uses its worker. A DP round's draws are m·K values, K up to n, and the
+# training that they and the scoring overlap grows with m·n. On the 2-vCPU
+# VM, at 1 BLAS thread in fresh processes, the README-shaped runs
+# (m·n = 14,740) ran 1.2–1.5× slower with both jobs on the worker, full
+# 784→100→10 fl-std-dp rows about 10% faster, and Top-K ones at r = 0.005
+# from level to 10% slower.
+WORKER_MIN_VALUES = 1 << 15
 
 
 class FederatedRun:
@@ -341,12 +340,12 @@ class FederatedRun:
     first use: the test set's when round 1 is scored, and the training
     set's in training if the scheme pins.
 
-    A run has one worker thread, made on first use. Where a DP round's
-    draws are large it draws the next round's noise and masks ahead (see
-    `_plan`); where the draws run inline and the test set has a layer-0
-    view, it scores round t while round t + 1 trains (see `_scores_ahead`).
-    Never both in one run, and never a byte of difference from running
-    everything inline.
+    A run whose m·n reaches `WORKER_MIN_VALUES` has one worker thread,
+    made on first use. It draws each DP round's noise and masks a round
+    ahead (see `_plan`) and scores round t while round t + 1 trains (see
+    `_round_metrics`), never with a byte of difference from running
+    everything inline. The global model is read-only, so the worker never
+    reads a model that is being written.
     """
 
     def __init__(self, config, train, part, test=None, public=None):
@@ -356,8 +355,8 @@ class FederatedRun:
         self.test = test
         self._test_counts = None if test is None else np.bincount(test.labels)
         self.arch = config.arch
-        self.w0 = nn.init_model(self.arch, config.seeds.model)
-        self.w = self.w0.copy()
+        self.w0 = self.w = nn.init_model(self.arch, config.seeds.model)
+        self.w0.flags.writeable = False
         self.n = len(self.w0)
         self.codec = secure_agg.FixedPointCodec(
             config.frac_bits, cohort_size=config.cohort_size) if self.spec.dp else None
@@ -371,6 +370,7 @@ class FederatedRun:
             self.index_set if self.spec.reinit_nonselected else None)
         self._next = None  # the next round's `_plan`, once made
         self._worker = None  # a one-thread executor, once used
+        self._on_worker = config.cohort_size * self.n >= WORKER_MIN_VALUES
 
     @functools.cached_property
     def _train_view(self):
@@ -389,32 +389,11 @@ class FederatedRun:
         return compression.select_random(
             self.n, self.config.k(self.n), seed_words(102, self.config.seeds.sampling, t))
 
-    def _draws_ahead(self):
-        """Whether a DP round's draws run on the run's worker: when the
-        round's largest group draws at least `DRAW_AHEAD_MIN_VALUES` noise
-        values (G·K)."""
-        m = self.config.cohort_size
-        largest = -(-m // -(-m // self._group))
-        return self.spec.dp and largest * self.config.k(self.n) >= DRAW_AHEAD_MIN_VALUES
-
-    def _scores_ahead(self):
-        """Whether `run_experiment` scores each round on the run's worker
-        while the next round trains: where the test set is read through a
-        layer-0 view and no draw runs on the worker, so the two never share
-        its thread. Asking builds the view on the calling thread;
-        `run_experiment` asks as each round ends, so the view is built once
-        round 1 has trained, as `evaluate` would build it. The gate keeps
-        the offload where the benchmark harness measured its gain, Top-K
-        784→100→10 with inline draws, on a 2-vCPU VM. Ungated, on the
-        Python-bound 20→64→2 Top-K benchmark workload, whole runs in
-        process took 1.02× the inline time (2 wins of 8 pairs)."""
-        return self._test_view is not None and not self._draws_ahead()
-
     def _submit(self, fn, *args):
         """`fn(*args)` as a future on the run's worker, a one-thread executor
         made on first use, whose thread exits once the run is freed."""
         if self._worker is None:
-            self._worker = ThreadPoolExecutor(1, thread_name_prefix="fltop-draws")
+            self._worker = ThreadPoolExecutor(1, thread_name_prefix="fltop-worker")
         return self._worker.submit(fn, *args)
 
     def _plan(self, t):
@@ -422,10 +401,9 @@ class FederatedRun:
         `secure_agg.SecureSum`. The cohort's m clients are split into
         ceil(m / G) near-equal slices, one `local_update` call each. Under
         DP each slice comes with a call that gives its clients' (noise,
-        masks), else with None. Inline the call draws; where `_draws_ahead`
-        holds it is a future's `result` on the run's worker, whose one
-        thread deals the masks in cohort order. Such a run never scores on
-        the worker (see `_scores_ahead`). `draw` seeds its group's noise
+        masks), else with None. Inline the call draws; on a run that uses
+        its worker it is a future's `result` there, whose one thread deals
+        the masks in cohort order. `draw` seeds its group's noise
         generators with `_generators`, so for draws the thread runs only
         `draw`, `_generators` (and `_hashed_type`), `privacy._noise` and
         `SecureSum.masks`, and for scores only `nn.predictor`'s closure: a
@@ -450,8 +428,7 @@ class FederatedRun:
                                    cfg.sigma, m)
             return noise, secure_sum.masks(len(noise))
 
-        ahead = self._draws_ahead()
-        calls = [self._submit(draw, group).result if ahead
+        calls = [self._submit(draw, group).result if self._on_worker
                  else functools.partial(draw, group) for group in slices]
         return cohort, list(zip(slices, calls)), secure_sum
 
@@ -466,13 +443,11 @@ class FederatedRun:
         noised, encoded and masked in place, each row with its own client's
         seeds, and added to the round's secure sum, whose decoded total gives
         the mean. Once the round is summed the next round's plan is made, so
-        draws on the run's worker (see `_draws_ahead`) overlap the round's
-        scoring, which then runs inline, and the next round's training.
-        Where draws run inline and the test set has a layer-0 view, it is
-        the scoring that overlaps: `run_experiment` scores this round on
-        the worker while the next one trains. Every byte is the same as
-        with everything inline. A failed round is planned afresh when it is
-        run again.
+        on a run that uses its worker the next round's draws are queued
+        ahead of this round's scoring, and both overlap the next round's
+        training. Every byte is the same as with everything inline. A
+        failed round is planned afresh when it is run again. The new global
+        model is a new read-only array.
         """
         cfg = self.config
         t = self.round_index + 1
@@ -507,18 +482,20 @@ class FederatedRun:
             self._next = self._plan(t + 1)
 
         if len(index_set) == self.n:
-            self.w = self.w + avg
+            new_w = self.w + avg
         else:
             new_w = (self.w0 if self.spec.reinit_nonselected else self.w).copy()
             new_w[index_set] = self.w[index_set] + avg
-            self.w = new_w
+        new_w.flags.writeable = False
+        self.w = new_w
         self.round_index = t
         return cohort
 
     def evaluate(self, pending=None):
         """Metrics of the current global model on the held-out test set; or,
-        with `pending`, a call that gives a model's test scores (a scoring
-        future's `result`), that model's metrics."""
+        with `pending`, a call that gives a model's test scores (an
+        `nn.predictor` closure, or a scoring future's `result`), that
+        model's metrics."""
         if self.test is None:
             raise ValueError("no test set: a run's metrics are scored on the "
                              "held-out test set")
@@ -537,19 +514,17 @@ class FederatedRun:
         return acc, bal, auc
 
     def _round_metrics(self):
-        """A call that gives the current round's `RoundMetrics`. Where
-        `_scores_ahead` holds, the round's test scores are submitted to the
-        worker and the call collects them; else the round is evaluated now."""
-        ahead = self._scores_ahead()
-        if ahead:
-            x, layer0 = self._test_view
-            pending = self._submit(nn.predictor(self.w, self.arch, x, layer0,
-                                                self.index_set, self.w0)).result
-        else:
-            metrics = self.evaluate()
+        """A call that gives the current round's `RoundMetrics`. The round's
+        scoring closure, `nn.predictor`'s, is built now, on this thread; on
+        a run that uses its worker it is submitted there, else it runs when
+        the call is made. Either way it scores this round's model, which no
+        later round writes."""
+        x, layer0 = self._test_view or (self.test.inputs, None)
+        scores = nn.predictor(self.w, self.arch, x, layer0, self.index_set, self.w0)
+        if self._on_worker:
+            scores = self._submit(scores).result
         row = self.round_index, *self.costs(), self.epsilon_so_far(), self.clamp_total
-        return lambda: RoundMetrics(
-            row[0], *(self.evaluate(pending) if ahead else metrics), *row[1:])
+        return lambda: RoundMetrics(row[0], *self.evaluate(scores), *row[1:])
 
     def costs(self):
         cfg = self.config
@@ -571,11 +546,11 @@ class FederatedRun:
 def run_experiment(config, train, part, test, public=None):
     """Run the configured number of rounds; returns (trace, summary).
 
-    Each round is scored on the test set as it ends or, where
-    `FederatedRun._scores_ahead` holds, on the run's worker while the next
-    round trains; its scores are then collected, and its metrics computed,
-    on this thread, the last round's before `summarize`. The trace is the
-    same either way. A scoring error reaches the caller with its own type.
+    Round t is scored once round t + 1 has trained, on the run's worker
+    while round t + 1 trains where the run uses one (see
+    `FederatedRun._round_metrics`); its metrics are computed on this
+    thread, the last round's before `summarize`. The trace is the same
+    either way. A scoring error reaches the caller with its own type.
     """
     if test is None:
         raise ValueError("run_experiment needs a test set: every round is scored "

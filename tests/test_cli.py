@@ -128,13 +128,13 @@ class TestRun:
         assert eps == sorted(eps) and eps[0] > 0
 
     def test_dp_run_on_the_draw_thread_exits_cleanly(self, tmp_path):
-        # Every group's noise and masks drawn on the draw worker: its thread
+        # Every group's noise and masks drawn on the run's worker: its thread
         # ends once the run is freed, so the process exits, and the trace
         # is that of the inline draws.
         path, _ = base_config(tmp_path, scheme="fl-std-dp")
         script = ("import sys, threading\n"
                   "from fltop import cli, federation, privacy\n"
-                  "federation.DRAW_AHEAD_MIN_VALUES = 0\n"
+                  "federation.WORKER_MIN_VALUES = 0\n"
                   "noise, names = privacy._noise, set()\n"
                   "def spy(*args):\n"
                   "    names.add(threading.current_thread().name)\n"
@@ -142,9 +142,9 @@ class TestRun:
                   "privacy._noise = spy\n"
                   "rc = cli.main(['run', sys.argv[1], '--output-dir', sys.argv[2]])\n"
                   "for t in threading.enumerate():\n"
-                  "    if t.name.startswith('fltop-draws'):\n"
+                  "    if t.name.startswith('fltop-worker'):\n"
                   "        t.join(timeout=10)\n"
-                  "print(rc, [name.startswith('fltop-draws') for name in names],\n"
+                  "print(rc, [name.startswith('fltop-worker') for name in names],\n"
                   "      [t.name for t in threading.enumerate() if not t.daemon])\n")
         src = str(Path(fltop.__file__).resolve().parents[1])
         done = subprocess.run([sys.executable, "-c", script, str(path),
@@ -788,11 +788,11 @@ class TestErrors:
         (ConfigError, 2, "error: "), (TypeError, 1, "runtime error: ")])
     def test_draw_thread_error_keeps_its_exit_code(self, tmp_path, capsys, monkeypatch,
                                                    error, code, prefix):
-        # An error raised on the draw thread reaches `main` with its type.
+        # An error raised on the run's worker reaches `main` with its type.
         def broken(*args):
             raise error("no noise")
 
-        monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", 0)
+        monkeypatch.setattr(federation, "WORKER_MIN_VALUES", 0)
         monkeypatch.setattr(privacy, "_noise", broken)
         path, _ = base_config(tmp_path, scheme="fl-top-dp")
         assert cli.main(["run", str(path)]) == code

@@ -714,8 +714,8 @@ class TestDPRound:
 
 class TestDrawAhead:
     """A DP round's noise and masks read no data, so a run may draw them on
-    the draw thread, a round ahead. A floor of 0 sends every group there,
-    one of 2^62 keeps every group inline; neither may change a byte."""
+    its worker, a round ahead. A `WORKER_MIN_VALUES` of 0 sends every run's
+    draws there, one of 2^62 keeps them inline; neither may change a byte."""
     FLOORS = (0, 1 << 62)
 
     @staticmethod
@@ -731,34 +731,39 @@ class TestDrawAhead:
         monkeypatch.setattr(privacy, "_noise", spy)
         return names
 
-    @pytest.mark.parametrize("scheme", DP_SCHEMES)
-    def test_trace_does_not_depend_on_where_draws_run(self, small_setup,
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_trace_does_not_depend_on_where_draws_run(self, scores_ahead,
                                                       monkeypatch, scheme):
-        train, test, public, part, arch = small_setup
+        # Every scheme, draws and scores on the worker or inline, with and
+        # without a group per client, and with each round's queued plan
+        # discarded and drawn again: one trace and one summary.
+        (train, test, public, part, arch), scored = scores_ahead
         cfg = make_config(arch, scheme)
         names = self.draw_threads(monkeypatch)
         run_round = FederatedRun.run_round
 
         def discarding(run):
-            # Each round's queued successor is discarded and drawn again.
             cohort = run_round(run)
             run._next = None
             return cohort
 
-        traces = set()
+        results = set()
         for budget in TestCohortGroups.BUDGETS:
             monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
             for floor, discard in [(1 << 62, False), (0, False), (0, True)]:
-                monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", floor)
+                monkeypatch.setattr(federation, "WORKER_MIN_VALUES", floor)
                 monkeypatch.setattr(FederatedRun, "run_round",
                                     discarding if discard else run_round)
                 names.clear()
-                trace, _ = run_experiment(cfg, train, part, test, public=public)
-                traces.add(trace_to_csv(trace))
+                scored.clear()
+                trace, summary = run_experiment(cfg, train, part, test, public=public)
+                results.add((trace_to_csv(trace), repr(summary)))  # nan != nan
                 main = threading.current_thread().name
-                assert len(names) >= cfg.rounds
-                assert all((name == main) == (floor > 0) for name in names)
-        assert len(traces) == 1
+                assert len(names) >= cfg.rounds if cfg.spec.dp else names == []
+                assert len(scored) == cfg.rounds
+                assert all((name == main) == (floor > 0)
+                           for name in names + [t.name for t in scored])
+        assert len(results) == 1
 
     @pytest.mark.parametrize("floor", FLOORS)
     @pytest.mark.parametrize("budget", TestCohortGroups.BUDGETS)
@@ -766,7 +771,7 @@ class TestDrawAhead:
         # The cohort's last update never comes, so the last group's stack is
         # a row short of its draws. The round is not counted, and run again
         # it gives a fresh run's model.
-        monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", floor)
+        monkeypatch.setattr(federation, "WORKER_MIN_VALUES", floor)
         monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
         train, test, public, part, arch = small_setup
         cfg = make_config(arch, "fl-top-dp")
@@ -797,7 +802,7 @@ class TestDrawAhead:
                                                   failing_round, budget):
         # Round 2 is drawn while round 1 runs; its error waits for round 2.
         train, test, public, part, arch = small_setup
-        monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", 0)
+        monkeypatch.setattr(federation, "WORKER_MIN_VALUES", 0)
         monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
         cfg = make_config(arch, "fl-top-dp", rounds=3)
         noise = privacy._noise
@@ -829,7 +834,7 @@ class TestDrawAhead:
 
     def test_draw_thread_ends_with_its_run(self, small_setup, monkeypatch):
         train, test, public, part, arch = small_setup
-        monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", 0)
+        monkeypatch.setattr(federation, "WORKER_MIN_VALUES", 0)
         before = set(threading.enumerate())
         run = FederatedRun(make_config(arch, "fl-std-dp"), train, part, test=test,
                            public=public)
@@ -837,7 +842,7 @@ class TestDrawAhead:
         assert run._next is not None  # round 2's, submitted as round 1 ended
         started = set(threading.enumerate()) - before
         assert len(started) == 1
-        assert all(thread.name.startswith("fltop-draws") and not thread.daemon
+        assert all(thread.name.startswith("fltop-worker") and not thread.daemon
                    for thread in started)
         del run
         for thread in started:
@@ -845,14 +850,14 @@ class TestDrawAhead:
             assert not thread.is_alive()
 
     def test_interleaved_runs_under_fast_switching(self, small_setup, monkeypatch):
-        # Four runs, so four draw threads on fewer cores, each dealing masks
+        # Four runs, so four worker threads on fewer cores, each dealing masks
         # while its run adds into the same secure sums, at a switch
         # interval of a microsecond: every model must be the inline one.
         train, test, public, part, arch = small_setup
         cfg = make_config(arch, "fl-std-dp", rounds=4)
 
         def models(floor):
-            monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", floor)
+            monkeypatch.setattr(federation, "WORKER_MIN_VALUES", floor)
             runs = [FederatedRun(cfg, train, part, test=test, public=public)
                     for _ in range(4)]
             for _ in range(cfg.rounds):
@@ -911,26 +916,6 @@ class TestRoundPlan:
         run.run_round()  # past `rounds`: planned when run, and nothing queued
         assert planned == [1, 2, 3] and run._next is None
 
-    @pytest.mark.parametrize("size", [1, 3, 10])
-    def test_draws_go_ahead_from_the_largest_group(self, small_setup, monkeypatch,
-                                                   size):
-        # With G = 3 the cohort of 10 trains as 2, 3, 2, 3: the largest
-        # group's G·K, not the smallest's, sets where the draws run.
-        train, test, public, part, arch = small_setup
-        cfg = make_config(arch, "fl-top-dp")
-        run = FederatedRun(cfg, train, part, test=test, public=public)
-        run._group = size
-        names = TestDrawAhead.draw_threads(monkeypatch)
-        largest = -(-cfg.cohort_size // -(-cfg.cohort_size // size)) * cfg.k(run.n)
-        for floor, ahead in [(largest, True), (largest + 1, False)]:
-            monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", floor)
-            names.clear()
-            _, groups, _ = run._plan(1)
-            for _, draw in groups:
-                draw()
-            assert len(names) == len(groups)
-            assert all(name.startswith("fltop-draws") == ahead for name in names)
-
 
 class TestExperiment:
     def test_deterministic_trace(self, small_setup):
@@ -987,10 +972,9 @@ class TestExperiment:
 
 @pytest.fixture
 def scores_ahead(small_setup, monkeypatch):
-    """The tier-1 fixture with every Top-K set's test view built, so a
-    Top-K run whose draws run inline scores on its worker; and the thread
-    of every scoring pass the test makes, `nn.predict`'s included."""
-    monkeypatch.setattr(nn, "LAYER0_CACHE_MIN_SAVED", 0)
+    """The tier-1 fixture with every run on its worker, and the thread of
+    every scoring pass the test makes, `nn.predict`'s included."""
+    monkeypatch.setattr(federation, "WORKER_MIN_VALUES", 0)
     threads, predictor = [], nn.predictor
 
     def spy(*args):
@@ -1007,41 +991,55 @@ def scores_ahead(small_setup, monkeypatch):
 
 
 class TestScoresAhead:
-    """Where a run reads its test set through a layer-0 view and its draws
-    run inline, `run_experiment` scores round t on the run's worker while
-    round t + 1 trains, and collects the scores after; not a byte moves."""
+    """A run whose m·n reaches `WORKER_MIN_VALUES` scores round t on its
+    worker while round t + 1 trains, and collects the scores after; not a
+    byte moves (see `TestDrawAhead`)."""
 
-    @pytest.mark.parametrize("scheme", ["fl-top", "fl-top-dp", "fl-top-bis-dp"])
-    def test_trace_does_not_depend_on_where_scores_run(self, scores_ahead,
-                                                       monkeypatch, scheme):
-        (train, test, public, part, arch), threads = scores_ahead
-        cfg = make_config(arch, scheme)
-        assert FederatedRun(cfg, train, part, test=test, public=public)._scores_ahead()
-        traces = []
-        for ahead in (True, False):
-            monkeypatch.setattr(FederatedRun, "_scores_ahead", lambda run: ahead)
-            threads.clear()
-            trace, summary = run_experiment(cfg, train, part, test, public=public)
-            traces.append((trace_to_csv(trace), repr(summary)))  # nan != nan
-            assert len(threads) == cfg.rounds
-            assert all(t.name.startswith("fltop-draws") == ahead for t in threads)
-        assert traces[0] == traces[1]
+    def test_gate(self, small_setup, wide_setup, monkeypatch):
+        # Unpatched, the README-shaped run draws and scores on the main
+        # thread, and a wide DP run does both on its worker; a floor of
+        # exactly m·n sends the small run there too, one more keeps it.
+        worker = set()
 
-    def test_gate(self, scores_ahead, monkeypatch):
-        (train, test, public, part, arch), _ = scores_ahead
+        def spy(fn):
+            def spied(*args):
+                if threading.current_thread().name != "MainThread":
+                    assert threading.current_thread().name.startswith("fltop-worker")
+                    worker.add(fn.__name__)
+                return fn(*args)
+            return spied
 
-        def gate(scheme):
-            return FederatedRun(make_config(arch, scheme), train, part, test=test,
-                                public=public)._scores_ahead()
+        for module, attr in ((nn, "_forward"), (privacy, "_noise")):
+            monkeypatch.setattr(module, attr, spy(getattr(module, attr)))
 
-        assert gate("fl-top-dp") and gate("fl-top")
-        assert not gate("fl-std-dp") and not gate("fl-basic")  # no test view
-        with monkeypatch.context() as m:
-            m.setattr(federation, "DRAW_AHEAD_MIN_VALUES", 0)
-            assert not gate("fl-top-dp")  # the worker draws
-            assert gate("fl-top")  # nothing to draw
-        monkeypatch.setattr(nn, "LAYER0_CACHE_MIN_SAVED", 1 << 62)
-        assert not gate("fl-top-dp") and not gate("fl-top")  # the dense pass
+        def jobs(setup, **kw):
+            train, test, public, part, arch = setup
+            worker.clear()
+            run_experiment(make_config(arch, "fl-top-dp", rounds=2, **kw), train,
+                           part, test, public=public)
+            return worker.copy()
+
+        small = make_config(small_setup[-1], "fl-top-dp")
+        values = small.cohort_size * small_setup[-1].n_params
+        assert values == 14_740
+        assert jobs(small_setup) == set()
+        assert jobs(wide_setup, n_clients=20, sampling_fraction=0.1,
+                    ratio=0.005) == {"_forward", "_noise"}
+        for floor, on_worker in [(values, {"_forward", "_noise"}), (values + 1, set())]:
+            monkeypatch.setattr(federation, "WORKER_MIN_VALUES", floor)
+            assert jobs(small_setup) == on_worker
+
+    @pytest.mark.parametrize("scheme", ["fl-std", "fl-top", "fl-top-bis"])
+    def test_global_model_is_read_only(self, small_setup, scheme):
+        # The worker scores the model a round left while the next trains,
+        # so no round may write it, nor w0, in place.
+        train, test, public, part, arch = small_setup
+        run = FederatedRun(make_config(arch, scheme), train, part, test=test,
+                           public=public)
+        run.run_round()
+        for w in (run.w, run.w0):
+            with pytest.raises(ValueError, match="read-only"):
+                w[0] = 0.0
 
     class Failed(Exception):
         pass
@@ -1070,7 +1068,7 @@ class TestScoresAhead:
             run_experiment(make_config(arch, "fl-top-dp", rounds=3), train, part,
                            test, public=public)
         assert len(threads) == failing_round
-        assert all(t.name.startswith("fltop-draws") for t in threads)
+        assert all(t.name.startswith("fltop-worker") for t in threads)
 
     def test_concurrent_runs_under_fast_switching(self, scores_ahead, monkeypatch):
         # Four runs at once, each scoring on its own worker while it
@@ -1083,7 +1081,7 @@ class TestScoresAhead:
             return trace_to_csv(run_experiment(cfg, train, part, test, public=public)[0])
 
         with monkeypatch.context() as m:
-            m.setattr(FederatedRun, "_scores_ahead", lambda run: False)
+            m.setattr(federation, "WORKER_MIN_VALUES", 1 << 62)
             inline = trace(None)
         threads.clear()
         interval = sys.getswitchinterval()
@@ -1095,7 +1093,7 @@ class TestScoresAhead:
             sys.setswitchinterval(interval)
         assert traces == [inline] * 4
         assert len(threads) == 4 * cfg.rounds and len(set(threads)) == 4
-        assert all(t.name.startswith("fltop-draws") for t in threads)
+        assert all(t.name.startswith("fltop-worker") for t in threads)
 
     def test_worker_ends_with_its_run(self, scores_ahead):
         (train, test, public, part, arch), threads = scores_ahead
@@ -1105,17 +1103,17 @@ class TestScoresAhead:
         started = set(threads)
         assert len(threads) == 3 and len(started) == 1 and not started & before
         for thread in started:
-            assert thread.name.startswith("fltop-draws") and not thread.daemon
+            assert thread.name.startswith("fltop-worker") and not thread.daemon
             thread.join(timeout=10)
             assert not thread.is_alive()
 
 
 def test_public_functions_run_on_the_main_thread(small_setup, monkeypatch):
     # A profiler may wrap every public fltop function with timers that are
-    # not thread-safe, so the run's worker runs only private code. One run
-    # scores on the worker and one draws there; every public function
-    # either reaches, wrapped at every module that holds it, and every
-    # public method of `FederatedRun`, must run on the main thread.
+    # not thread-safe, so the run's worker runs only private code. The run
+    # scores and draws on its worker; every public function it reaches,
+    # wrapped at every module that holds it, and every public method of
+    # `FederatedRun`, must run on the main thread.
     import fltop
     modules = [importlib.import_module(f"fltop.{name}") for name in (
         "data", "config", "compression", "nn", "privacy", "secure_agg",
@@ -1154,19 +1152,17 @@ def test_public_functions_run_on_the_main_thread(small_setup, monkeypatch):
     for module, attr in ((nn, "_forward"), (privacy, "_noise")):
         monkeypatch.setattr(module, attr, spy(attr, getattr(module, attr), on_worker))
 
-    # A binary model, so that AUROC is scored too.
+    # A binary model, so that AUROC is scored too, on a run that draws and
+    # scores on its worker and reads its test set through a layer-0 view.
     train, test, public_batch, part, _ = small_setup
     arch = nn.mlp_arch(20, [64], 1, "binary_cross_entropy")
     cfg = make_config(arch, "fl-top-dp", rounds=3)
     monkeypatch.setattr(nn, "LAYER0_CACHE_MIN_SAVED", 0)
+    monkeypatch.setattr(federation, "WORKER_MIN_VALUES", 0)
     run_experiment(cfg, train, part, test, public=public_batch)
-    assert set(worker) == {"_forward"}  # the scores
-    worker.clear()
-    monkeypatch.setattr(federation, "DRAW_AHEAD_MIN_VALUES", 0)
-    run_experiment(cfg, train, part, test, public=public_batch)
-    assert set(worker) == {"_noise"}  # the draws
+    assert set(worker) == {"_forward", "_noise"}  # the scores and the draws
     assert {name for name, threads in calls.items() if threads != {"MainThread"}} == set()
-    assert {"fltop.nn.predict", "fltop.nn.predictor", "fltop.nn.layer0_view",
+    assert {"fltop.nn.predictor", "fltop.nn.layer0_view",
             "fltop.federation.accuracies", "fltop.federation.auroc",
             "fltop.privacy.clip", "fltop.secure_agg.encode",
             "FederatedRun.evaluate"} <= set(calls)
