@@ -916,6 +916,27 @@ class TestRoundPlan:
         run.run_round()  # past `rounds`: planned when run, and nothing queued
         assert planned == [1, 2, 3] and run._next is None
 
+    @pytest.mark.parametrize("size", [1, 3, 10])
+    def test_every_group_draws_where_its_run_works(self, small_setup, monkeypatch,
+                                                   size):
+        # With G = 3 the cohort of 10 trains as 2, 3, 2, 3; whatever the
+        # groups, the run's m·n alone sets where every group's draws run.
+        train, test, public, part, arch = small_setup
+        cfg = make_config(arch, "fl-top-dp")
+        names = TestDrawAhead.draw_threads(monkeypatch)
+        values = cfg.cohort_size * arch.n_params
+        for floor, ahead in [(values, True), (values + 1, False)]:
+            monkeypatch.setattr(federation, "WORKER_MIN_VALUES", floor)
+            run = FederatedRun(cfg, train, part, test=test, public=public)
+            run._group = size
+            names.clear()
+            _, groups, _ = run._plan(1)
+            for _, draw in groups:
+                draw()
+            assert len(groups) == -(-cfg.cohort_size // size)
+            assert len(names) == len(groups)
+            assert all(name.startswith("fltop-worker") == ahead for name in names)
+
 
 class TestExperiment:
     def test_deterministic_trace(self, small_setup):
@@ -994,6 +1015,27 @@ class TestScoresAhead:
     """A run whose m·n reaches `WORKER_MIN_VALUES` scores round t on its
     worker while round t + 1 trains, and collects the scores after; not a
     byte moves (see `TestDrawAhead`)."""
+
+    @pytest.mark.parametrize("scheme", ["fl-top", "fl-top-dp", "fl-top-bis-dp"])
+    def test_trace_does_not_depend_on_where_scores_run(self, scores_ahead,
+                                                       monkeypatch, scheme):
+        # Scored through the test set's layer-0 view, on the worker or on
+        # the main thread: one trace and one summary.
+        (train, test, public, part, arch), threads = scores_ahead
+        monkeypatch.setattr(nn, "LAYER0_CACHE_MIN_SAVED", 0)
+        cfg = make_config(arch, scheme)
+        run = FederatedRun(cfg, train, part, test=test, public=public)
+        assert run._test_view is not None
+        results = []
+        for floor in (0, 1 << 62):
+            monkeypatch.setattr(federation, "WORKER_MIN_VALUES", floor)
+            threads.clear()
+            trace, summary = run_experiment(cfg, train, part, test, public=public)
+            results.append((trace_to_csv(trace), repr(summary)))  # nan != nan
+            assert len(threads) == cfg.rounds
+            assert all(t.name.startswith("fltop-worker") == (floor == 0)
+                       for t in threads)
+        assert results[0] == results[1]
 
     def test_gate(self, small_setup, wide_setup, monkeypatch):
         # Unpatched, the README-shaped run draws and scores on the main
