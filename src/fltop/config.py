@@ -230,10 +230,11 @@ def resolve(raw):
 
 
 def calibrate_clip(fed, public):
-    """Clipping threshold from a local dry run on the public batch: the
-    median L2 norm of one local round's update over the scheme's index sets.
-    A fixed-set scheme has one set, so this is that update's norm; a
-    per-round scheme takes 100 freshly drawn sets.
+    """Clipping threshold from a local dry run on the public batch, trained
+    as a group of one client: the median L2 norm of one local round's
+    update over the scheme's index sets. A fixed-set scheme has one set, so
+    this is that update's norm; a per-round scheme takes 100 freshly drawn
+    sets.
     """
     arch = fed.arch
     w0 = nn.init_model(arch, fed.seeds.model)
@@ -245,8 +246,8 @@ def calibrate_clip(fed, public):
         compression.select_random(n, fed.k(n), [105, fed.seeds.sampling, i])
         for i in range(100)]
     norms = np.sort([np.linalg.norm(local_update(
-        fed.spec, px, targets, w0, w0, arch, s, fed.local_steps,
-        fed.learning_rate, len(px), [104, fed.seeds.sampling])) for s in sets])
+        fed.spec, px, targets, w0, w0, arch, s, fed.local_steps, fed.learning_rate,
+        len(px), [[104, fed.seeds.sampling]], np.arange(len(px))[None])[0]) for s in sets])
     # np.median's, without its numpy.ma import; a NaN sorts last and wins.
     middle = norms[(len(norms) - 1) // 2:len(norms) // 2 + 1]
     return float(norms[-1] if np.isnan(norms[-1]) else middle.mean())

@@ -257,14 +257,12 @@ def initial_index_set(cfg, w0, public):
     return None
 
 
-def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, seed,
-                 layer0=None, rows=None):
-    """Local training from the global model `w` on rows of the training set
-    `x`, `y`; returns the change at the index set's coordinates, in index
-    order. `rows` is None for every row, one client's (shard,) row indices,
-    which give one K-vector, or a group's (G, shard) array with G batch
-    seeds, which trains G clients in one `nn.topk_sgd` call and gives
-    (G, K), for G = 1 too.
+def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, seeds,
+                 rows, layer0=None):
+    """Local training of a group of G clients from the global model `w`, in
+    one `nn.topk_sgd` call on their (G, shard) `rows` of the training set
+    `x`, `y` with their G batch `seeds`; returns (G, K), each row a client's
+    change at the index set's coordinates, in index order.
 
     A pinning scheme trains only the index set, with every other coordinate
     held at w0; any other scheme trains every coordinate. A set of size n is
@@ -274,8 +272,8 @@ def local_update(spec, x, y, w, w0, arch, index_set, steps, eta, batch_size, see
     """
     full = len(index_set) == arch.n_params
     trained = index_set if spec.reinit_nonselected and not full else nn.full_indices(arch)
-    local = nn.topk_sgd(x, y, w, w0, arch, steps, trained, eta, batch_size, seed,
-                        layer0, rows)
+    local = nn.topk_sgd(x, y, w, w0, arch, steps, trained, eta, batch_size, seeds,
+                        rows, layer0)
     if not (full or spec.reinit_nonselected):
         local = local.take(index_set, axis=-1)
     local -= w if full else w[index_set]
@@ -341,9 +339,9 @@ class FederatedRun:
     set's in training if the scheme pins.
 
     A run whose m·n reaches `WORKER_MIN_VALUES` has one worker thread,
-    made on first use. It draws each DP round's noise and masks a round
-    ahead (see `_plan`) and scores round t while round t + 1 trains (see
-    `_round_metrics`), never with a byte of difference from running
+    made on first use (see `_later`). It draws each DP round's noise and
+    masks a round ahead (see `_plan`) and scores round t while round t + 1
+    trains (see `evaluate`), never with a byte of difference from running
     everything inline. The global model is read-only, so the worker never
     reads a model that is being written.
     """
@@ -389,23 +387,26 @@ class FederatedRun:
         return compression.select_random(
             self.n, self.config.k(self.n), seed_words(102, self.config.seeds.sampling, t))
 
-    def _submit(self, fn, *args):
-        """`fn(*args)` as a future on the run's worker, a one-thread executor
-        made on first use, whose thread exits once the run is freed."""
+    def _later(self, fn, *args):
+        """A call that gives `fn(*args)`: where the run uses its worker, the
+        `result` of `fn` submitted there now, else `fn` run when called. The
+        worker is a one-thread executor made on first use, whose thread exits
+        once the run is freed."""
+        if not self._on_worker:
+            return functools.partial(fn, *args)
         if self._worker is None:
             self._worker = ThreadPoolExecutor(1, thread_name_prefix="fltop-worker")
-        return self._worker.submit(fn, *args)
+        return self._worker.submit(fn, *args).result
 
     def _plan(self, t):
         """Round t's cohort, its groups and, under DP, its
         `secure_agg.SecureSum`. The cohort's m clients are split into
         ceil(m / G) near-equal slices, one `local_update` call each. Under
-        DP each slice comes with a call that gives its clients' (noise,
-        masks), else with None. Inline the call draws; on a run that uses
-        its worker it is a future's `result` there, whose one thread deals
-        the masks in cohort order. `draw` seeds its group's noise
-        generators with `_generators`, so for draws the thread runs only
-        `draw`, `_generators` (and `_hashed_type`), `privacy._noise` and
+        DP each slice comes with a `_later` call that gives its clients'
+        (noise, masks), else with None; a worker's one thread deals the
+        masks in cohort order. `draw` seeds its group's noise generators
+        with `_generators`, so for draws the thread runs only `draw`,
+        `_generators` (and `_hashed_type`), `privacy._noise` and
         `SecureSum.masks`, and for scores only `nn.predictor`'s closure: a
         profiler may wrap public functions with timers that are not
         thread-safe."""
@@ -428,26 +429,26 @@ class FederatedRun:
                                    cfg.sigma, m)
             return noise, secure_sum.masks(len(noise))
 
-        calls = [self._submit(draw, group).result if self._on_worker
-                 else functools.partial(draw, group) for group in slices]
+        calls = [self._later(draw, group) for group in slices]
         return cohort, list(zip(slices, calls)), secure_sum
 
     def run_round(self):
         """Advance the global model by one round; returns this round's cohort.
 
         Its generators are seeded by `seed_words`. Each group of the round's
-        `_plan` is trained by one `local_update` call, with its clients'
-        batch generators seeded in one `_generators` pass. Without DP the cohort
-        mean is the running total of the updates, in cohort order. Under DP
-        each group's stack, while it is fresh from training, is clipped,
-        noised, encoded and masked in place, each row with its own client's
-        seeds, and added to the round's secure sum, whose decoded total gives
-        the mean. Once the round is summed the next round's plan is made, so
-        on a run that uses its worker the next round's draws are queued
-        ahead of this round's scoring, and both overlap the next round's
-        training. Every byte is the same as with everything inline. A
-        failed round is planned afresh when it is run again. The new global
-        model is a new read-only array.
+        `_plan` is trained by one `local_update` call on its clients' rows
+        of the partition, their batch generators seeded in one `_generators`
+        pass. Without DP the cohort mean is the running total of the
+        updates, in cohort order. Under DP each group's stack, while it is
+        fresh from training, is clipped, noised, encoded and masked in
+        place, each row with its own client's seeds, and added to the
+        round's secure sum, whose decoded total gives the mean. Once the
+        round is summed the next round's plan is made, so on a run that
+        uses its worker the next round's draws are queued ahead of this
+        round's scoring, and both overlap the next round's training. Every
+        byte is the same as with everything inline. A failed round is
+        planned afresh when it is run again. The new global model is a new
+        read-only array.
         """
         cfg = self.config
         t = self.round_index + 1
@@ -460,8 +461,7 @@ class FederatedRun:
             stack = local_update(
                 self.spec, x, self._targets, self.w, self.w0, self.arch, index_set,
                 cfg.local_steps, cfg.learning_rate, cfg.batch_size,
-                _generators(seeds[group]),
-                layer0, self._shards[cohort[group]])
+                _generators(seeds[group]), self._shards[cohort[group]], layer0)
             if secure_sum is None:
                 for update in stack:
                     total = total + update
@@ -491,40 +491,30 @@ class FederatedRun:
         self.round_index = t
         return cohort
 
-    def evaluate(self, pending=None):
-        """Metrics of the current global model on the held-out test set; or,
-        with `pending`, a call that gives a model's test scores (an
-        `nn.predictor` closure, or a scoring future's `result`), that
-        model's metrics."""
+    def evaluate(self):
+        """A call that gives this round's `RoundMetrics` on the held-out test
+        set. Its `nn.predictor` closure is built now, on this thread, and
+        handed to `_later`: it scores this round's model, which no later
+        round writes, and the call computes the metrics on its own thread."""
         if self.test is None:
             raise ValueError("no test set: a run's metrics are scored on the "
                              "held-out test set")
-        y = self.test.labels
-        if pending is None:
-            x, layer0 = self._test_view or (self.test.inputs, None)
-            scores = nn.predict(self.w, self.arch, x, layer0, self.index_set, self.w0)
-        else:
-            scores = pending()
-        acc, bal = accuracies(scores, y, self._test_counts)
-        try:
-            auc = auroc(scores, y) if self.arch.loss == "binary_cross_entropy" \
-                else float("nan")
-        except DataError:
-            auc = float("nan")
-        return acc, bal, auc
-
-    def _round_metrics(self):
-        """A call that gives the current round's `RoundMetrics`. The round's
-        scoring closure, `nn.predictor`'s, is built now, on this thread; on
-        a run that uses its worker it is submitted there, else it runs when
-        the call is made. Either way it scores this round's model, which no
-        later round writes."""
         x, layer0 = self._test_view or (self.test.inputs, None)
-        scores = nn.predictor(self.w, self.arch, x, layer0, self.index_set, self.w0)
-        if self._on_worker:
-            scores = self._submit(scores).result
+        scores = self._later(nn.predictor(self.w, self.arch, x, layer0,
+                                          self.index_set, self.w0))
         row = self.round_index, *self.costs(), self.epsilon_so_far(), self.clamp_total
-        return lambda: RoundMetrics(row[0], *self.evaluate(scores), *row[1:])
+        binary = self.arch.loss == "binary_cross_entropy"
+
+        def metrics():
+            s = scores()
+            acc, bal = accuracies(s, self.test.labels, self._test_counts)
+            try:
+                auc = auroc(s, self.test.labels) if binary else float("nan")
+            except DataError:
+                auc = float("nan")
+            return RoundMetrics(row[0], acc, bal, auc, *row[1:])
+
+        return metrics
 
     def costs(self):
         cfg = self.config
@@ -546,11 +536,10 @@ class FederatedRun:
 def run_experiment(config, train, part, test, public=None):
     """Run the configured number of rounds; returns (trace, summary).
 
-    Round t is scored once round t + 1 has trained, on the run's worker
-    while round t + 1 trains where the run uses one (see
-    `FederatedRun._round_metrics`); its metrics are computed on this
-    thread, the last round's before `summarize`. The trace is the same
-    either way. A scoring error reaches the caller with its own type.
+    Round t's `FederatedRun.evaluate` call is made once round t + 1 has
+    trained, so where the run uses its worker, round t is scored there
+    while round t + 1 trains. The trace is the same either way. A scoring
+    error reaches the caller with its own type.
     """
     if test is None:
         raise ValueError("run_experiment needs a test set: every round is scored "
@@ -561,7 +550,7 @@ def run_experiment(config, train, part, test, public=None):
         run.run_round()
         if pending is not None:
             trace.append(pending())
-        pending = run._round_metrics()
+        pending = run.evaluate()
     trace.append(pending())
     return trace, summarize(config, trace)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DimensionError
 
 HIDDEN_ACTIVATIONS = ("relu", "sigmoid", "identity")
 ACTIVATIONS = HIDDEN_ACTIVATIONS + ("softmax",)
@@ -161,25 +161,21 @@ def _check_batch(arch, x, y=None, inputs=None, z0=None):
             f"targets {y.shape} do not match (batch, {arch.output_width})")
 
 
-def predict(w, arch, x, layer0=None, indices=None, w0=None):
-    """Output-layer activations for a batch of inputs (forward pass only).
+def predictor(w, arch, x, layer0=None, indices=None, w0=None):
+    """Output-layer activations for a batch of inputs, in two steps: this
+    call checks the inputs and builds the model's layers, and returns a
+    closure that runs the forward pass and gives them.
 
     With `layer0`, (x, layer0) is the `layer0_view` of the base model w0
     for the index set `indices`, outside which w's layer 0 equals w0's: x
-    holds only the view's input columns, and layer 0's pre-activation is
-    the cached one plus the set's change from w0. This matches the dense
-    pass up to rounding, and bit for bit at w = w0.
-    """
-    return predictor(w, arch, x, layer0, indices, w0)()
+    holds only the view's input columns, the layers are the set's sub-model,
+    and layer 0's pre-activation is the cached one plus the set's change
+    from w0. This matches the dense pass up to rounding, and bit for bit at
+    w = w0.
 
-
-def predictor(w, arch, x, layer0=None, indices=None, w0=None):
-    """`predict` in two steps: this call checks the inputs and builds the
-    model's layers, the set's sub-model under a view, and returns a
-    closure that runs the forward pass and gives `predict`'s result. The
-    closure reads only those layers (views of w on the dense path), x and
-    the view, and writes none of them, so while the caller leaves them be
-    it may run on another thread. It calls only private code, so a timer
+    The closure reads only those layers (views of w on the dense path), x
+    and the view, and writes none of them, so while the caller leaves them
+    be it may run on another thread. It calls only private code, so a timer
     wrapped around this module's public functions never runs there."""
     x = np.asarray(x, dtype=np.float64)
     cols = None
@@ -347,7 +343,7 @@ def model_size(arch, indices=None):
 
 
 def layer0_view(w0, arch, x, indices):
-    """The inputs x as `predict` and `topk_sgd` read them for the index set
+    """The inputs x as `predictor` and `topk_sgd` read them for the index set
     `indices` at the base model w0, or None where `layer0_columns` says the
     dense pass is cheaper. The view is (x[:, R], x @ W0 + b0): the input
     rows R of the set's layer-0 weights, in order, and layer 0's
@@ -368,19 +364,18 @@ def layer0_view(w0, arch, x, indices):
     return x.take(inputs, axis=1), z0
 
 
-def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
-             layer0=None, rows=None):
+def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seeds, rows,
+             layer0=None):
     """SGD that only moves the coordinates in `indices`, with the rest held
-    at w0; returns the trained values at `indices`, in index order.
+    at w0, for a group of G clients: `rows` holds their (G, shard) row
+    indices into the training set `x`, `y`, and `seeds` their G batch seeds.
 
-    Trains one client, or a group of G clients at once, on rows of the
-    training set `x`, `y`. `rows` is None for every row, one client's
-    (shard,) array of row indices, which gives a K-vector, or a group's
-    (G, shard) array with a sequence of G batch `seed`s, which gives (G, K)
-    for G = 1 too, each row equal bit for bit to its client's own call.
-    Every client begins from the same `w`, of which only `w[indices]` is
-    read. A call draws every client's batches and gathers their rows as it
-    begins, and each step is one forward and backward pass over all of them.
+    Returns (G, K): row c is client c's trained values at `indices`, in
+    index order, bit for bit whatever the rest of the group, so one client
+    trains as a group of one. Every client begins from the same `w`, of
+    which only `w[indices]` is read. A call draws every client's batches and
+    gathers their rows as it begins, and each step is one forward and
+    backward pass over all of them.
 
     `indices` must be strictly increasing; `full_indices(arch)` is
     recognised by identity and gathers nothing, and any other array is
@@ -397,7 +392,11 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
     """
     if t_gd < 1:
         raise ValueError(f"t_gd must be >= 1, got {t_gd}")
-    x, y = np.asarray(x), np.asarray(y)
+    x, y, rows = np.asarray(x), np.asarray(y), np.asarray(rows)
+    if rows.ndim != 2 or len(rows) != len(seeds):
+        raise DimensionError(f"{len(seeds)} batch seeds for rows of shape {rows.shape}")
+    if 0 in rows.shape:
+        raise DimensionError(f"rows {rows.shape}: a group of 0 clients or of empty shards")
     # One model row per client, holding the set at `pos`: w for the shared
     # full set, else w0 with w's values at the set or, under the view, the
     # set's sub-model of w with w0's later layers.
@@ -415,19 +414,9 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
             start, first = _sub_model(arch, key, w, w0, w0), (inputs.size, cols.size)
     # Every batch is a row subset of x, so one check covers them all.
     _check_batch(arch, x, y, inputs, layer0)
-    rows = np.arange(len(x)) if rows is None else np.asarray(rows)
-    group = rows.shape[:-1]  # (G,) for a group, () for one client
-    if 0 in group:
-        raise DimensionError(f"rows of shape {rows.shape}: a group of 0 clients")
-    if rows.shape[-1] == 0:
-        raise DataError("empty training set")
-    seeds = list(seed) if group else [seed]
-    if len(seeds) != math.prod(group):
-        raise DimensionError(f"{len(seeds)} batch seeds for {math.prod(group)} shards")
-    # Every step's batch as rows of x: (steps, batch) for one client and
+    # Every step's batch as rows of x: (steps, batch) for G = 1 and
     # (steps, G, batch) for G > 1; numpy runs a group of one faster in 2-D.
-    plans = [r[_batches(len(r), batch_size, t_gd, s)]
-             for r, s in zip(rows.reshape(len(seeds), -1), seeds)]
+    plans = [r[_batches(len(r), batch_size, t_gd, s)] for r, s in zip(rows, seeds)]
     at = plans[0] if len(plans) == 1 else np.stack(plans, axis=1)
     lead = at.shape[1:-1]
     # numpy indexes a flat model faster without a leading slice.
@@ -449,4 +438,4 @@ def topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed,
         cur[in_set] += step
         if trained is not None:
             trained += step
-    return (cur[in_set] if trained is None else trained).reshape(group + (-1,))
+    return (cur[in_set] if trained is None else trained).reshape(len(rows), -1)

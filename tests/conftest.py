@@ -39,14 +39,14 @@ def separable_task():
 
 @pytest.fixture
 def topk_sgd_calls(monkeypatch):
-    """The rank of `rows` in every `nn.topk_sgd` call the test makes: 2 for
-    a stacked group of clients, 1 for one client, 0 for every row."""
+    """The group size, the number of clients in `rows`, of every
+    `nn.topk_sgd` call the test makes."""
     calls = []
     topk_sgd = nn.topk_sgd
     signature = inspect.signature(topk_sgd)
 
     def spy(*args, **kwargs):
-        calls.append(np.ndim(signature.bind(*args, **kwargs).arguments.get("rows")))
+        calls.append(len(signature.bind(*args, **kwargs).arguments["rows"]))
         return topk_sgd(*args, **kwargs)
 
     monkeypatch.setattr(nn, "topk_sgd", spy)

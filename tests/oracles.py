@@ -24,7 +24,7 @@ def forward_loss(w, arch, x, targets):
     """Mean loss and predictions for one batch."""
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    preds = nn.predict(w, arch, x)
+    preds = nn.predictor(w, arch, x)()
     return _loss_value(preds, targets, arch.loss), preds
 
 

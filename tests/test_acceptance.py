@@ -168,7 +168,7 @@ def test_criterion_7_coordinate_freeze():
             upd = federation.local_update(
                 cfg.spec, train.inputs, to_targets(train.labels, arch), run.w, run.w0,
                 arch, iset, cfg.local_steps, cfg.learning_rate, cfg.batch_size,
-                [100, cfg.seeds.sampling, t, 0], rows=part[0])
+                [[100, cfg.seeds.sampling, t, 0]], part[:1])[0]
             ok = ok and len(upd) == cfg.k(run.n)
             run.run_round()
     check(7, "coordinate freeze and transmission length", ok)
@@ -180,7 +180,7 @@ def test_criterion_8_learning_sanity():
     w = nn.init_model(arch, 0)
     w = sgd(train.inputs, to_targets(train.labels, arch), w, arch,
             300, 0.3, 32, 1)
-    scores = nn.predict(w, arch, test.inputs)
+    scores = nn.predictor(w, arch, test.inputs)()
     oracle = np.mean(np.argmax(scores, axis=1) == test.labels)
     ok = oracle >= 0.95
 

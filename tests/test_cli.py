@@ -265,16 +265,19 @@ class TestGoldenTraces:
 
 def test_readme_round_is_one_stacked_call(topk_sgd_calls):
     # The README config's cohort of 10 fits one group, so a round trains it
-    # in ceil(m / G) = 1 stacked `nn.topk_sgd` call, not one call per client.
+    # in ceil(m / G) = 1 stacked `nn.topk_sgd` call, not one call per client,
+    # and trains each cohort client once.
     exp = config.resolve(README_CONFIG)
     run = federation.FederatedRun(exp.fed, exp.train, exp.part, exp.test,
                                   exp.public)
     m = exp.fed.cohort_size
     assert m == 10 and run._group >= m
-    topk_sgd_calls.clear()
     for _ in range(3):
+        topk_sgd_calls.clear()
         run.run_round()
-    assert topk_sgd_calls == [2] * (3 * math.ceil(m / run._group))
+        assert len(topk_sgd_calls) == math.ceil(m / run._group)
+        assert sum(topk_sgd_calls) == m
+        assert max(topk_sgd_calls) - min(topk_sgd_calls) <= 1
 
 
 def test_group_sizes_of_the_benchmark_models():
@@ -410,7 +413,8 @@ def test_readme_quotes_only_pinned_digests():
 def test_wide_rounds_stack_only_the_pinned_cohort(tmp_path, topk_sgd_calls):
     # On wide-topk-dp's seed-7 data, fl-top-dp's cohort of 10 holds only
     # its set's sub-model and trains in one `nn.topk_sgd` call; fl-top-bis
-    # and fl-std-dp hold full model rows and train one client a call.
+    # and fl-std-dp hold full model rows and train one client a call. Either
+    # way the round trains each cohort client once.
     script = "import sys, gen\nprint(gen.generate('wide-topk-dp', 7, sys.argv[1])['config'])\n"
     path = run_with_perfbench(script, [str(tmp_path)], "1").strip()
     raw = json.loads(Path(path).read_text())
@@ -421,7 +425,9 @@ def test_wide_rounds_stack_only_the_pinned_cohort(tmp_path, topk_sgd_calls):
         assert exp.fed.cohort_size == 10
         topk_sgd_calls.clear()
         run.run_round()
-        assert topk_sgd_calls == [2] * calls, scheme
+        assert len(topk_sgd_calls) == calls, scheme
+        assert sum(topk_sgd_calls) == 10, scheme
+        assert max(topk_sgd_calls) - min(topk_sgd_calls) <= 1, scheme
 
 
 DROP = object()  # `malformed` deletes the key

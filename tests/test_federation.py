@@ -269,7 +269,7 @@ class TestRounds:
             upd = federation.local_update(
                 cfg.spec, train.inputs, to_targets(train.labels, arch), run.w, run.w0,
                 arch, iset, cfg.local_steps, cfg.learning_rate, cfg.batch_size,
-                [100, cfg.seeds.sampling, 1, 0], rows=part[0])
+                [[100, cfg.seeds.sampling, 1, 0]], part[:1])[0]
             assert len(upd) == cfg.k(run.n) == len(iset), scheme
 
     def test_dp_sigma_near_zero_matches_clipped_topk(self, small_setup):
@@ -379,7 +379,7 @@ class TestRounds:
         u = np.arange(1, k + 1, dtype=np.float64)
         updates = iter([u, -u])
         monkeypatch.setattr(federation, "local_update", lambda *args: np.array(
-            [next(updates) for _ in args[-1]]))  # one update a row of shards
+            [next(updates) for _ in args[11]]))  # one update a row of shards
         w_prev = run.w.copy()
         run.run_round()
         assert np.array_equal(run.w, w_prev)
@@ -392,7 +392,7 @@ class TestLayer0Cache:
             run = FederatedRun(make_config(arch, scheme), train, part, test=test,
                                public=public)
             run.run_round()
-            run.evaluate()
+            run.evaluate()()
             assert run._test_view is None, scheme  # nothing gathered
             assert run._train_view is None, scheme
 
@@ -415,11 +415,12 @@ class TestLayer0Cache:
             scores = []
             for run in runs:
                 run.run_round()
-                scores.append(run.evaluate())
+                rm = run.evaluate()()
+                scores.append((rm.accuracy, rm.balanced_accuracy))
             # Within rounding: the tolerance of the nn-level oracle tests.
             np.testing.assert_allclose(cached.w, dense.w, rtol=1e-10, atol=1e-10)
             # Accuracy and balanced accuracy; AUROC is nan for 10 classes.
-            assert scores[0][:2] == scores[1][:2]
+            assert scores[0] == scores[1]
         assert cached._test_view is not None
         assert (cached._train_view is not None) == trains_cached
 
@@ -443,7 +444,7 @@ class TestLayer0Cache:
         run.run_round()
         assert len(calls) == 1
         for _ in range(3):
-            run.evaluate()
+            run.evaluate()()
             run.run_round()
         assert len(calls) == 2
         assert calls[0][0] is train.inputs and calls[1][0] is test.inputs
@@ -462,13 +463,17 @@ class TestLayer0Cache:
         blanked = data.Dataset(test.inputs.copy(), test.labels)
         run = FederatedRun(cfg, train, part, test=blanked, public=public)
         twin = FederatedRun(cfg, train, part, test=test, public=public)
-        scores, predict = [], nn.predict
-        monkeypatch.setattr(nn, "predict", lambda *args: scores.append(
-            predict(*args)) or scores[-1])
+        scores, predictor = [], nn.predictor
+
+        def spy(*args):
+            forward = predictor(*args)
+            return lambda: scores.append(forward()) or scores[-1]
+
+        monkeypatch.setattr(nn, "predictor", spy)
         for t in range(4):
             for r in (run, twin):
                 r.run_round()
-                r.evaluate()
+                r.evaluate()()
             if t == 0:
                 blanked.inputs[...] = np.nan
             assert np.all(np.isfinite(scores[-2]))
@@ -515,7 +520,7 @@ class TestInputsStayUnwritten:
     """Training and scoring write nothing they are given: every array below
     is read-only, so numpy raises on any write into it."""
 
-    @pytest.mark.parametrize("group", [None, 3])
+    @pytest.mark.parametrize("group", [None, 3])  # None: one client
     @pytest.mark.parametrize("path, scheme", [
         ("dense pinned", "fl-top"), ("full set", "fl-std"), ("layer-0 view", "fl-top")])
     def test_nothing_given_is_written(self, small_setup, wide_setup, path, scheme,
@@ -533,18 +538,15 @@ class TestInputsStayUnwritten:
         x, layer0 = view or (x, None)
         for a in (x, y, w, w0) + (view or ()):
             a.flags.writeable = False
-        if group is None:
-            rows, seeds = part[0], federation.seed_words(100, 1, 1, 0)
-        else:
-            rows = part[:group]
-            seeds = federation.seed_words(100, 1, 1, ids=np.arange(group))
+        rows = part[:group or 1]
+        seeds = federation.seed_words(100, 1, 1, ids=np.arange(len(rows)))
         # fl-std's set is `nn.full_indices(arch)`, which `topk_sgd` trains in full.
-        out = nn.topk_sgd(x, y, w, w0, arch, 3, index_set, 0.3, 10, seeds, layer0, rows)
+        out = nn.topk_sgd(x, y, w, w0, arch, 3, index_set, 0.3, 10, seeds, rows, layer0)
         update = federation.local_update(cfg.spec, x, y, w, w0, arch, index_set, 3,
-                                         0.3, 10, seeds, layer0, rows)
-        shape = (() if group is None else (group,)) + (len(index_set),)
+                                         0.3, 10, seeds, rows, layer0)
+        shape = (len(rows), len(index_set))
         assert out.shape == update.shape == shape
-        scores = nn.predict(w, arch, x, layer0, index_set, w0)
+        scores = nn.predictor(w, arch, x, layer0, index_set, w0)()
         assert scores.shape == (len(x), arch.output_width)
 
 
@@ -565,7 +567,8 @@ class TestCohortGroups:
             monkeypatch.setattr(federation, "COHORT_GROUP_BYTES", budget)
             topk_sgd_calls.clear()
             trace, _ = run_experiment(cfg, train, part, test, public=public)
-            assert len(topk_sgd_calls) == cfg.rounds * m // group
+            # Each round trains its m clients in groups of `group`, once each.
+            assert topk_sgd_calls == [group] * (cfg.rounds * m // group)
             traces.append(trace_to_csv(trace))
         assert traces[0] == traces[1]
 
@@ -583,7 +586,8 @@ class TestCohortGroups:
             assert run._train_view is not None
             for _ in range(3):
                 run.run_round()
-            finals.append((run.w, run.evaluate()[:2]))
+            rm = run.evaluate()()
+            finals.append((run.w, (rm.accuracy, rm.balanced_accuracy)))
         assert np.array_equal(finals[0][0], finals[1][0])
         assert finals[0][1] == finals[1][1]
 
@@ -634,7 +638,7 @@ class TestDPRound:
         """Every client's update zero but where `fill(stack)` sets it; at
         the default budget one group trains the whole cohort."""
         def updates(*args):
-            index_set, rows = args[6], args[-1]
+            index_set, rows = args[6], args[11]
             stack = np.zeros((len(rows), len(index_set)))
             fill(stack)
             return stack
@@ -678,7 +682,7 @@ class TestDPRound:
         trained = []
 
         def updates(*args):
-            index_set, rows = args[6], args[-1]
+            index_set, rows = args[6], args[11]
             stack = np.zeros((len(rows), len(index_set)))
             stack[:, 0] = 2.0 ** 30
             trained.extend(rows)
@@ -994,7 +998,7 @@ class TestExperiment:
 @pytest.fixture
 def scores_ahead(small_setup, monkeypatch):
     """The tier-1 fixture with every run on its worker, and the thread of
-    every scoring pass the test makes, `nn.predict`'s included."""
+    every scoring pass the test makes."""
     monkeypatch.setattr(federation, "WORKER_MIN_VALUES", 0)
     threads, predictor = [], nn.predictor
 

@@ -218,6 +218,32 @@ def test_nn_has_one_backward_pass():
     assert len(backprop_sites(source)) == 1
 
 
+def methods_reading(source, cls, attr):
+    """The methods of class `cls` whose code, nested functions included,
+    names the attribute `attr`, `__init__` aside."""
+    body = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == cls).body
+    return sorted(f.name for f in body
+                  if isinstance(f, ast.FunctionDef) and f.name != "__init__"
+                  and any(isinstance(node, ast.Attribute) and node.attr == attr
+                          for node in ast.walk(f)))
+
+
+def test_methods_reading_detection():
+    source = ("class Run:\n    def __init__(self):\n        self.on = True\n"
+              "    def later(self):\n        return self.on\n"
+              "    def plan(self):\n        def draw():\n            return self.on\n"
+              "        return draw\n    def other(self):\n        return self.off\n")
+    assert methods_reading(source, "Run", "on") == ["later", "plan"]
+
+
+def test_run_chooses_inline_or_worker_in_one_place():
+    # Whether a job runs on the worker or inline is `_later`'s choice
+    # alone; no other method branches on it.
+    source = (ROOT / "src" / "fltop" / "federation.py").read_text()
+    assert methods_reading(source, "FederatedRun", "_on_worker") == ["_later"]
+
+
 def test_failing_property_test_reports_its_example(tmp_path):
     # Under the repo's pytest settings, where a DeprecationWarning is an
     # error, a failing hypothesis test must still fail as a test, with its

@@ -12,10 +12,17 @@ from oracles import (batch_stream, dense_gradient, finite_difference_gradient,
                      reference_topk_sgd, touched_inputs, touched_units)
 
 
+def train_one(x, y, w, w0, arch, t_gd, indices, eta, batch_size, seed, layer0=None):
+    """One client trained on every row of x: `nn.topk_sgd`'s group of one,
+    its one row of trained values."""
+    return nn.topk_sgd(x, y, w, w0, arch, t_gd, indices, eta, batch_size, [seed],
+                       np.arange(len(x))[None], layer0)[0]
+
+
 def full_sgd(x, y, w, arch, t_gd, eta, batch_size, seed):
-    """Plain SGD: `nn.topk_sgd` over the shared full index set."""
-    return nn.topk_sgd(x, y, w, w, arch, t_gd, nn.full_indices(arch), eta,
-                       batch_size, seed)
+    """Plain SGD: one client over the shared full index set."""
+    return train_one(x, y, w, w, arch, t_gd, nn.full_indices(arch), eta,
+                     batch_size, seed)
 
 
 def forced_view(w0, arch, x, indices):
@@ -204,7 +211,7 @@ class TestForward:
         w = nn.init_model(toy_arch, 1)
         _, preds = forward_loss(w, toy_arch, x, y)
         assert np.allclose(preds.sum(axis=1), 1.0, atol=1e-9)
-        assert np.array_equal(nn.predict(w, toy_arch, x), preds)
+        assert np.array_equal(nn.predictor(w, toy_arch, x)(), preds)
 
     def test_matches_independent_reimplementation(self, toy_arch, toy_batch):
         # Per-sample, loop-based forward pass written independently of the
@@ -242,9 +249,9 @@ class TestForward:
             with pytest.raises(DimensionError):
                 nn.gradient(w, toy_arch, x, y)
             with pytest.raises(DimensionError):
-                nn.topk_sgd(x, y, w, w, toy_arch, 1, full, 0.1, 2, 0)
+                train_one(x, y, w, w, toy_arch, 1, full, 0.1, 2, 0)
         with pytest.raises(DimensionError):
-            nn.predict(w, toy_arch, np.zeros((3, 5)))
+            nn.predictor(w, toy_arch, np.zeros((3, 5)))
 
 
 class TestGradient:
@@ -331,9 +338,13 @@ class TestSgd:
         assert np.array_equal(a, b)
 
     def test_empty_dataset(self, toy_arch):
+        # No config gives a client an empty shard, so one is a caller's bug:
+        # a DimensionError, as a group of 0 clients is.
         w = nn.init_model(toy_arch, 0)
-        with pytest.raises(DataError):
-            full_sgd(np.zeros((0, 2)), np.zeros((0, 2)), w, toy_arch, 1, 0.1, 2, 0)
+        with pytest.raises(DimensionError, match="empty shards"):
+            nn.topk_sgd(np.zeros((0, 2)), np.zeros((0, 2)), w, w, toy_arch, 1,
+                        nn.full_indices(toy_arch), 0.1, 2, [0],
+                        np.zeros((1, 0), dtype=np.int64))
 
     def test_loss_decreases_on_separable_task(self, separable_task):
         from fltop.data import to_targets
@@ -354,7 +365,7 @@ class TestTopkSgd:
         arch, indices, shard, batch_size, t_gd, eta, data_seed = case
         x, y, w, w0 = topk_inputs(arch, shard, data_seed)
         args = (arch, t_gd, indices, eta, batch_size, data_seed)
-        out = nn.topk_sgd(x, y, w, w0, *args)
+        out = train_one(x, y, w, w0, *args)
         assert np.array_equal(out, reference_topk_sgd(x, y, w, w0, *args)[indices])
 
     def test_layout_follows_index_set_content(self, toy_arch, toy_batch):
@@ -368,7 +379,7 @@ class TestTopkSgd:
         for content in (a, b, a):
             indices[:] = content
             args = (toy_arch, 4, indices, 0.3, 2, 11)
-            assert np.array_equal(nn.topk_sgd(x, y, w, w0, *args),
+            assert np.array_equal(train_one(x, y, w, w0, *args),
                                   reference_topk_sgd(x, y, w, w0, *args)[content])
 
     @pytest.mark.parametrize("indices", [[3, 1], [2, 2], [0, 5, 5, 6]])
@@ -376,7 +387,7 @@ class TestTopkSgd:
         x, y = toy_batch
         w0 = nn.init_model(toy_arch, 0)
         with pytest.raises(IndexError):
-            nn.topk_sgd(x, y, w0, w0, toy_arch, 1, np.array(indices), 0.1, 2, 0)
+            train_one(x, y, w0, w0, toy_arch, 1, np.array(indices), 0.1, 2, 0)
 
     def test_full_set_matches_sgd_bitwise(self, toy_arch, toy_batch):
         x, y = toy_batch
@@ -400,16 +411,16 @@ class TestTopkSgd:
         indices = np.arange(toy_arch.n_params)
         indices[position] = indices[position - 1] if position else 1
         with pytest.raises(IndexError):
-            nn.topk_sgd(x, y, w0, w0, toy_arch, 1, indices, 0.1, 2, 0)
+            train_one(x, y, w0, w0, toy_arch, 1, indices, 0.1, 2, 0)
 
     def test_empty_set_returns_no_values(self, toy_arch, toy_batch):
         x, y = toy_batch
         w0 = nn.init_model(toy_arch, 0)
         empty = np.array([], dtype=np.int64)
-        assert nn.topk_sgd(x, y, w0, w0, toy_arch, 3, empty, 0.1, 2, 0).shape == (0,)
+        assert train_one(x, y, w0, w0, toy_arch, 3, empty, 0.1, 2, 0).shape == (0,)
         rows = np.arange(6).reshape(2, 3)
         assert nn.topk_sgd(x, y, w0, w0, toy_arch, 3, empty, 0.1, 2, [0, 1],
-                           rows=rows).shape == (2, 0)
+                           rows).shape == (2, 0)
 
     def test_frozen_coordinates_exact(self, toy_arch, toy_batch):
         # Training reads w only at the set and holds the rest at w0 exactly:
@@ -419,10 +430,10 @@ class TestTopkSgd:
         idx = np.array([0, 3, 8], dtype=np.int64)
         w = w0 + 0.5
         w[idx] = w0[idx]
-        out = nn.topk_sgd(x, y, w, w0, toy_arch, 5, idx, 0.1, 2, 0)
+        out = train_one(x, y, w, w0, toy_arch, 5, idx, 0.1, 2, 0)
         assert out.shape == idx.shape
-        assert np.array_equal(out, nn.topk_sgd(x, y, w0, w0, toy_arch, 5, idx,
-                                               0.1, 2, 0))
+        assert np.array_equal(out, train_one(x, y, w0, w0, toy_arch, 5, idx,
+                                             0.1, 2, 0))
         assert not np.array_equal(out, w0[idx])
 
     # The cached path sums layer 0 in other shapes than the dense one, so
@@ -442,7 +453,7 @@ class TestTopkSgd:
             assert np.array_equal(got, cols)
         args = (arch, t_gd, indices, eta, batch_size, data_seed)
         narrow, cache = forced_view(w0, arch, x, indices)
-        out = nn.topk_sgd(narrow, y, w, w0, *args, layer0=cache)
+        out = train_one(narrow, y, w, w0, *args, layer0=cache)
         ref = reference_topk_sgd(x, y, w, w0, *args)[..., indices]
         assert out.shape == indices.shape
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10)
@@ -471,10 +482,10 @@ class TestTopkSgd:
         w[indices] = step if far else w[indices] + 0.1 * step
         narrow, cache = nn.layer0_view(w0, arch, x, indices)
         args = (arch, 3, indices, 0.0, 4)
-        out = nn.topk_sgd(narrow, y, w, w0, *args, 0, layer0=cache)
+        out = train_one(narrow, y, w, w0, *args, 0, layer0=cache)
         assert np.array_equal(out, w[indices])
         rows = np.arange(12).reshape(3, 4)
-        stacked = nn.topk_sgd(narrow, y, w, w0, *args, [0, 1, 2], cache, rows)
+        stacked = nn.topk_sgd(narrow, y, w, w0, *args, [0, 1, 2], rows, cache)
         assert np.array_equal(stacked, np.tile(w[indices], (3, 1)))
 
     # A group of G clients' rows trains like G one-client calls, and each of
@@ -494,35 +505,35 @@ class TestTopkSgd:
         seeds = [[data_seed, c] for c in range(group)]
         args = (arch, t_gd, indices, eta, batch_size)
         x, layer0 = forced_view(w0, arch, x, indices) if cached else (x, None)
-        stacked = nn.topk_sgd(x, y, w, w0, *args, seeds, layer0, rows)
+        stacked = nn.topk_sgd(x, y, w, w0, *args, seeds, rows, layer0)
         assert stacked.shape == (group, len(indices))
         for c in range(group):
-            single = nn.topk_sgd(x, y, w, w0, *args, seeds[c], layer0, rows[c])
+            single = nn.topk_sgd(x, y, w, w0, *args, seeds[c:c + 1], rows[c:c + 1],
+                                 layer0)[0]
             assert np.array_equal(stacked[c], single)
             at = rows[c]
-            gathered = nn.topk_sgd(
-                x[at], y[at], w, w0, *args, seeds[c],
-                layer0=layer0[at] if cached else None)
+            gathered = train_one(x[at], y[at], w, w0, *args, seeds[c],
+                                 layer0=layer0[at] if cached else None)
             assert np.array_equal(single, gathered)
 
     def test_group_of_one_returns_one_row(self, toy_arch):
         x, y, w, w0, rows = group_inputs(toy_arch, 1, 4, 0)
         args = (toy_arch, 3, nn.full_indices(toy_arch), 0.1, 2)
-        out = nn.topk_sgd(x, y, w, w0, *args, [[0, 0]], rows=rows)
+        out = nn.topk_sgd(x, y, w, w0, *args, [[0, 0]], rows)
         assert out.shape == (1, toy_arch.n_params)  # the full set's whole model
-        assert np.array_equal(out[0], nn.topk_sgd(x, y, w, w0, *args, [0, 0],
-                                                  rows=rows[0]))
+        at = rows[0]
+        assert np.array_equal(out[0], train_one(x[at], y[at], w, w0, *args, [0, 0]))
 
     def test_stack_needs_one_seed_per_shard(self, toy_arch):
         x, y, w, w0, rows = group_inputs(toy_arch, 3, 4, 0)
         full = nn.full_indices(toy_arch)
         with pytest.raises(DimensionError):
             nn.topk_sgd(x, y, w, w0, toy_arch, 1, full, 0.1, 2, [[0, 0], [0, 1]],
-                        rows=rows)
+                        rows)
         # Inputs are the training set's rows, never a stack of shards.
         with pytest.raises(DimensionError):
             nn.topk_sgd(x[rows], y[rows], w, w0, toy_arch, 1, full, 0.1, 2,
-                        [[0, 0], [0, 1], [0, 2]])
+                        [[0, 0], [0, 1], [0, 2]], rows)
 
     def test_empty_group_is_an_internal_error(self, toy_arch):
         # A group of 0 clients is a caller's bug: a DimensionError, never the
@@ -530,7 +541,7 @@ class TestTopkSgd:
         x, y, w, w0, rows = group_inputs(toy_arch, 2, 4, 0)
         with pytest.raises(DimensionError, match="group of 0 clients"):
             nn.topk_sgd(x, y, w, w0, toy_arch, 1, nn.full_indices(toy_arch), 0.1, 2,
-                        [], rows=rows[:0])
+                        [], rows[:0])
         assert not issubclass(DimensionError, DataError)
 
     def test_layer0_cache_for_other_rows_rejected(self):
@@ -540,10 +551,10 @@ class TestTopkSgd:
         indices = np.array([0, 1])
         narrow, cache = nn.layer0_view(w0, arch, x, indices)
         with pytest.raises(ValueError):
-            nn.topk_sgd(narrow[:3], y[:3], w0, w0, arch, 1, indices, 0.1, 2,
-                        0, layer0=cache)
+            train_one(narrow[:3], y[:3], w0, w0, arch, 1, indices, 0.1, 2,
+                      0, layer0=cache)
         with pytest.raises(ValueError):
-            nn.predict(w0, arch, narrow[:3], cache, indices, w0)
+            nn.predictor(w0, arch, narrow[:3], cache, indices, w0)
 
     def test_full_width_inputs_refused_under_a_view(self, monkeypatch):
         # Under a view, x is its gathered columns and nothing else; the
@@ -560,21 +571,19 @@ class TestTopkSgd:
         assert narrow.shape == (4, 2)
         for bad in (x, narrow[:, :1], narrow[0]):
             with pytest.raises(DimensionError):
-                nn.topk_sgd(bad, y, w0, w0, arch, 1, indices, 0.1, 2, 0, layer0=cache)
-            with pytest.raises(DimensionError):
-                nn.predict(w0, arch, bad, cache, indices, w0)
+                train_one(bad, y, w0, w0, arch, 1, indices, 0.1, 2, 0, layer0=cache)
             with pytest.raises(DimensionError):  # at once, not in its closure
                 nn.predictor(w0, arch, bad, cache, indices, w0)
         with pytest.raises(DimensionError):
-            nn.topk_sgd(narrow, y[:, :5], w0, w0, arch, 1, indices, 0.1, 2, 0,
-                        layer0=cache)
+            train_one(narrow, y[:, :5], w0, w0, arch, 1, indices, 0.1, 2, 0,
+                      layer0=cache)
 
     def test_out_of_range_index(self, toy_arch, toy_batch):
         x, y = toy_batch
         w0 = nn.init_model(toy_arch, 0)
         for indices in ([toy_arch.n_params], [-1]):
             with pytest.raises(IndexError):
-                nn.topk_sgd(x, y, w0, w0, toy_arch, 1, np.array(indices), 0.1, 2, 0)
+                train_one(x, y, w0, w0, toy_arch, 1, np.array(indices), 0.1, 2, 0)
 
 
 class TestBatches:
@@ -636,11 +645,11 @@ class TestIndexSet:
         if view is not None:
             assert np.array_equal(view[0], narrow)
             np.testing.assert_allclose(view[1], cache, rtol=1e-12, atol=1e-12)
-        cached = nn.predict(w, arch, narrow, cache, indices, w0)
-        np.testing.assert_allclose(cached, nn.predict(w, arch, x),
+        cached = nn.predictor(w, arch, narrow, cache, indices, w0)()
+        np.testing.assert_allclose(cached, nn.predictor(w, arch, x)(),
                                    rtol=1e-10, atol=1e-12)
-        assert np.array_equal(nn.predict(w0, arch, narrow, cache, indices, w0),
-                              nn.predict(w0, arch, x))
+        assert np.array_equal(nn.predictor(w0, arch, narrow, cache, indices, w0)(),
+                              nn.predictor(w0, arch, x)())
 
 
 class TestLayer0Dispatch:
@@ -684,8 +693,8 @@ class TestLayer0Dispatch:
         cols = nn.layer0_columns(arch, indices)
         assert np.array_equal(cols, np.sort(units))
         narrow, cache = nn.layer0_view(w0, arch, x, indices)
-        cached = nn.predict(w, arch, narrow, cache, indices, w0)
-        dense = nn.predict(w, arch, x)
+        cached = nn.predictor(w, arch, narrow, cache, indices, w0)()
+        dense = nn.predictor(w, arch, x)()
         np.testing.assert_allclose(cached, dense, rtol=1e-10, atol=1e-12)
         assert np.array_equal(cached.argmax(axis=1), dense.argmax(axis=1))
         # The view is read, never written.
@@ -693,8 +702,8 @@ class TestLayer0Dispatch:
         assert np.array_equal(narrow, again[0]) and np.array_equal(cache, again[1])
 
     def test_predictor_scores_the_model_it_was_given(self):
-        # The closure gives `predict`'s bits for the model of the call that
-        # made it, even once that model is changed, and writes nothing.
+        # The closure gives the bits of one run at once for the model of the
+        # call that made it, even once that model is changed, and writes nothing.
         arch = nn.mlp_arch(784, [100], 10, "cross_entropy")
         rng = np.random.default_rng(5)
         w0 = nn.init_model(arch, 5)
@@ -702,7 +711,7 @@ class TestLayer0Dispatch:
         w = w0.copy()
         w[indices] += rng.normal(0, 0.5, indices.size)
         narrow, cache = nn.layer0_view(w0, arch, rng.uniform(0, 1, (30, 784)), indices)
-        scores = nn.predict(w, arch, narrow, cache, indices, w0)
+        scores = nn.predictor(w, arch, narrow, cache, indices, w0)()
         views = narrow.copy(), cache.copy()
         forward = nn.predictor(w, arch, narrow, cache, indices, w0)
         w[indices] = w0[indices]
@@ -733,13 +742,13 @@ class TestLayer0Dispatch:
             w = w0.copy()
             w[indices] += rng.normal(0, 0.5, indices.size)
             args = (arch, 3, indices, 0.3, 8, 0)
-            out = nn.topk_sgd(narrow, y, w, w0, *args, layer0=cache)
+            out = train_one(narrow, y, w, w0, *args, layer0=cache)
             trained = reference_topk_sgd(x, y, w, w0, *args)
             np.testing.assert_allclose(out, trained[indices], rtol=1e-10, atol=1e-10)
             trained[indices] = out  # w0 off the set
             np.testing.assert_allclose(
-                nn.predict(trained, arch, narrow, cache, indices, w0),
-                nn.predict(trained, arch, x), rtol=1e-10, atol=1e-12)
+                nn.predictor(trained, arch, narrow, cache, indices, w0)(),
+                nn.predictor(trained, arch, x)(), rtol=1e-10, atol=1e-12)
         assert np.array_equal(views[0][1], views[1][1])
         for narrow, cache, narrow_before, cache_before in views:
             assert np.array_equal(narrow, narrow_before)

@@ -367,7 +367,7 @@ class TestEmpiricalAudit:
         # A client's shard is its own index, so `rows[:, 0]` names a group's
         # clients.
         monkeypatch.setattr(federation, "local_update",
-                            lambda *args: stack[args[-1][:, 0]])
+                            lambda *args: stack[args[11][:, 0]])
         before = run.w.copy()
         run.run_round()
         return self.M * (run.w - before), run.epsilon_so_far()
